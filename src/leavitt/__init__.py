@@ -46,7 +46,6 @@ from .ideals import (
 from .ktheory import (
     ClosedSubmonoid,
     CornerGen,
-    MatrixDecomposition,
     ProjectivePresentation,
     VertexGen,
     acyclic_decomposition,
@@ -62,6 +61,7 @@ from .ktheory import (
 )
 from .quotients import (
     IsoCertificate,
+    MatrixDecomposition,
     QuotientResult,
     cycle_to_loop,
     decide_lpa_quotient,

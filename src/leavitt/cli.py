@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
 
 from . import digraph as dg
 from . import ideals as il
@@ -32,17 +31,9 @@ DEFAULT_LIMITS = {
     "maxCycles": 10_000,
     "maxPairs": 10_000,
     "maxParamPoints": 1_000_000,
-    "congruenceDepth": 12,
 }
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_paths: list[str]
-    field: Field | None = None
-    limits: dict = dc_field(default_factory=lambda: dict(DEFAULT_LIMITS))
-    output_format: str = "text"
+LIMIT_FLAGS = {"maxCycles": "--max-cycles", "maxPairs": "--max-pairs",
+               "maxParamPoints": "--max-param-points"}
 
 
 class Reporter:
@@ -68,6 +59,13 @@ class Reporter:
             self.out.write(text)
 
 
+def _positive_int(text: str, what: str) -> int:
+    """The one check for a limit value, whether from a flag or from LPA_LIMITS."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise ParseError(f"{what} must be a positive integer")
+    return int(text)
+
+
 def _env_limits() -> dict:
     raw = os.environ.get("LPA_LIMITS", "")
     out = {}
@@ -77,9 +75,7 @@ def _env_limits() -> dict:
         key, value = piece.split("=", 1)
         if key not in DEFAULT_LIMITS:
             raise ParseError(f"unknown LPA_LIMITS key {key!r}")
-        if not value.isdigit() or int(value) < 1:
-            raise ParseError(f"LPA_LIMITS {key} must be a positive integer")
-        out[key] = int(value)
+        out[key] = _positive_int(value, f"LPA_LIMITS {key}")
     return out
 
 
@@ -117,14 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS, dest="output_format")
     common.add_argument("--field", default=argparse.SUPPRESS,
                         help="override the ideal file's field (Q or F<p>)")
-    common.add_argument("--max-cycles", type=int, default=argparse.SUPPRESS,
-                        dest="maxCycles")
-    common.add_argument("--max-pairs", type=int, default=argparse.SUPPRESS,
-                        dest="maxPairs")
-    common.add_argument("--max-param-points", type=int, default=argparse.SUPPRESS,
-                        dest="maxParamPoints")
-    common.add_argument("--congruence-depth", type=int, default=argparse.SUPPRESS,
-                        dest="congruenceDepth")
+    for key, flag in LIMIT_FLAGS.items():
+        common.add_argument(flag, default=argparse.SUPPRESS, dest=key)
     parser = argparse.ArgumentParser(
         prog="leavitt", parents=[common],
         description="Exact computations with Leavitt path algebras of finite digraphs.")
@@ -165,32 +155,25 @@ def _set_label(vs) -> str:
     return "{" + ",".join(sorted(vs)) + "}"
 
 
-def _config_from(args) -> RunConfig:
+def _config_from(args) -> tuple[dict, Field | None, str]:
+    """(limits, field override, output format), all checked before any output."""
     limits = dict(DEFAULT_LIMITS)
     limits.update(_env_limits())
-    for key in DEFAULT_LIMITS:
+    for key, flag in LIMIT_FLAGS.items():
         if getattr(args, key, None) is not None:
-            limits[key] = getattr(args, key)
+            limits[key] = _positive_int(getattr(args, key), flag)
     field_arg = getattr(args, "field", None)
     try:
         override = Field.from_header(field_arg) if field_arg else None
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    paths = [getattr(args, slot) for slot in
-             ("graph", "ideal", "morphism", "source_graph", "target_graph",
-              "presentation") if getattr(args, slot, None)]
-    return RunConfig(command=args.command, input_paths=paths, field=override,
-                     limits=limits,
-                     output_format=getattr(args, "output_format", "text"))
+    return limits, override, getattr(args, "output_format", "text")
 
 
 def run(args) -> int:
-    config = _config_from(args)
-    limits = config.limits
-    override = config.field
-    fmt = config.output_format
+    limits, override, fmt = _config_from(args)
     rep = Reporter(fmt, sys.stdout)
-    command = config.command
+    command = args.command
 
     if fmt == "dot" and command not in ("dot", "quotient", "sever"):
         raise ParseError(f"--format dot is not meaningful for {command}")
@@ -255,13 +238,14 @@ def run(args) -> int:
     if command == "sever":
         g = _load_graph(args.graph)
         j = _load_ideal(args.ideal, override)
-        decision = qt.decide_lpa_quotient(g, j)
+        valid = il.validated_ideal(g, j)
+        decision = qt.decide_validated(valid)
         if not decision.is_lpa and not args.force_degree_only:
             detail = "; ".join(f"cycle {r.label}: {r.verdict.describe(j.field)}"
                                for r in decision.failing())
             raise qt.NotDlfError(
                 f"{detail} (use --force-degree-only for the degree-only construction)")
-        result = decision.severed if decision.is_lpa else qt.sever(g, j)
+        result = decision.severed if decision.is_lpa else qt.sever_validated(valid)
         _graph_output(rep, result, fmt)
         return 0
 
@@ -297,11 +281,10 @@ def run(args) -> int:
     if command == "dim":
         g = _load_graph(args.graph)
         j = _load_ideal(args.ideal, override) if args.ideal else None
-        blocks = qt.dimension_blocks(g, j)
-        grouped = " ⊕ ".join(f"{copies} × M_{size}" for size, copies in blocks.grouped())
-        rep.emit(f"{blocks.total} = {grouped}" if grouped else f"{blocks.total} = 0",
-                 record="dimension", total=blocks.total,
-                 blocks=[[size, copies] for size, copies in blocks.grouped()])
+        blocks = qt.dimension_blocks(g, j, limit=limits["maxCycles"])
+        rep.emit(f"{blocks.total_dimension} = {blocks.describe()}",
+                 record="dimension", total=blocks.total_dimension,
+                 blocks=[[size, copies] for size, copies in blocks.blocks])
         return 0
 
     if command == "monoid":

@@ -145,10 +145,6 @@ class Field:
             raise ResourceLimitError(f"refusing exhaustive search over F{self.p}")
         return iter(range(self.p))
 
-    def sort_key(self, x: Scalar):
-        # both int residues and Fractions order consistently within one field
-        return x
-
     # -- text form ---------------------------------------------------------
 
     def parse_scalar(self, token: str) -> Scalar:

@@ -5,6 +5,11 @@ An ideal of the path algebra of a digraph is presented by an admissible pair
 polynomial θ(C) with constant term 1 for each C ∈ β.  β empty means the
 ideal is graded.  Validation returns violations instead of raising so the
 CLI can report them all; only dangling vertex/arrow ids raise.
+
+Contract: public entry points validate a (digraph, ideal) pair exactly once,
+through :func:`validated_ideal`, which raises InvalidIdealError and computes
+B_H∖S once; workers take the resulting :class:`ValidatedIdeal` and use what
+it caches instead of validating again.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .digraph import (
 )
 from .errors import (
     FieldMismatchError,
+    InvalidIdealError,
     MeetJoinFailureError,
     NotAdmissibleError,
     ResourceLimitError,
@@ -64,16 +70,16 @@ def ensure_admissible(g: Digraph, pair: AdmissiblePair):
         raise NotAdmissibleError(f"{pair.label()} is not admissible in {g.name}")
 
 
-def quotient_out_degree(g: Digraph, pair: AdmissiblePair, v: str) -> int | float:
+def quotient_out_degree(g: Digraph, h: frozenset[str], primed: frozenset[str],
+                        v: str) -> int | float:
     """Out-degree of a surviving vertex in Γ/(H, S) without building the quotient.
 
-    Classes with target outside H survive; classes with target in B_H∖S are
-    duplicated toward the primed sink.
+    Classes with target outside H survive; classes with target in
+    ``primed`` = B_H∖S are duplicated toward the primed sink.
     """
-    primed = breaking_vertices(g, pair.h) - pair.s
     total = 0
     for a in g.out_arrows(v):
-        copies = (a.target not in pair.h) + (a.target in primed)
+        copies = (a.target not in h) + (a.target in primed)
         if copies and is_omega(a.multiplicity):
             return OMEGA
         total += copies * a.multiplicity
@@ -84,6 +90,7 @@ def no_exit_quotient_cycles(g: Digraph, pair: AdmissiblePair,
                             limit: int = 10_000) -> list[GeometricCycle]:
     """Cycles of Γ/(H, S) with no exit there, as cycles of g (arrow ids survive)."""
     ensure_admissible(g, pair)
+    primed = breaking_vertices(g, pair.h) - pair.s
     survivors = [v for v in g.vertices if v not in pair.h]
     sub = g.full_subgraph(survivors)
     out = []
@@ -91,7 +98,8 @@ def no_exit_quotient_cycles(g: Digraph, pair: AdmissiblePair,
         cyc = info.cycle
         if not info.multiplicity_one:
             continue
-        if all(quotient_out_degree(g, pair, v) == 1 for v in cycle_vertices(g, cyc)):
+        if all(quotient_out_degree(g, pair.h, primed, v) == 1
+               for v in cycle_vertices(g, cyc)):
             out.append(cyc)
     return out
 
@@ -127,6 +135,7 @@ class IdealPresentation:
 class IdealValidation:
     valid: bool
     violations: tuple[str, ...]
+    primed: frozenset[str] = frozenset()  # B_H∖S, once H is hereditary and saturated
 
 
 def validate_ideal(g: Digraph, j: IdealPresentation) -> IdealValidation:
@@ -141,10 +150,13 @@ def validate_ideal(g: Digraph, j: IdealPresentation) -> IdealValidation:
         violations.append("H is not hereditary")
     if not is_saturated(g, j.pair.h):
         violations.append("H is not saturated")
-    if not violations:
+    h_ok = not violations
+    primed: frozenset[str] = frozenset()
+    if h_ok:
         bb = breaking_vertices(g, j.pair.h)
         for v in sorted(j.pair.s - bb):
             violations.append(f"S contains {v}, which is not a breaking vertex of H")
+        primed = bb - j.pair.s
 
     seen = set()
     for c in j.beta:
@@ -160,13 +172,13 @@ def validate_ideal(g: Digraph, j: IdealPresentation) -> IdealValidation:
             violations.append(f"cycle {j.label_of(c)} does not survive in the quotient "
                               f"(a vertex lies in H)")
             continue
-        if not is_hereditary(g, j.pair.h) or not is_saturated(g, j.pair.h):
+        if not h_ok:
             continue
         bad = [g.arrow(a).multiplicity != 1 for a in c.arrows]
         if any(bad):
             violations.append(f"cycle {j.label_of(c)} has a class of multiplicity != 1")
             continue
-        if any(quotient_out_degree(g, j.pair, v) != 1 for v in vs):
+        if any(quotient_out_degree(g, j.pair.h, primed, v) != 1 for v in vs):
             violations.append(f"cycle {j.label_of(c)} has an exit in the quotient")
 
     for c in j.beta:
@@ -186,7 +198,25 @@ def validate_ideal(g: Digraph, j: IdealPresentation) -> IdealValidation:
         if c not in seen:
             violations.append(f"polynomial given for {j.label_of(c)}, "
                               f"which is not a cycle of the ideal")
-    return IdealValidation(valid=not violations, violations=tuple(violations))
+    return IdealValidation(valid=not violations, violations=tuple(violations),
+                           primed=primed)
+
+
+@dataclass(frozen=True)
+class ValidatedIdeal:
+    """(Γ, J) once :func:`validated_ideal` passed; ``primed`` is B_H∖S."""
+
+    graph: Digraph
+    ideal: IdealPresentation
+    primed: frozenset[str]
+
+
+def validated_ideal(g: Digraph, j: IdealPresentation) -> ValidatedIdeal:
+    """Validate j on g once; raises InvalidIdealError with every violation."""
+    report = validate_ideal(g, j)
+    if not report.valid:
+        raise InvalidIdealError(report.violations)
+    return ValidatedIdeal(g, j, report.primed)
 
 
 def graded_part(j: IdealPresentation) -> IdealPresentation:

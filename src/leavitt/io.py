@@ -68,7 +68,7 @@ def parse_digraph(text: str, path: str | None = None) -> Digraph:
             if len(parts) == 5:
                 if parts[4] == "omega":
                     mult = OMEGA
-                elif parts[4].isdigit() and int(parts[4]) >= 1:
+                elif parts[4].isascii() and parts[4].isdigit() and int(parts[4]) >= 1:
                     mult = int(parts[4])
                 else:
                     raise ParseError(f"bad multiplicity {parts[4]!r}", no, path)
@@ -261,7 +261,7 @@ def parse_presentation(text: str, path: str | None = None) -> ProjectivePresenta
                 if "#" not in token:
                     raise ParseError(f"bad instance token {token!r}", no, path)
                 aid, idx = token.rsplit("#", 1)
-                if not idx.isdigit():
+                if not (idx.isascii() and idx.isdigit()):
                     raise ParseError(f"bad instance index in {token!r}", no, path)
                 z.add((aid, int(idx)))
             items.append(CornerGen(vertex, frozenset(z)))

@@ -36,8 +36,8 @@ from .errors import (
     NotRowFiniteError,
     UnknownArrowError,
 )
-from .ideals import AdmissiblePair, IdealPresentation, ensure_admissible, validate_ideal
-from .errors import InvalidIdealError
+from .ideals import AdmissiblePair, IdealPresentation, ensure_admissible, validated_ideal
+from .quotients import MatrixDecomposition, dimension_blocks
 
 
 # -- graph monoid ----------------------------------------------------------------
@@ -265,9 +265,7 @@ def galois_psi(g: Digraph, x: ProjectivePresentation | Iterable[Generator]) -> A
 def is_orthogonal(g: Digraph, p: ProjectivePresentation, j: IdealPresentation) -> bool:
     """Hom(P, L/J) = 0, read off the generator items and the pair of J."""
     validate_presentation(g, p)
-    report = validate_ideal(g, j)
-    if not report.valid:
-        raise InvalidIdealError(report.violations)
+    validated_ideal(g, j)
     h, s = j.pair.h, j.pair.s
     for item in p.items:
         if isinstance(item, VertexGen):
@@ -356,25 +354,6 @@ def corner_classify(g: Digraph, v: str) -> CornerKind:
 # -- endomorphism algebras ------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MatrixDecomposition:
-    """Sorted (block size, copies) pairs of a direct sum of matrix algebras."""
-
-    blocks: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, sizes: Iterable[int]) -> "MatrixDecomposition":
-        grouped: Counter[int] = Counter(sizes)
-        return cls(tuple(sorted(grouped.items())))
-
-    @property
-    def total_dimension(self) -> int:
-        return sum(copies * size * size for size, copies in self.blocks)
-
-    def describe(self) -> str:
-        return " ⊕ ".join(f"{copies} × M_{size}" for size, copies in self.blocks) or "0"
-
-
-@dataclass(frozen=True)
 class EndVerdict:
     finite: bool
     decomposition: MatrixDecomposition | None = None
@@ -428,5 +407,4 @@ def acyclic_decomposition(g: Digraph) -> MatrixDecomposition:
     cyc = find_any_cycle(g)
     if cyc is not None:
         raise NotAcyclicError(f"{g.name} contains the cycle {cyc.label()}")
-    from .quotients import path_count_to
-    return MatrixDecomposition.of(path_count_to(g, v) for v in g.sinks())
+    return dimension_blocks(g)

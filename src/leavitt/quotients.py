@@ -15,12 +15,18 @@ cycle and, on success, an explicit generator-image certificate.
 
 Fresh-id scheme: primed ids append a prime character, split ids append
 ``.j`` (j from 1), so provenance stays readable and DOT output is stable.
+
+Contract: each public (digraph, ideal) entry point validates once, through
+:func:`~leavitt.ideals.validated_ideal`; the workers (``*_validated`` and the
+private builders) take that value and its cached B_H∖S, and build the graded
+quotient, the dlf verdicts and the severed digraph at most once per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping
 
 from .digraph import (
     ArrowClass,
@@ -36,12 +42,17 @@ from .errors import (
     CycleHasExitError,
     CyclesNotDisjointError,
     InternalConsistencyError,
-    InvalidIdealError,
     NotDlfError,
     UnsupportedShapeError,
 )
-from .fields import DlfVerdict, Polynomial, Scalar, find_roots, is_dlf, squarefree_part
-from .ideals import AdmissiblePair, IdealPresentation, ensure_admissible, validate_ideal
+from .fields import DlfVerdict, Polynomial, Scalar, is_dlf, squarefree_part
+from .ideals import (
+    AdmissiblePair,
+    IdealPresentation,
+    ValidatedIdeal,
+    ensure_admissible,
+    validated_ideal,
+)
 
 
 @dataclass(frozen=True)
@@ -62,12 +73,15 @@ def _fresh(name: str, taken: set[str]) -> str:
 def graded_quotient(g: Digraph, pair: AdmissiblePair) -> QuotientResult:
     """Γ/(H, S): survivors keep their ids; each v ∈ B_H∖S gets a sink v'."""
     ensure_admissible(g, pair)
-    primed = breaking_vertices(g, pair.h) - pair.s
+    return _graded_quotient(g, pair.h, breaking_vertices(g, pair.h) - pair.s)
+
+
+def _graded_quotient(g: Digraph, h: frozenset[str], primed: frozenset[str]) -> QuotientResult:
     taken = set(g.vertices) | {a.id for a in g.arrows}
     vertices: list[str] = []
     provenance: dict[str, str] = {}
     for v in g.vertices:
-        if v not in pair.h:
+        if v not in h:
             vertices.append(v)
             provenance[v] = f"vertex {v}"
     for v in g.vertices:
@@ -77,7 +91,7 @@ def graded_quotient(g: Digraph, pair: AdmissiblePair) -> QuotientResult:
             provenance[vp] = f"breaking-sink {v}"
     arrows: list[ArrowClass] = []
     for a in g.arrows:
-        if a.target not in pair.h:
+        if a.target not in h:
             arrows.append(a)
             provenance[a.id] = f"arrow {a.id}"
     for a in g.arrows:
@@ -133,17 +147,9 @@ def loop_arrow_of(cycle: GeometricCycle) -> str:
     return cycle.arrows[0] if len(cycle) == 1 else cycle.arrows[0] + "'"
 
 
-def split_sink_ids(g_or_base, cycle: GeometricCycle, degree: int) -> list[str]:
-    """Fresh sink ids for a severed cycle: ``<base>.1 .. <base>.d``."""
-    base = g_or_base if isinstance(g_or_base, str) else base_vertex(g_or_base, cycle)
+def split_sink_ids(base: str, degree: int) -> list[str]:
+    """Fresh sink ids for a cycle severed at ``base``: ``<base>.1 .. <base>.d``."""
     return [f"{base}.{j}" for j in range(1, degree + 1)]
-
-
-def _validated(g: Digraph, j: IdealPresentation) -> IdealPresentation:
-    report = validate_ideal(g, j)
-    if not report.valid:
-        raise InvalidIdealError(report.violations)
-    return j
 
 
 def sever(g: Digraph, j: IdealPresentation) -> QuotientResult:
@@ -151,8 +157,13 @@ def sever(g: Digraph, j: IdealPresentation) -> QuotientResult:
 
     Defined for any valid presentation; only the degrees of θ matter here.
     """
-    _validated(g, j)
-    q1 = graded_quotient(g, j.pair)
+    return sever_validated(validated_ideal(g, j))
+
+
+def sever_validated(valid: ValidatedIdeal, q1: QuotientResult | None = None) -> QuotientResult:
+    """:func:`sever` for a validated presentation, from its graded quotient q1 if built."""
+    g, j = valid.graph, valid.ideal
+    q1 = q1 or _graded_quotient(g, j.pair.h, valid.primed)
     q2 = cycle_to_loop(q1.digraph, j.beta)
     work = q2.digraph
     provenance = dict(q2.provenance)
@@ -160,37 +171,37 @@ def sever(g: Digraph, j: IdealPresentation) -> QuotientResult:
         if origin != f"vertex {new}" and origin != f"arrow {new}":
             provenance[new] = origin
 
+    # ids are minted per cycle, sinks first and then copies of the arrows into
+    # the base, which fixes the id a collision reports; vertices and arrows are
+    # then replaced in place in one pass
     taken = set(work.vertices) | {a.id for a in work.arrows}
-    vertex_order = list(work.vertices)
-    arrow_order: list[ArrowClass] = list(work.arrows)
+    sinks_of: dict[str, list[str]] = {}
+    copies_of: dict[str, list[ArrowClass]] = {}  # arrow id -> what replaces it
     for cycle in j.beta:
-        degree = j.theta[cycle].degree
         base = base_vertex(g, cycle)  # first arrow keeps its source through the pipeline
         loop_id = loop_arrow_of(cycle)
-        sinks = [_fresh(s, taken) for s in split_sink_ids(base, cycle, degree)]
-        pos = vertex_order.index(base)
-        vertex_order[pos:pos + 1] = sinks
+        copies_of[loop_id] = []
+        provenance.pop(loop_id, None)
+        sinks = [_fresh(s, taken) for s in split_sink_ids(base, j.theta[cycle].degree)]
+        sinks_of[base] = sinks
         provenance.pop(base, None)
         for jdx, s in enumerate(sinks, 1):
             provenance[s] = f"cycle-sink {base} root {jdx}"
-        rebuilt: list[ArrowClass] = []
-        for a in arrow_order:
+        for a in work.in_arrows(base):
             if a.id == loop_id:
-                provenance.pop(a.id, None)
                 continue
-            if a.target == base:
-                if a.source == base:
-                    raise InternalConsistencyError(
-                        f"unexpected second loop {a.id} at severed vertex {base}")
-                provenance.pop(a.id, None)
-                for jdx, s in enumerate(sinks, 1):
-                    copy_id = _fresh(f"{a.id}.{jdx}", taken)
-                    rebuilt.append(ArrowClass(copy_id, a.source, s, a.multiplicity))
-                    provenance[copy_id] = f"split-arrow {a.id} copy {jdx}"
-            else:
-                rebuilt.append(a)
-        arrow_order = rebuilt
-    digraph = Digraph(g.name, vertex_order, arrow_order)
+            if a.source == base:
+                raise InternalConsistencyError(
+                    f"unexpected second loop {a.id} at severed vertex {base}")
+            provenance.pop(a.id, None)
+            copies_of[a.id] = []
+            for jdx, s in enumerate(sinks, 1):
+                copy_id = _fresh(f"{a.id}.{jdx}", taken)
+                copies_of[a.id].append(ArrowClass(copy_id, a.source, s, a.multiplicity))
+                provenance[copy_id] = f"split-arrow {a.id} copy {jdx}"
+    vertices = [s for v in work.vertices for s in sinks_of.get(v, [v])]
+    arrows = [c for a in work.arrows for c in copies_of.get(a.id, [a])]
+    digraph = Digraph(g.name, vertices, arrows)
     missing = (set(digraph.vertices) | {a.id for a in digraph.arrows}) ^ set(provenance)
     if missing:
         raise InternalConsistencyError(f"provenance does not cover {sorted(missing)}")
@@ -206,9 +217,12 @@ class CycleDlfReport:
 
 @dataclass(frozen=True)
 class DecideResult:
+    """Dlf verdict per β cycle; if all hold, Γ//J and the graded quotient it is built from."""
+
     is_lpa: bool
     reports: tuple[CycleDlfReport, ...]
     severed: QuotientResult | None
+    quotient: QuotientResult | None = None
 
     def failing(self) -> tuple[CycleDlfReport, ...]:
         return tuple(r for r in self.reports if not r.verdict.is_dlf)
@@ -216,11 +230,17 @@ class DecideResult:
 
 def decide_lpa_quotient(g: Digraph, j: IdealPresentation) -> DecideResult:
     """Is the quotient by j again of path-algebra type?  Yes iff j is dlf."""
-    _validated(g, j)
-    reports = tuple(
-        CycleDlfReport(j.label_of(c), c, is_dlf(j.theta[c])) for c in j.beta)
-    ok = all(r.verdict.is_dlf for r in reports)
-    return DecideResult(ok, reports, sever(g, j) if ok else None)
+    return decide_validated(validated_ideal(g, j))
+
+
+def decide_validated(valid: ValidatedIdeal) -> DecideResult:
+    """:func:`decide_lpa_quotient` for a presentation already validated."""
+    g, j = valid.graph, valid.ideal
+    reports = tuple(CycleDlfReport(j.label_of(c), c, is_dlf(j.theta[c])) for c in j.beta)
+    if not all(r.verdict.is_dlf for r in reports):
+        return DecideResult(False, reports, None)
+    q1 = _graded_quotient(g, j.pair.h, valid.primed)
+    return DecideResult(True, reports, sever_validated(valid, q1), q1)
 
 
 @dataclass(frozen=True)
@@ -249,16 +269,14 @@ class IsoCertificate:
 
 
 def iso_certificate(g: Digraph, j: IdealPresentation) -> IsoCertificate:
-    decision = decide_lpa_quotient(g, j)
+    # severing mints the ids the images name, and raises on a collision
+    decision = decide_validated(validated_ideal(g, j))
     if not decision.is_lpa:
         bad = ", ".join(f"{r.label}: {r.verdict.describe(j.field)}" for r in decision.failing())
         raise NotDlfError(f"no certificate: {bad}")
-    quotient = graded_quotient(g, j.pair).digraph
-    roots_of: dict[GeometricCycle, list[Scalar]] = {}
-    base_of: dict[GeometricCycle, str] = {}
-    for c in j.beta:
-        roots_of[c] = sorted(r for r, _ in find_roots(j.theta[c]).roots)
-        base_of[c] = base_vertex(quotient, c)
+    quotient = decision.quotient.digraph
+    roots_of = {r.cycle: sorted(r.verdict.roots) for r in decision.reports}
+    base_of = {c: base_vertex(quotient, c) for c in j.beta}
     bases = {b: c for c, b in base_of.items()}
     first_arrows = {c.arrows[0]: c for c in j.beta}
     one = j.field.one
@@ -267,14 +285,14 @@ def iso_certificate(g: Digraph, j: IdealPresentation) -> IsoCertificate:
     for v in quotient.vertices:
         if v in bases:
             c = bases[v]
-            sinks = split_sink_ids(v, c, len(roots_of[c]))
+            sinks = split_sink_ids(v, len(roots_of[c]))
             entries.append(CertEntry("vertex", v, tuple((one, s) for s in sinks)))
         else:
             entries.append(CertEntry("vertex", v, ((one, v),)))
     for a in quotient.arrows:
         if a.id in first_arrows:
             c = first_arrows[a.id]
-            sinks = split_sink_ids(base_of[c], c, len(roots_of[c]))
+            sinks = split_sink_ids(base_of[c], len(roots_of[c]))
             entries.append(CertEntry(
                 "cycle", j.label_of(c),
                 tuple(zip(roots_of[c], sinks))))
@@ -303,7 +321,7 @@ def radical_quotient(g: Digraph, j: IdealPresentation) -> RadicalResult:
     into distinct linear factors over the field; when it does not, the
     construction still goes through and the violation is flagged.
     """
-    _validated(g, j)
+    valid = validated_ideal(g, j)
     new_theta: dict[GeometricCycle, Polynomial] = {}
     drops: list[tuple[str, int]] = []
     violations: list[str] = []
@@ -320,7 +338,10 @@ def radical_quotient(g: Digraph, j: IdealPresentation) -> RadicalResult:
     j_prime = IdealPresentation(field=j.field, pair=j.pair, beta=j.beta,
                                 theta=new_theta, labels=dict(j.labels),
                                 name=j.name + ".rad")
-    return RadicalResult(j_prime, sever(g, j_prime), tuple(drops),
+    # j′ differs from j only in θ, each replaced by a squarefree part of
+    # positive degree with constant term 1, so it is valid whenever j is
+    severed = sever_validated(replace(valid, ideal=j_prime))
+    return RadicalResult(j_prime, severed, tuple(drops),
                          hypothesis_ok=not violations,
                          hypothesis_violations=tuple(violations))
 
@@ -367,65 +388,54 @@ def partial_cycle_path_count(g: Digraph, cycle: GeometricCycle) -> int:
                for w in cycle_vertices(g, cycle))
 
 
-def quotient_dimension(g: Digraph, j: IdealPresentation | None = None) -> int:
-    """Total dimension of the quotient: sink blocks plus severed cycle blocks.
+@dataclass(frozen=True)
+class MatrixDecomposition:
+    """Sorted (block size, copies) pairs of a direct sum of matrix algebras."""
 
-    dim = Σ_sinks n(v)² + Σ_{C∈β} deg θ(C)·|P_C|², over the graded quotient
-    when an ideal is given, over g itself (which must then be acyclic)
-    otherwise.
+    blocks: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, sizes: Iterable[int]) -> "MatrixDecomposition":
+        return cls(tuple(sorted(Counter(sizes).items())))
+
+    @property
+    def total_dimension(self) -> int:
+        return sum(copies * size * size for size, copies in self.blocks)
+
+    def describe(self) -> str:
+        return " ⊕ ".join(f"{copies} × M_{size}" for size, copies in self.blocks) or "0"
+
+
+def dimension_blocks(g: Digraph, j: IdealPresentation | None = None,
+                     limit: int = 10_000) -> MatrixDecomposition:
+    """Matrix blocks of the quotient: M_n(v) per sink, deg θ(C) × M_|P_C| per C ∈ β.
+
+    So dim = Σ_sinks n(v)² + Σ_{C∈β} deg θ(C)·|P_C|², over the graded
+    quotient when an ideal is given, over g itself (which must then be
+    acyclic) otherwise.  ``limit`` bounds the cycle enumeration.
     """
     if j is not None:
-        _validated(g, j)
-        work = graded_quotient(g, j.pair).digraph
+        valid = validated_ideal(g, j)
+        work = _graded_quotient(g, j.pair.h, valid.primed).digraph
         beta = j.beta
     else:
         work = g
         beta = ()
     if not work.is_row_finite:
         raise UnsupportedShapeError(f"{work.name} has an ω class; dimension is infinite")
-    cycles = {info.cycle for info in enumerate_cycles(work)}
+    cycles = {info.cycle for info in enumerate_cycles(work, limit=limit)}
     if set(beta) != cycles:
         stray = sorted(c.label() for c in cycles - set(beta))
         if stray:
             raise UnsupportedShapeError(
                 f"unsevered cycle(s) {', '.join(stray)} in {work.name}")
         raise UnsupportedShapeError("ideal lists cycles absent from the quotient")
-    total = 0
-    for v in work.sinks():
-        total += path_count_to(work, v) ** 2
+    sizes = [path_count_to(work, v) for v in work.sinks()]
     for c in beta:
-        total += j.theta[c].degree * partial_cycle_path_count(work, c) ** 2
-    return total
+        sizes += [partial_cycle_path_count(work, c)] * j.theta[c].degree
+    return MatrixDecomposition.of(sizes)
 
 
-@dataclass(frozen=True)
-class DimensionBlocks:
-    """Matrix-block view of a finite-dimensional quotient, for reporting."""
-
-    sink_blocks: tuple[tuple[str, int], ...]           # (sink, n(v))
-    cycle_blocks: tuple[tuple[str, int, int], ...]     # (cycle label, deg, |P_C|)
-
-    @property
-    def total(self) -> int:
-        return (sum(n * n for _, n in self.sink_blocks)
-                + sum(d * n * n for _, d, n in self.cycle_blocks))
-
-    def grouped(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (block size, copies) pairs over all matrix blocks."""
-        sizes: dict[int, int] = {}
-        for _, n in self.sink_blocks:
-            sizes[n] = sizes.get(n, 0) + 1
-        for _, d, n in self.cycle_blocks:
-            sizes[n] = sizes.get(n, 0) + d
-        return tuple(sorted(sizes.items()))
-
-
-def dimension_blocks(g: Digraph, j: IdealPresentation | None = None) -> DimensionBlocks:
-    """Same preconditions as :func:`quotient_dimension`, but keep the block data."""
-    quotient_dimension(g, j)  # validate shape first
-    work = graded_quotient(g, j.pair).digraph if j is not None else g
-    sinks = tuple((v, path_count_to(work, v)) for v in work.sinks())
-    cycle_blocks = tuple(
-        (j.label_of(c), j.theta[c].degree, partial_cycle_path_count(work, c))
-        for c in j.beta) if j is not None else ()
-    return DimensionBlocks(sinks, cycle_blocks)
+def quotient_dimension(g: Digraph, j: IdealPresentation | None = None) -> int:
+    """Total dimension of the quotient; see :func:`dimension_blocks`."""
+    return dimension_blocks(g, j).total_dimension

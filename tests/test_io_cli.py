@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import leavitt
 from leavitt.cli import main
 from leavitt.digraph import to_dot
 from leavitt.errors import ParseError
@@ -49,6 +50,15 @@ class TestDigraphFormat:
     def test_comments_ignored(self):
         g = parse_digraph("# hi\ndigraph g # trailing\nvertex a\n")
         assert g.name == "g" and g.vertices == ("a",)
+
+    def test_non_ascii_multiplicity(self, tmp_path):
+        # '²'.isdigit() holds but int('²') fails
+        graph = tmp_path / "m.graph"
+        graph.write_text("digraph m\nvertex a\nvertex b\narrow e a b ²\n")
+        with pytest.raises(ParseError) as err:
+            parse_digraph(graph.read_text(), str(graph))
+        assert err.value.line == 4 and err.value.path == str(graph)
+        assert run_cli("analyze", str(graph)) == (2, "")
 
 
 class TestIdealFormat:
@@ -107,6 +117,14 @@ class TestPresentationFormat:
     def test_bad_token(self):
         with pytest.raises(ParseError):
             parse_presentation("corner v {e1}\n")
+
+    def test_non_ascii_instance_index(self, tmp_path):
+        pres = tmp_path / "p.pres"
+        pres.write_text("# corner\ncorner a {e#²}\n")
+        with pytest.raises(ParseError) as err:
+            parse_presentation(pres.read_text(), str(pres))
+        assert err.value.line == 2 and err.value.path == str(pres)
+        assert run_cli("end", cpath("path2"), str(pres)) == (2, "")
 
 
 def run_cli(*args, env_extra=None):
@@ -197,6 +215,27 @@ class TestCliBehavior:
         code, _ = run_cli("analyze", cpath("sq3"),
                           env_extra={"LPA_LIMITS": "maxCycles=1"})
         assert code == 4
+
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_limit_must_be_positive(self, value):
+        # checked before any output, whether it comes from a flag or LPA_LIMITS
+        assert run_cli("analyze", "--max-cycles", value, cpath("loop")) == (2, "")
+        assert run_cli("analyze", cpath("loop"),
+                       env_extra={"LPA_LIMITS": f"maxCycles={value}"}) == (2, "")
+
+    def test_env_limit_non_ascii_digit(self):
+        assert run_cli("analyze", cpath("loop"),
+                       env_extra={"LPA_LIMITS": "maxCycles=²"}) == (2, "")
+
+    def test_dim_respects_max_cycles(self, tmp_path):
+        graph, ideal = tmp_path / "two.graph", tmp_path / "two.ideal"
+        graph.write_text("digraph two\nvertex a\nvertex b\narrow e a a\narrow f b b\n")
+        ideal.write_text("ideal j\nfield Q\ncycle C: e\ncycle D: f\n"
+                         "poly C: 1 -1\npoly D: 1 -1\n")
+        assert run_cli("dim", str(graph), str(ideal)) == (0, "2 = 2 × M_1\n")
+        for args in (("analyze", str(graph)), ("fgip", str(graph)),
+                     ("dim", str(graph), str(ideal))):
+            assert run_cli("--max-cycles", "1", *args)[0] == 4, args
 
     def test_flag_overrides_env(self):
         code, _ = run_cli("analyze", "--max-cycles", "10", cpath("sq3"),
@@ -289,8 +328,11 @@ class TestCliBehavior:
 
 class TestConsoleScript:
     def test_module_entry_point(self):
+        # the child imports the same leavitt as this process, installed or not
+        src = os.path.dirname(os.path.dirname(leavitt.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "leavitt.cli", "dim", cpath("ek-severed")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert proc.stdout.strip() == "48 = 3 × M_4"

@@ -333,8 +333,8 @@ class TestDimension:
 
     def test_blocks_report(self, ek):
         blocks = dimension_blocks(ek, load_ideal("ek-ideal-Q"))
-        assert blocks.grouped() == ((4, 3),)
-        assert blocks.total == 48
+        assert blocks.blocks == ((4, 3),)
+        assert blocks.total_dimension == 48
 
 
 class TestMatrixOracle:

@@ -1,0 +1,162 @@
+"""Each entry point validates its (digraph, ideal) pair once and builds each
+construction at most once; counted by wrapping the functions wherever a
+leavitt module binds them."""
+
+import sys
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from leavitt.digraph import OMEGA, Digraph, GeometricCycle
+from leavitt.errors import InternalConsistencyError
+from leavitt.fields import Field, Polynomial
+from leavitt.ideals import (
+    AdmissiblePair,
+    IdealPresentation,
+    ValidatedIdeal,
+    validate_ideal,
+    validated_ideal,
+)
+from leavitt.io import serialize_digraph, serialize_ideal
+from leavitt.ktheory import ProjectivePresentation, VertexGen, is_orthogonal
+from leavitt.quotients import (
+    decide_lpa_quotient,
+    dimension_blocks,
+    iso_certificate,
+    quotient_dimension,
+    radical_quotient,
+    sever,
+)
+
+from conftest import corpus_ideal_pairs
+from test_io_cli import run_cli
+
+Q = Field.rationals()
+COUNTED = ("validate_ideal", "graded_quotient", "_graded_quotient",
+           "breaking_vertices", "find_roots")
+
+
+def count_calls(monkeypatch) -> Counter:
+    """Live call counts of COUNTED, wrapped in every leavitt module that binds them."""
+    counts: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items() if n == "leavitt" or n.startswith("leavitt.")]
+    for mod in modules:
+        for name in COUNTED:
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, counted(name, vars(mod)[name]))
+    return counts
+
+
+def cycle_case(n: int, dlf: bool = True):
+    """A β cycle of n vertices fed by a tail t, beside a breaking vertex b of H = {h}."""
+    cycle_ids = [f"e{i}" for i in range(n)]
+    arrows = [(aid, f"c{i}", f"c{(i + 1) % n}") for i, aid in enumerate(cycle_ids)]
+    arrows += [("in", "t", "c0"), ("om", "b", "h", OMEGA), ("esc", "b", "t")]
+    g = Digraph(f"cyc{n}", [f"c{i}" for i in range(n)] + ["t", "b", "h"], arrows)
+    c = GeometricCycle.of(cycle_ids)
+    coeffs = [1, Fraction(-3, 2), Fraction(1, 2)] if dlf else [1, -2, 1]
+    j = IdealPresentation(field=Q, pair=AdmissiblePair.of({"h"}), beta=(c,),
+                          theta={c: Polynomial.of(Q, coeffs)}, name="j")
+    return g, j
+
+
+TAIL = ProjectivePresentation.of([VertexGen("h")])
+
+LIBRARY = {
+    "sever": sever,
+    "decide_lpa_quotient": decide_lpa_quotient,
+    "iso_certificate": iso_certificate,
+    "radical_quotient": radical_quotient,
+    "quotient_dimension": quotient_dimension,
+    "dimension_blocks": dimension_blocks,
+    "is_orthogonal": lambda g, j: is_orthogonal(g, TAIL, j),
+}
+
+
+def _library_counts(monkeypatch, entry, n):
+    g, j = cycle_case(n)
+    counts = count_calls(monkeypatch)
+    LIBRARY[entry](g, j)
+    monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize("entry", sorted(LIBRARY))
+def test_library_entry_point_counts(monkeypatch, entry):
+    small = _library_counts(monkeypatch, entry, 3)
+    large = _library_counts(monkeypatch, entry, 40)
+    assert small["validate_ideal"] == 1
+    assert small["graded_quotient"] + small["_graded_quotient"] <= 1
+    assert small["find_roots"] <= 1  # one β cycle
+    assert large == small  # nothing is recomputed per cycle vertex
+
+
+CLI = {
+    "decide": ("decide", True),
+    "sever": ("sever", True),
+    "sever-force-non-dlf": ("sever --force-degree-only", False),
+    "certificate": ("certificate", True),
+    "radical": ("radical", True),
+    "dim": ("dim", True),
+    "orth": ("orth", True),
+}
+
+
+def _cli_counts(monkeypatch, tmp_path, name, n):
+    command, dlf = CLI[name]
+    g, j = cycle_case(n, dlf)
+    graph, ideal, pres = tmp_path / "g.graph", tmp_path / "j.ideal", tmp_path / "p.pres"
+    graph.write_text(serialize_digraph(g))
+    ideal.write_text(serialize_ideal(j))
+    pres.write_text("P: h\n")
+    args = command.split() + [str(graph), str(ideal)]
+    if name == "orth":
+        args.append(str(pres))
+    counts = count_calls(monkeypatch)
+    code, out = run_cli(*args)
+    monkeypatch.undo()
+    assert code == 0, name
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(CLI))
+def test_cli_command_validates_once(monkeypatch, tmp_path, name):
+    small = _cli_counts(monkeypatch, tmp_path, name, 3)
+    large = _cli_counts(monkeypatch, tmp_path, name, 40)
+    assert small["validate_ideal"] == 1
+    assert small["graded_quotient"] + small["_graded_quotient"] <= 1
+    assert small["find_roots"] <= 1
+    assert large == small
+
+
+def test_validated_ideal_caches_primed_breaking_vertices():
+    g, j = cycle_case(3)
+    valid = validated_ideal(g, j)
+    assert isinstance(valid, ValidatedIdeal)
+    assert (valid.graph, valid.ideal, valid.primed) == (g, j, frozenset({"b"}))
+
+
+def test_radical_ideal_is_valid_on_corpus():
+    # radical_quotient severs j′ without validating it again
+    for g, j in corpus_ideal_pairs():
+        assert validate_ideal(g, radical_quotient(g, j).j_prime).valid, (g.name, j.name)
+
+
+def test_fresh_id_collision(tmp_path):
+    graph, ideal = tmp_path / "c.graph", tmp_path / "c.ideal"
+    graph.write_text("digraph c\nvertex v\nvertex v.1\narrow e v v\narrow f v.1 v\n")
+    ideal.write_text("ideal j\nfield Q\ncycle C: e\npoly C: 1 -3/2 1/2\n")
+    for command in ("decide", "sever", "certificate"):
+        assert run_cli(command, str(graph), str(ideal))[0] == 5, command
+    g, j = cycle_case(3)
+    clash = Digraph(g.name, g.vertices + ("c0.2",), g.arrows)
+    with pytest.raises(InternalConsistencyError):
+        iso_certificate(clash, j)
