@@ -33,6 +33,9 @@ from .errors import (
 #: Multiplicity marker for an infinite arrow class.
 OMEGA = math.inf
 
+#: Largest digraph whose hereditary saturated sets are found by the 2^n sweep.
+MAX_SWEEP_VERTICES = 16
+
 
 def is_omega(multiplicity) -> bool:
     return multiplicity == OMEGA
@@ -94,9 +97,10 @@ class Digraph:
         return v in self._out
 
     def check_vertices(self, xs: Iterable[str]):
-        for v in xs:
-            if not self.has_vertex(v):
-                raise UnknownVertexError(f"unknown vertex {v!r} in digraph {self.name}")
+        """Raise on an id that is not a vertex, naming the smallest one."""
+        unknown = [v for v in xs if v not in self._out]
+        if unknown:
+            raise UnknownVertexError(f"unknown vertex {min(unknown)!r} in digraph {self.name}")
 
     def arrow(self, aid: str) -> ArrowClass:
         try:
@@ -398,13 +402,12 @@ def is_saturated(g: Digraph, hs: frozenset[str] | set[str]) -> bool:
     return True
 
 
-def enumerate_hereditary_saturated(g: Digraph, limit: int = 10_000,
-                                   max_vertices: int = 16) -> list[frozenset[str]]:
+def enumerate_hereditary_saturated(g: Digraph, limit: int = 10_000) -> list[frozenset[str]]:
     """All hereditary saturated subsets, sorted by (size, members)."""
     n = len(g.vertices)
-    if n > max_vertices:
+    if n > MAX_SWEEP_VERTICES:
         raise ResourceLimitError(
-            f"digraph {g.name} has {n} vertices; subset sweep capped at {max_vertices}")
+            f"digraph {g.name} has {n} vertices; subset sweep capped at {MAX_SWEEP_VERTICES}")
     out = []
     for mask in range(1 << n):
         hs = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
@@ -465,7 +468,6 @@ class DigraphMorphism:
 class MorphismReport:
     valid: bool
     violations: tuple[str, ...]
-    notes: tuple[str, ...] = ()
 
 
 def check_admissible_morphism(m: DigraphMorphism) -> MorphismReport:
@@ -493,7 +495,6 @@ def check_admissible_morphism(m: DigraphMorphism) -> MorphismReport:
                 f"morphism {m.name}: arrow {e} does not commute with source/target")
 
     violations = []
-    notes = ["fibers are finite (finite digraphs)"]
     dst_info = classify_vertices(dst)
     for b in dst.arrows:
         fiber = sorted(e for e, f_ in m.arrow_map.items() if f_ == b.id)
@@ -508,8 +509,7 @@ def check_admissible_morphism(m: DigraphMorphism) -> MorphismReport:
         w = m.vertex_map[v]
         if not (dst_info[w].sink or dst_info[w].infinite_emitter):
             violations.append(f"sink {v}: image {w} is neither a sink nor an infinite emitter")
-    return MorphismReport(valid=not violations, violations=tuple(violations),
-                          notes=tuple(notes))
+    return MorphismReport(valid=not violations, violations=tuple(violations))
 
 
 # -- DOT export ------------------------------------------------------------------

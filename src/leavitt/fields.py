@@ -75,7 +75,7 @@ class Field:
         """Parse a field header token: ``Q`` or ``F<p>``."""
         if text == "Q":
             return cls.rationals()
-        if text.startswith("F") and text[1:].isdigit():
+        if text.startswith("F") and text[1:].isascii() and text[1:].isdigit():
             return cls(int(text[1:]))
         raise ValueError(f"unrecognized field header {text!r}")
 
@@ -134,9 +134,6 @@ class Field:
             return 1 / Fraction(a)
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     def elements(self) -> Iterator[Scalar]:
         """All field elements, ascending; only available over 𝔽p."""
         if self.p is None:
@@ -154,7 +151,7 @@ class Field:
                 return Fraction(token)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"bad rational {token!r}: {exc}") from None
-        if not token.isdigit():
+        if not (token.isascii() and token.isdigit()):
             raise ValueError(f"bad residue {token!r}: expected a decimal integer in [0, {self.p})")
         value = int(token)
         if not 0 <= value < self.p:
@@ -189,10 +186,6 @@ class Polynomial:
     @classmethod
     def one(cls, field: Field) -> "Polynomial":
         return cls(field, (field.one,))
-
-    @classmethod
-    def x(cls, field: Field) -> "Polynomial":
-        return cls(field, (field.zero, field.one))
 
     @classmethod
     def from_roots(cls, field: Field, roots: Iterable) -> "Polynomial":

@@ -58,16 +58,14 @@ class AdmissiblePair:
         return "({%s}, {%s})" % (",".join(sorted(self.h)), ",".join(sorted(self.s)))
 
 
-def is_admissible(g: Digraph, pair: AdmissiblePair) -> bool:
+def ensure_admissible(g: Digraph, pair: AdmissiblePair) -> frozenset[str]:
+    """B_H∖S, the vertices that get a primed sink; raises unless (H, S) is admissible."""
     g.check_vertices(pair.h | pair.s)
-    if not (is_hereditary(g, pair.h) and is_saturated(g, pair.h)):
-        return False
-    return pair.s <= breaking_vertices(g, pair.h)
-
-
-def ensure_admissible(g: Digraph, pair: AdmissiblePair):
-    if not is_admissible(g, pair):
-        raise NotAdmissibleError(f"{pair.label()} is not admissible in {g.name}")
+    if is_hereditary(g, pair.h) and is_saturated(g, pair.h):
+        bb = breaking_vertices(g, pair.h)
+        if pair.s <= bb:
+            return bb - pair.s
+    raise NotAdmissibleError(f"{pair.label()} is not admissible in {g.name}")
 
 
 def quotient_out_degree(g: Digraph, h: frozenset[str], primed: frozenset[str],
@@ -89,8 +87,7 @@ def quotient_out_degree(g: Digraph, h: frozenset[str], primed: frozenset[str],
 def no_exit_quotient_cycles(g: Digraph, pair: AdmissiblePair,
                             limit: int = 10_000) -> list[GeometricCycle]:
     """Cycles of Γ/(H, S) with no exit there, as cycles of g (arrow ids survive)."""
-    ensure_admissible(g, pair)
-    primed = breaking_vertices(g, pair.h) - pair.s
+    primed = ensure_admissible(g, pair)
     survivors = [v for v in g.vertices if v not in pair.h]
     sub = g.full_subgraph(survivors)
     out = []
@@ -122,10 +119,6 @@ class IdealPresentation:
         for i, c in enumerate(self.beta, 1):
             labels.setdefault(c, f"C{i}")
         self.labels = labels
-
-    @property
-    def is_graded(self) -> bool:
-        return not self.beta
 
     def label_of(self, cycle: GeometricCycle) -> str:
         return self.labels.get(cycle, cycle.label())

@@ -229,15 +229,6 @@ def parse_morphism_file(text: str, path: str | None = None):
     return name, graphs[0], graphs[1], vmap, emap
 
 
-def serialize_morphism(name: str, src: str, dst: str, vmap: dict, emap: dict) -> str:
-    lines = [f"morphism {name}", f"graphs {src} {dst}"]
-    for a, b in vmap.items():
-        lines.append(f"v {a} -> {b}")
-    for a, b in emap.items():
-        lines.append(f"e {a} -> {b}")
-    return "\n".join(lines) + "\n"
-
-
 # -- projective presentations ----------------------------------------------------------
 
 def parse_presentation(text: str, path: str | None = None) -> ProjectivePresentation:

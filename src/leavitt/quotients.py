@@ -6,7 +6,8 @@
   at its source, leaving everything else alone;
 * severing Γ//J: graded quotient, then cycles to loops, then each loop
   replaced by deg θ(C) fresh sinks with every incoming arrow split into that
-  many copies.
+  many copies.  It is built straight from the graded quotient: the arrow the
+  rewrite would turn into a loop is dropped, so the loop never gets an id.
 
 Severing depends only on the degrees of θ.  The quotient is (isomorphic to)
 a path algebra quotient of the same kind exactly when every θ(C) factors
@@ -33,7 +34,6 @@ from .digraph import (
     Digraph,
     GeometricCycle,
     base_vertex,
-    breaking_vertices,
     cycle_vertices,
     enumerate_cycles,
     is_omega,
@@ -72,8 +72,7 @@ def _fresh(name: str, taken: set[str]) -> str:
 
 def graded_quotient(g: Digraph, pair: AdmissiblePair) -> QuotientResult:
     """Γ/(H, S): survivors keep their ids; each v ∈ B_H∖S gets a sink v'."""
-    ensure_admissible(g, pair)
-    return _graded_quotient(g, pair.h, breaking_vertices(g, pair.h) - pair.s)
+    return _graded_quotient(g, pair.h, ensure_admissible(g, pair))
 
 
 def _graded_quotient(g: Digraph, h: frozenset[str], primed: frozenset[str]) -> QuotientResult:
@@ -142,11 +141,6 @@ def cycle_to_loop(g: Digraph, cycles: Iterable[GeometricCycle]) -> QuotientResul
     return QuotientResult(Digraph(g.name, g.vertices, arrows), provenance)
 
 
-def loop_arrow_of(cycle: GeometricCycle) -> str:
-    """Id of the loop that represents the cycle after the rewrite."""
-    return cycle.arrows[0] if len(cycle) == 1 else cycle.arrows[0] + "'"
-
-
 def split_sink_ids(base: str, degree: int) -> list[str]:
     """Fresh sink ids for a cycle severed at ``base``: ``<base>.1 .. <base>.d``."""
     return [f"{base}.{j}" for j in range(1, degree + 1)]
@@ -164,31 +158,29 @@ def sever_validated(valid: ValidatedIdeal, q1: QuotientResult | None = None) -> 
     """:func:`sever` for a validated presentation, from its graded quotient q1 if built."""
     g, j = valid.graph, valid.ideal
     q1 = q1 or _graded_quotient(g, j.pair.h, valid.primed)
-    q2 = cycle_to_loop(q1.digraph, j.beta)
-    work = q2.digraph
-    provenance = dict(q2.provenance)
-    for new, origin in q1.provenance.items():
-        if origin != f"vertex {new}" and origin != f"arrow {new}":
-            provenance[new] = origin
+    work = q1.digraph
+    provenance = dict(q1.provenance)
+    # each cycle's first arrow is the one the rewrite turns into a loop, and
+    # severing deletes that loop; it takes no id and leaves its own free
+    first_arrows = {c.arrows[0] for c in j.beta}
+    for aid in first_arrows:
+        provenance.pop(aid, None)
 
     # ids are minted per cycle, sinks first and then copies of the arrows into
     # the base, which fixes the id a collision reports; vertices and arrows are
     # then replaced in place in one pass
-    taken = set(work.vertices) | {a.id for a in work.arrows}
+    taken = set(work.vertices) | {a.id for a in work.arrows if a.id not in first_arrows}
     sinks_of: dict[str, list[str]] = {}
-    copies_of: dict[str, list[ArrowClass]] = {}  # arrow id -> what replaces it
+    copies_of: dict[str, list[ArrowClass]] = {aid: [] for aid in first_arrows}  # id -> replacement
     for cycle in j.beta:
-        base = base_vertex(g, cycle)  # first arrow keeps its source through the pipeline
-        loop_id = loop_arrow_of(cycle)
-        copies_of[loop_id] = []
-        provenance.pop(loop_id, None)
+        base = base_vertex(work, cycle)
         sinks = [_fresh(s, taken) for s in split_sink_ids(base, j.theta[cycle].degree)]
         sinks_of[base] = sinks
         provenance.pop(base, None)
         for jdx, s in enumerate(sinks, 1):
             provenance[s] = f"cycle-sink {base} root {jdx}"
         for a in work.in_arrows(base):
-            if a.id == loop_id:
+            if a.id == cycle.arrows[0]:
                 continue
             if a.source == base:
                 raise InternalConsistencyError(

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import leavitt
-from leavitt.cli import main
+from leavitt.cli import COMMANDS, main
 from leavitt.digraph import to_dot
 from leavitt.errors import ParseError
 from leavitt.fields import Field
@@ -170,6 +170,27 @@ GOLDEN = [
 ]
 
 
+#: A valid invocation of every subcommand, after its name.
+SAMPLE_ARGS = {
+    "analyze": (cpath("sq2"),),
+    "closure": ("--set", "w1", cpath("sq2")),
+    "quotient": (cpath("sq5"), cpath("ch2-graded-Q")),
+    "decide": (cpath("loop"), cpath("complex-ideal-F5")),
+    "sever": (cpath("loop"), cpath("complex-ideal-F5")),
+    "certificate": (cpath("loop"), cpath("complex-ideal-F5")),
+    "radical": (cpath("loop"), cpath("radical-ideal-Q")),
+    "dim": (cpath("ek-severed"),),
+    "monoid": (cpath("sq2"),),
+    "strata": ("--field", "F3", "--max-deg", "2", cpath("loop")),
+    "orth": (cpath("breaking"), cpath("breaking-ideal"), cpath("breaking-corner")),
+    "fgip": (cpath("sq3"),),
+    "simples": (cpath("path2"),),
+    "end": (cpath("ek-severed"), cpath("ek-severed-tail")),
+    "check-morphism": (cpath("dq2-into-sq2"), cpath("dq2"), cpath("sq2")),
+    "dot": (cpath("sq2"),),
+}
+
+
 class TestCliGolden:
     @pytest.mark.parametrize("args,expected", GOLDEN,
                              ids=[e for _, e in GOLDEN])
@@ -246,10 +267,11 @@ class TestCliBehavior:
         import leavitt.cli as cli_mod
         from leavitt.errors import MeetJoinFailureError
 
-        def boom(path):
+        def boom(operand, path, override):
+            assert operand == "graph"
             raise MeetJoinFailureError("no meet")
 
-        monkeypatch.setattr(cli_mod, "_load_graph", boom)
+        monkeypatch.setattr(cli_mod, "_load", boom)
         code, _ = run_cli("analyze", cpath("sq2"))
         assert code == 5
 
@@ -282,6 +304,24 @@ class TestCliBehavior:
     def test_dot_format_rejected_elsewhere(self):
         code, _ = run_cli("--format", "dot", "analyze", cpath("sq2"))
         assert code == 2
+
+    def test_dot_format_follows_the_table(self):
+        assert set(SAMPLE_ARGS) == set(COMMANDS)
+        assert {name for name, c in COMMANDS.items() if c.dot} == {"dot", "quotient", "sever"}
+        for name, args in SAMPLE_ARGS.items():
+            assert run_cli(name, *args)[0] == 0, name
+            code, out = run_cli("--format", "dot", name, *args)
+            if COMMANDS[name].dot:
+                assert code == 0 and out.startswith("digraph "), name
+            else:
+                assert (code, out) == (2, ""), name
+
+    @pytest.mark.parametrize("args,expected", GOLDEN, ids=[e for _, e in GOLDEN])
+    def test_json_lines_is_json(self, args, expected):
+        code, out = run_cli("--format", "json-lines", *args)
+        assert code == 0 and out
+        for line in out.splitlines():
+            assert "record" in json.loads(line), line
 
     def test_check_morphism_valid(self):
         code, out = run_cli("check-morphism", cpath("dq2-into-sq2"),
@@ -321,18 +361,47 @@ class TestCliBehavior:
         code, out = run_cli("simples", cpath("path2"))
         assert code == 0 and out.strip() == "simple b: members a b"
 
+    def test_max_deg_must_be_positive(self):
+        assert run_cli("strata", "--field", "F3", "--max-deg", "0", cpath("loop")) == (2, "")
+
+    @pytest.mark.parametrize("ideal,extra,message", [
+        ("ideal j\nfield F²\n", (), "unrecognized field header"),
+        ("ideal j\nfield Q\n", ("--field", "F²"), "unrecognized field header"),
+        ("ideal j\nfield F5\ncycle C: e\npoly C: 1 ²\n", (), "bad residue"),
+    ], ids=["header", "flag", "residue"])
+    def test_non_ascii_digits_in_fields(self, tmp_path, capsys, ideal, extra, message):
+        path = tmp_path / "j.ideal"
+        path.write_text(ideal)
+        assert run_cli("decide", *extra, cpath("loop"), str(path)) == (2, "")
+        assert message in capsys.readouterr().err
+
+    def test_unknown_vertex_message_is_deterministic(self):
+        errs = set()
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "leavitt.cli", "closure", "--set", "w1,w2",
+                 cpath("loop")],
+                capture_output=True, text=True, env=child_env(PYTHONHASHSEED=seed))
+            assert proc.returncode == 3
+            errs.add(proc.stderr)
+        assert len(errs) == 1 and "'w1'" in errs.pop()
+
     def test_usage_error_exit_2(self):
         assert run_cli("strata", cpath("loop"))[0] == 2  # missing --max-deg
         assert run_cli("no-such-command")[0] == 2
 
 
+def child_env(**extra) -> dict:
+    """Environment in which a child process imports the same leavitt as this one."""
+    src = os.path.dirname(os.path.dirname(leavitt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 class TestConsoleScript:
     def test_module_entry_point(self):
-        # the child imports the same leavitt as this process, installed or not
-        src = os.path.dirname(os.path.dirname(leavitt.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "leavitt.cli", "dim", cpath("ek-severed")],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert proc.stdout.strip() == "48 = 3 × M_4"

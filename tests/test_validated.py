@@ -160,3 +160,17 @@ def test_fresh_id_collision(tmp_path):
     clash = Digraph(g.name, g.vertices + ("c0.2",), g.arrows)
     with pytest.raises(InternalConsistencyError):
         iso_certificate(clash, j)
+
+
+def test_rewrite_loop_takes_no_id(tmp_path):
+    # the loop the cycle-to-loop rewrite would name e' is deleted by severing,
+    # so an arrow already called e' does not collide with it
+    graph, ideal = tmp_path / "r.graph", tmp_path / "r.ideal"
+    graph.write_text("digraph r\nvertex a\nvertex b\nvertex c\n"
+                     "arrow e a b\narrow f b a\narrow e' c a\n")
+    ideal.write_text("ideal j\nfield Q\ncycle C: e f\npoly C: 1 -1\n")
+    for command in ("decide", "sever", "certificate"):
+        assert run_cli(command, str(graph), str(ideal))[0] == 0, command
+    code, out = run_cli("sever", str(graph), str(ideal))
+    assert out.splitlines()[:6] == ["digraph r", "vertex a.1", "vertex b", "vertex c",
+                                    "arrow f.1 b a.1", "arrow e'.1 c a.1"]
