@@ -8,7 +8,12 @@ wherever counts matter; an ω class makes its source an infinite emitter.
 Cycles are *geometric*: an arrow-id sequence up to rotation, stored in the
 canonical rotation whose first arrow id is lexicographically smallest.
 Cycle enumeration runs over vertex-simple cycles (sources pairwise
-distinct) and expands parallel classes afterwards.
+distinct) and expands parallel classes afterwards.  The vertex cycles come
+from Johnson's circuit search (1975) inside each strongly connected
+component found by Tarjan's algorithm (1972), both iterative and lazy.
+The cycles without exits need no enumeration: every vertex on one emits
+exactly one arrow, so they are vertex-disjoint and one walk along the map
+"vertex -> its only arrow" finds them all in linear time.
 
 All values are immutable after construction and every analysis is a pure
 function, so everything here is safe to share across threads.
@@ -19,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
-
-import networkx as nx
 
 from .errors import (
     MalformedMorphismError,
@@ -270,13 +273,106 @@ class CycleInfo:
     multiplicity_one: bool
 
 
+def _strong_components(vs: Sequence[str], succ: Mapping[str, list[str]]) -> Iterator[list[str]]:
+    """Tarjan's strongly connected components of the digraph induced on vs."""
+    inside, index, low, stack, on_stack, work = set(vs), {}, {}, [], set(), []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, (w for w in succ[v] if w in inside)))
+
+    for root in vs:
+        if root not in index:
+            visit(root)
+        while work:
+            v, todo = work[-1]
+            for w in todo:
+                if w not in index:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    on_stack.difference_update(comp)
+                    yield comp
+
+
+def _circuits(start: str, comp: set[str], succ: Mapping[str, list[str]]) -> Iterator[list[str]]:
+    """Johnson's search for the simple cycles through start inside its component."""
+    path, blocked, closed, waiting = [start], {start}, set(), {}
+    work = [(start, [w for w in succ[start] if w in comp])]
+    while work:
+        v, todo = work[-1]
+        if todo:
+            w = todo.pop()
+            if w == start:
+                yield list(path)
+                closed.update(path)
+            elif w not in blocked:
+                path.append(w)
+                blocked.add(w)
+                closed.discard(w)
+                work.append((w, [x for x in succ[w] if x in comp]))
+            continue
+        if v in closed:  # a cycle went through v: unblock v and whatever waits on it
+            release = [v]
+            while release:
+                u = release.pop()
+                if u in blocked:
+                    blocked.remove(u)
+                    release.extend(waiting.pop(u, ()))
+        else:
+            for w in succ[v]:
+                if w in comp:
+                    waiting.setdefault(w, set()).add(v)
+        work.pop()
+        path.pop()
+
+
 def _vertex_cycles(g: Digraph) -> Iterator[list[str]]:
     """Vertex sequences of simple cycles of length >= 2 (parallel classes merged)."""
-    simple = nx.DiGraph()
-    simple.add_nodes_from(g.vertices)
-    simple.add_edges_from(sorted({(a.source, a.target)
-                                  for a in g.arrows if a.source != a.target}))
-    yield from nx.simple_cycles(simple)
+    succ = {v: list(dict.fromkeys(a.target for a in g._out[v] if a.target != v))
+            for v in g.vertices}
+    pending = [c for c in _strong_components(g.vertices, succ) if len(c) > 1]
+    while pending:
+        comp = pending.pop()
+        start = comp.pop()
+        yield from _circuits(start, set(comp) | {start}, succ)
+        pending += [c for c in _strong_components(comp, succ) if len(c) > 1]
+
+
+def no_exit_cycles(g: Digraph, only_arrow: Mapping[str, ArrowClass] | None = None,
+                   limit: int | None = None) -> list[GeometricCycle]:
+    """Cycles along which every vertex emits only the cycle's arrow, in the
+    order of :func:`enumerate_cycles`.
+
+    ``only_arrow`` maps each vertex that emits exactly one arrow to that arrow
+    (by default, in g).  Such cycles are vertex-disjoint: one walk finds them all.
+    """
+    if only_arrow is None:
+        only_arrow = {v: g._out[v][0] for v in g.vertices if g.out_degree(v) == 1}
+    walk_of: dict[str, str] = {}
+    found = []
+    for start in only_arrow:
+        path, v = [], start
+        while v in only_arrow and v not in walk_of:
+            walk_of[v] = start
+            path.append(v)
+            v = only_arrow[v].target
+        if walk_of.get(v) == start:  # this walk closed up on itself
+            found.append(GeometricCycle.of([only_arrow[u].id for u in path[path.index(v):]]))
+            if limit is not None and len(found) > limit:
+                raise ResourceLimitError(f"digraph {g.name} has more than {limit} cycles")
+    return sorted(found, key=lambda c: (len(c.arrows), c.arrows))
 
 
 def enumerate_cycles(g: Digraph, limit: int = 10_000) -> list[CycleInfo]:
@@ -314,18 +410,13 @@ def enumerate_cycles(g: Digraph, limit: int = 10_000) -> list[CycleInfo]:
     for c in cycles:
         for v in vertex_sets[c]:
             hits[v] = hits.get(v, 0) + 1
-    out = []
-    for c in cycles:
-        arrows = [g.arrow(aid) for aid in c.arrows]
-        mult_one = all(a.multiplicity == 1 for a in arrows)
-        no_exit = mult_one and all(g.out_degree(v) == 1 for v in vertex_sets[c])
-        out.append(CycleInfo(
-            cycle=c,
-            has_exit=not no_exit,
-            exclusive=all(hits[v] == 1 for v in vertex_sets[c]),
-            multiplicity_one=mult_one,
-        ))
-    return out
+    no_exit = set(no_exit_cycles(g))
+    return [CycleInfo(
+        cycle=c,
+        has_exit=c not in no_exit,
+        exclusive=all(hits[v] == 1 for v in vertex_sets[c]),
+        multiplicity_one=all(g.arrow(aid).multiplicity == 1 for aid in c.arrows),
+    ) for c in cycles]
 
 
 def find_any_cycle(g: Digraph) -> GeometricCycle | None:

@@ -24,11 +24,11 @@ from .digraph import (
     OMEGA,
     breaking_vertices,
     cycle_vertices,
-    enumerate_cycles,
     enumerate_hereditary_saturated,
     is_hereditary,
     is_omega,
     is_saturated,
+    no_exit_cycles,
 )
 from .errors import (
     FieldMismatchError,
@@ -88,17 +88,10 @@ def no_exit_quotient_cycles(g: Digraph, pair: AdmissiblePair,
                             limit: int = 10_000) -> list[GeometricCycle]:
     """Cycles of Γ/(H, S) with no exit there, as cycles of g (arrow ids survive)."""
     primed = ensure_admissible(g, pair)
-    survivors = [v for v in g.vertices if v not in pair.h]
-    sub = g.full_subgraph(survivors)
-    out = []
-    for info in enumerate_cycles(sub, limit=limit):
-        cyc = info.cycle
-        if not info.multiplicity_one:
-            continue
-        if all(quotient_out_degree(g, pair.h, primed, v) == 1
-               for v in cycle_vertices(g, cyc)):
-            out.append(cyc)
-    return out
+    return no_exit_cycles(g, {
+        v: next(a for a in g.out_arrows(v) if a.target not in pair.h)
+        for v in g.vertices
+        if v not in pair.h and quotient_out_degree(g, pair.h, primed, v) == 1}, limit=limit)
 
 
 @dataclass
@@ -325,7 +318,8 @@ def enumerate_strata(g: Digraph, field: Field, max_deg: int,
         raise FieldMismatchError("stratum counting enumerates parameters over a prime field")
     if max_deg < 1:
         raise ValueError("max_deg must be positive")
-    if sum(field.p ** d for d in range(1, max_deg + 1)) > max_param_points:
+    sums = itertools.accumulate(field.p ** d for d in range(1, max_deg + 1))
+    if any(points > max_param_points for points in sums):
         raise ResourceLimitError(
             f"parameter sweep over {field.header()} up to degree {max_deg} exceeds "
             f"{max_param_points} points")

@@ -24,11 +24,12 @@ from .digraph import (
     OMEGA,
     breaking_vertices,
     classify_vertices,
-    enumerate_cycles,
+    cycle_vertices,
     find_any_cycle,
     hereditary_saturated_closure,
     instances_escaping,
     is_omega,
+    no_exit_cycles,
 )
 from .errors import (
     MalformedGeneratorsError,
@@ -316,13 +317,8 @@ class FgipClass:
 def classify_fgips(g: Digraph, limit: int = 10_000) -> tuple[FgipClass, ...]:
     """Non-simple finitely generated indecomposable projectives: one per
     no-exit cycle, supported on the cycle's predecessors."""
-    out = []
-    for info in enumerate_cycles(g, limit=limit):
-        if info.has_exit:
-            continue
-        vs = {g.arrow(aid).source for aid in info.cycle.arrows}
-        out.append(FgipClass(info.cycle, g.predecessors(vs)))
-    return tuple(out)
+    return tuple(FgipClass(c, g.predecessors(cycle_vertices(g, c)))
+                 for c in no_exit_cycles(g, limit=limit))
 
 
 class CornerKind(Enum):
@@ -336,19 +332,9 @@ def corner_classify(g: Digraph, v: str) -> CornerKind:
     g.check_vertices([v])
     if not g.out_arrows(v):
         return CornerKind.FIELD
-    cur = v
-    seen = set()
-    while True:
-        arrows = g.out_arrows(cur)
-        if g.out_degree(cur) != 1:
-            return CornerKind.OTHER
-        nxt = arrows[0].target
-        if nxt == v:
-            return CornerKind.LAURENT_RING
-        if nxt in seen:
-            return CornerKind.OTHER
-        seen.add(nxt)
-        cur = nxt
+    if any(v in cycle_vertices(g, c) for c in no_exit_cycles(g)):
+        return CornerKind.LAURENT_RING
+    return CornerKind.OTHER
 
 
 # -- endomorphism algebras ------------------------------------------------------------------

@@ -416,12 +416,9 @@ def dimension_blocks(g: Digraph, j: IdealPresentation | None = None,
     if not work.is_row_finite:
         raise UnsupportedShapeError(f"{work.name} has an ω class; dimension is infinite")
     cycles = {info.cycle for info in enumerate_cycles(work, limit=limit)}
-    if set(beta) != cycles:
-        stray = sorted(c.label() for c in cycles - set(beta))
-        if stray:
-            raise UnsupportedShapeError(
-                f"unsevered cycle(s) {', '.join(stray)} in {work.name}")
-        raise UnsupportedShapeError("ideal lists cycles absent from the quotient")
+    stray = sorted(c.label() for c in cycles - set(beta))
+    if stray:
+        raise UnsupportedShapeError(f"unsevered cycle(s) {', '.join(stray)} in {work.name}")
     sizes = [path_count_to(work, v) for v in work.sinks()]
     for c in beta:
         sizes += [partial_cycle_path_count(work, c)] * j.theta[c].degree
