@@ -10,9 +10,12 @@ trailing coefficient; the empty tuple is the zero polynomial.  Laurent
 elements are sparse maps from (possibly negative) integer exponents to
 nonzero scalars.  Everything is immutable and safe to share.
 
-Root finding is exhaustive over 𝔽p (rejecting p > 2**20) and uses the
-rational-root theorem over ℚ; there is deliberately no general polynomial
-factorization here.
+Over 𝔽p, roots come from g = gcd(f, xᵖ − x), computed by square-and-multiply
+modulo f, which Cantor–Zassenhaus equal-degree splitting breaks into its
+linear factors; fields too small to repay that are swept residue by residue.
+Either way the cost is polynomial in deg f and log p, and every multiplicity
+is read by exact deflation.  Over ℚ the rational-root theorem is used.  There
+is deliberately no general polynomial factorization here.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (
     ConstantPolynomialError,
     DivisionByZeroError,
     FieldMismatchError,
+    InternalConsistencyError,
     NotCoprimeError,
     ProductMismatchError,
     ResourceLimitError,
@@ -37,18 +41,37 @@ from .errors import (
 
 Scalar = Union[Fraction, int]
 
-#: Largest prime modulus accepted by the exhaustive root search.
+#: Largest prime modulus whose elements :meth:`Field.elements` will list.
 MAX_ENUMERABLE_PRIME = 2**20
+
+#: Miller–Rabin with the first thirteen prime bases 2, 3, …, 41 is proven
+#: correct for every n below this bound (Sorenson & Webster 2015; OEIS A014233);
+#: larger characteristics are refused.
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller–Rabin; exact for n < MILLER_RABIN_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -59,7 +82,13 @@ class Field:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is None:
+            return
+        if self.p >= MILLER_RABIN_BOUND:
+            raise ValueError(
+                f"characteristic {self.p} is not below {MILLER_RABIN_BOUND}, "
+                "the bound up to which primality is decided")
+        if not _is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
 
     @classmethod
@@ -365,10 +394,156 @@ class DlfVerdict:
 
 
 def _deflate(f: Polynomial, r: Scalar) -> Polynomial:
-    """Exact division by (x − r); assumes f(r) = 0."""
+    """Exact division by (x − r); fails loudly unless f(r) = 0."""
     quotient, rem = divmod(f, Polynomial.of(f.field, [f.field.neg(r), f.field.one]))
-    assert rem.is_zero
+    if not rem.is_zero:
+        raise InternalConsistencyError(f"{r} is not a root of {f!r}")
     return quotient
+
+
+# -- root finding over 𝔽p on plain coefficient lists ----------------------------
+#
+# Lists are low degree first with residues in [0, p) and no trailing zero; the
+# empty list is 0.  Moduli are monic.
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by monic m of degree ≥ 1."""
+    n = len(m) - 1
+    a = list(a)
+    quo = [0] * max(len(a) - n, 0)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = quo[i - n] = a[i] % p
+        if c:
+            for j in range(n):
+                a[i - n + j] -= c * m[j]
+    return quo, _trim([c % p for c in a[:n]])
+
+
+def _mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _divmod(prod, m, p)[1]
+
+
+def _powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """baseᵉ mod m by left-to-right square-and-multiply."""
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = _mulmod(result, result, m, p)
+        if bit == "1":
+            result = _mulmod(result, base, m, p)
+    return result
+
+
+def _monic(a: list[int], p: int) -> list[int]:
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd; ``a`` must be monic."""
+    while b:
+        b = _monic(b, p)
+        a, b = b, _divmod(a, b, p)[1]
+    return a
+
+
+def _minus_one(a: list[int], p: int) -> list[int]:
+    a = a or [0]
+    a[0] = (a[0] - 1) % p
+    return _trim(a)
+
+
+def _split_roots(f: list[int], p: int) -> list[int]:
+    """The distinct roots of f in 𝔽p, for monic f with f(0) ≠ 0.
+
+    g = gcd(f, x^(p−1) − 1) is the product of the x − r; Cantor–Zassenhaus
+    splits it with gcd(g, (x + a)^((p−1)/2) − 1) for a = 0, 1, 2, …, which
+    keeps the result deterministic.  p = 2 never reaches the splitting: its
+    only nonzero residue is 1, so deg g ≤ 1.
+    """
+    if len(f) == 2:
+        return [-f[0] % p]
+    g = _gcd(f, _minus_one(_powmod([0, 1], p - 1, f, p), p), p)
+    half = (p - 1) // 2
+    roots = []
+    stack = [(g, 0)]
+    while stack:
+        h, a = stack.pop()
+        if len(h) <= 2:
+            if len(h) == 2:
+                roots.append(-h[0] % p)
+            continue
+        while True:
+            if a == p:
+                raise InternalConsistencyError(f"no residue splits {h} over F{p}")
+            u = _gcd(h, _minus_one(_powmod([a, 1], half, h, p), p), p)
+            a += 1
+            if 2 <= len(u) < len(h):
+                v, r = _divmod(h, u, p)
+                if r:
+                    raise InternalConsistencyError(f"{u} does not divide {h} over F{p}")
+                stack += [(u, a), (v, a)]
+                break
+    return sorted(roots)
+
+
+def _synthetic_division(f: list[int], r: int, p: int) -> tuple[list[int], int]:
+    """(quotient, remainder) of f by (x − r); the remainder is f(r).
+
+    The same division as ``_divmod(f, [-r % p, 1], p)``, which runs the sweep
+    of small fields 2–5× slower.
+    """
+    out = []
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * r + c) % p
+        out.append(acc)
+    remainder = out.pop()
+    out.reverse()
+    return out, remainder
+
+
+def _roots_mod_p(coeffs: tuple[int, ...], p: int) -> tuple[list[tuple[int, int]], int]:
+    """(roots ascending with multiplicities, unfactored degree) of a nonzero f over 𝔽p."""
+    k = next(i for i, c in enumerate(coeffs) if c)
+    rem = list(coeffs[k:])
+    roots = [(0, k)] if k else []
+    if len(rem) == 1:
+        return roots, 0
+    d = len(rem) - 1
+    # Measured for 2 ≤ d ≤ 8, sweeping and splitting cost the same near
+    # p ≈ 250–300 for d = 2 and 3, rising to p ≈ 500 for d = 8.  Fields with
+    # p ≤ 32·bit_length(p) (every p < 288) are swept: the lower end of that
+    # band, where degrees 2 and 3 cross.  Degree 1 needs neither.
+    sweep = d > 1 and p <= 32 * p.bit_length()
+    candidates = range(1, p) if sweep else _split_roots(_monic(rem, p), p)
+    for a in candidates:
+        m = 0
+        while len(rem) > 1:
+            quotient, remainder = _synthetic_division(rem, a, p)
+            if remainder:
+                break
+            rem = quotient
+            m += 1
+        if m:
+            roots.append((a, m))
+        elif not sweep:
+            raise InternalConsistencyError(f"split root {a} does not divide out over F{p}")
+        if len(rem) == 1:
+            break
+    return roots, len(rem) - 1
 
 
 def find_roots(f: Polynomial) -> RootMultiset:
@@ -376,20 +551,13 @@ def find_roots(f: Polynomial) -> RootMultiset:
     if f.is_zero:
         raise ZeroPolynomialError("cannot find roots of the zero polynomial")
     field = f.field
-    roots: list[tuple[Scalar, int]] = []
     if field.is_prime_field:
-        rem = f
-        for a in field.elements():
-            m = 0
-            while not rem.is_zero and rem.degree >= 1 and rem.evaluate(a) == 0:
-                rem = _deflate(rem, a)
-                m += 1
-            if m:
-                roots.append((a, m))
-        return RootMultiset(tuple(roots), rem.degree if rem.degree > 0 else 0)
+        roots, unfactored = _roots_mod_p(f.coeffs, field.p)
+        return RootMultiset(tuple(roots), unfactored)
 
     # over Q: strip x^k, pass to the primitive integer form, apply the
     # rational-root theorem, then deflate candidate by candidate
+    roots: list[tuple[Scalar, int]] = []
     rem = f
     k = next(i for i, c in enumerate(f.coeffs) if c != 0)
     if k:
@@ -448,8 +616,8 @@ def is_dlf(f: Polynomial) -> DlfVerdict:
 def _pth_root(f: Polynomial) -> Polynomial:
     """Inverse Frobenius for f = h(xᵖ) over 𝔽p (coefficientwise, since aᵖ = a)."""
     p = f.field.p
-    assert p is not None
-    assert all(c == 0 for i, c in enumerate(f.coeffs) if i % p), f
+    if p is None or any(c != 0 for i, c in enumerate(f.coeffs) if i % p):
+        raise InternalConsistencyError(f"{f!r} is not a p-th power over its field")
     return Polynomial.of(f.field, f.coeffs[::p])
 
 

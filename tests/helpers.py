@@ -6,6 +6,7 @@ import itertools
 from fractions import Fraction
 
 from leavitt.digraph import Digraph, is_omega
+from leavitt.fields import Field, Polynomial, RootMultiset
 
 
 # -- label isomorphism (structure match ignoring id names) ------------------------
@@ -252,3 +253,36 @@ class SinkBlockRepresentation:
                         m = self.mul(mp, self.transpose(mq))
                     vectors.append([x for row in m for x in row])
         return exact_rank(vectors)
+
+
+# -- residue sweep and strata census over 𝔽p -------------------------------------
+
+def sweep_roots(f: Polynomial) -> RootMultiset:
+    """Roots of a nonzero f over 𝔽p by trying every residue in turn and
+    deflating while it stays a root: O(p·deg f), capped by Field.elements()."""
+    field = f.field
+    roots = []
+    rem = f
+    for a in field.elements():
+        m = 0
+        while rem.degree >= 1 and rem.evaluate(a) == 0:
+            quotient, r = divmod(rem, Polynomial.of(field, [field.neg(a), field.one]))
+            assert r.is_zero
+            rem = quotient
+            m += 1
+        if m:
+            roots.append((a, m))
+    return RootMultiset(tuple(roots), max(rem.degree, 0))
+
+
+def exhaustive_degree_census(field: Field, degree: int) -> tuple[int, int]:
+    """(#parameter polynomials, #dlf ones) of 1 + a₁x + ... + a_d x^d, a_d ≠ 0,
+    by sweeping 𝔽p^d and testing each with :func:`sweep_roots`."""
+    total = good = 0
+    for tail in itertools.product(range(field.p), repeat=degree):
+        if tail[-1] == 0:
+            continue
+        total += 1
+        rm = sweep_roots(Polynomial.of(field, (1,) + tail))
+        good += not rm.unfactored_degree and all(m == 1 for _, m in rm.roots)
+    return total, good

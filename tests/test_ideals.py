@@ -22,6 +22,7 @@ from leavitt.ideals import (
 )
 
 from conftest import corpus_graphs, corpus_ideal_pairs, load_graph, load_ideal
+from helpers import exhaustive_degree_census
 
 Q = Field.rationals()
 F2, F3, F5 = Field.gf(2), Field.gf(3), Field.gf(5)
@@ -232,6 +233,14 @@ class TestStrata:
         for r in enumerate_strata(g, field, 4):
             expected = all(d <= p - 1 for d in r.key.degrees)
             assert (r.dlf_count > 0) == expected, (p, graph_name, r.key.degrees)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_census_closed_form_matches_sweep(self, p, loop):
+        field = Field.gf(p)
+        census = {r.key.degrees: (r.parameter_count, r.dlf_count)
+                  for r in enumerate_strata(loop, field, 4) if r.key.beta}
+        for d in range(1, 5):
+            assert census[(d,)] == exhaustive_degree_census(field, d), (p, d)
 
     def test_requires_prime_field(self, loop):
         with pytest.raises(FieldMismatchError):

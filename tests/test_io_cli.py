@@ -9,7 +9,7 @@ import leavitt
 from leavitt.cli import COMMANDS, main
 from leavitt.digraph import to_dot
 from leavitt.errors import ParseError
-from leavitt.fields import Field
+from leavitt.fields import Field, Polynomial
 from leavitt.io import (
     cast_ideal,
     parse_digraph,
@@ -390,6 +390,46 @@ class TestCliBehavior:
         assert run_cli("strata", cpath("loop"))[0] == 2  # missing --max-deg
         assert run_cli("no-such-command")[0] == 2
 
+
+
+class TestLargePrimeFields:
+    """decide, certificate and radical over fields far beyond a residue sweep;
+    each answer must come back in well under the 10 s timeout."""
+
+    PLANTED = {1048583: [3, 524288, 1048582], 2**61 - 1: [2, 10**18, 2**61 - 2]}
+
+    @staticmethod
+    def _run(tmp_path, command, p, theta):
+        theta = theta.scale(theta.field.inv(theta.constant_term))
+        graph, ideal = tmp_path / "loop.graph", tmp_path / "planted.ideal"
+        graph.write_text("digraph loop\nvertex v\narrow e v v\n")
+        ideal.write_text(f"ideal planted\nfield F{p}\ncycle C: e\n"
+                         f"poly C: {' '.join(map(str, theta.coeffs))}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "leavitt.cli", command, str(graph), str(ideal)],
+            capture_output=True, text=True, env=child_env(), timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.parametrize("p", sorted(PLANTED))
+    def test_decide_and_certificate(self, tmp_path, p):
+        roots = self.PLANTED[p]
+        theta = Polynomial.from_roots(Field.gf(p), roots)
+        out = self._run(tmp_path, "decide", p, theta)
+        assert out.splitlines()[:2] == ["isLPA", "cycle C: roots " + " ".join(map(str, roots))]
+        out = self._run(tmp_path, "certificate", p, theta)
+        assert f"C -> {roots[0]}*v.1 + {roots[1]}*v.2 + {roots[2]}*v.3" in out.splitlines()
+
+    @pytest.mark.parametrize("p", sorted(PLANTED))
+    def test_radical(self, tmp_path, p):
+        field = Field.gf(p)
+        r, s = self.PLANTED[p][:2]
+        out = self._run(tmp_path, "radical", p, Polynomial.from_roots(field, [r, r, s]))
+        radical = Polynomial.from_roots(field, [r, s])
+        radical = radical.scale(field.inv(radical.constant_term))
+        lines = out.splitlines()
+        assert lines[0] == "cycle C: degree drop 1"
+        assert f"poly C: {radical}" in lines and "vertex v.2" in lines
 
 def child_env(**extra) -> dict:
     """Environment in which a child process imports the same leavitt as this one."""
