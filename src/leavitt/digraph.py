@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     MalformedMorphismError,
@@ -35,9 +35,6 @@ from .errors import (
 
 #: Multiplicity marker for an infinite arrow class.
 OMEGA = math.inf
-
-#: Largest digraph whose hereditary saturated sets are found by the 2^n sweep.
-MAX_SWEEP_VERTICES = 16
 
 
 def is_omega(multiplicity) -> bool:
@@ -124,12 +121,7 @@ class Digraph:
 
     def out_degree(self, v: str) -> int | float:
         """Arrow-instance count leaving v; ω classes absorb to infinity."""
-        total = 0
-        for a in self.out_arrows(v):
-            if is_omega(a.multiplicity):
-                return OMEGA
-            total += a.multiplicity
-        return total
+        return sum(a.multiplicity for a in self.out_arrows(v))
 
     @property
     def is_row_finite(self) -> bool:
@@ -140,30 +132,23 @@ class Digraph:
 
     # -- reachability ---------------------------------------------------------
 
-    def successors(self, xs: Iterable[str]) -> frozenset[str]:
-        """Vertices reachable from xs, including xs itself (⤳ is reflexive)."""
+    def _reach(self, xs: Iterable[str], step) -> frozenset[str]:
         xs = list(xs)
         self.check_vertices(xs)
-        seen = set(xs)
-        stack = list(xs)
+        seen, stack = set(xs), list(xs)
         while stack:
-            for a in self._out[stack.pop()]:
-                if a.target not in seen:
-                    seen.add(a.target)
-                    stack.append(a.target)
+            for w in step(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
         return frozenset(seen)
 
+    def successors(self, xs: Iterable[str]) -> frozenset[str]:
+        """Vertices reachable from xs, including xs itself (⤳ is reflexive)."""
+        return self._reach(xs, lambda v: (a.target for a in self._out[v]))
+
     def predecessors(self, xs: Iterable[str]) -> frozenset[str]:
-        xs = list(xs)
-        self.check_vertices(xs)
-        seen = set(xs)
-        stack = list(xs)
-        while stack:
-            for a in self._in[stack.pop()]:
-                if a.source not in seen:
-                    seen.add(a.source)
-                    stack.append(a.source)
-        return frozenset(seen)
+        return self._reach(xs, lambda v: (a.source for a in self._in[v]))
 
     def full_subgraph(self, ws: Iterable[str], name: str | None = None) -> "Digraph":
         """Restriction to ws, keeping every class with both endpoints inside."""
@@ -209,12 +194,11 @@ def classify_vertices(g: Digraph) -> dict[str, VertexInfo]:
     out = {}
     for v in g.vertices:
         deg = g.out_degree(v)
-        omega = any(is_omega(a.multiplicity) for a in g._out[v])
         out[v] = VertexInfo(
             sink=deg == 0,
             source=not g._in[v],
             branch_vertex=deg >= 2,
-            infinite_emitter=omega,
+            infinite_emitter=is_omega(deg),
             regular=0 < deg < OMEGA,
             line_point=_is_line_point(g, v),
             leak=False,
@@ -430,12 +414,9 @@ def find_any_cycle(g: Digraph) -> GeometricCycle | None:
         color[root] = 1
         while stack:
             v, it = stack[-1]
-            advanced = False
             for a in it:
-                if a.source == a.target:
-                    return GeometricCycle.of([a.id])
                 w = a.target
-                if color[w] == 1:
+                if color[w] == 1:  # a back arrow, or a loop at v
                     arrows = [a.id]
                     cur = v
                     while cur != w:
@@ -447,9 +428,8 @@ def find_any_cycle(g: Digraph) -> GeometricCycle | None:
                     color[w] = 1
                     parent_arrow[w] = a
                     stack.append((w, iter(sorted(g._out[w], key=lambda x: x.id))))
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 color[v] = 2
                 stack.pop()
     return None
@@ -457,26 +437,42 @@ def find_any_cycle(g: Digraph) -> GeometricCycle | None:
 
 # -- hereditary and saturated sets ---------------------------------------------
 
+def _close(g: Digraph, base: frozenset[str], seeds: Iterable[str],
+           excluded: AbstractSet[str] = frozenset()) -> frozenset[str] | None:
+    """Least hereditary saturated set holding the closed set ``base`` and
+    ``seeds``, or None once it takes in an ``excluded`` vertex.  A Horn worklist
+    (Dowling & Gallier 1984): each new member brings in its targets, and each
+    regular vertex pointing at it counts down its classes still leaving the
+    set, joining at 0.  Only new members and their neighbours are touched."""
+    added, joining, todo = set(), set(seeds) - base, []
+    leaving: dict[str, int | float] = {}  # ω-emitters start at ω and never join
+    while True:
+        if not joining.isdisjoint(excluded):
+            return None
+        added |= joining
+        todo += joining
+        if not todo:
+            return base | added
+        v = todo.pop()
+        joining = {a.target for a in g._out[v]} - added - base
+        for a in g._in[v]:
+            u = a.source
+            if u in added or u in base:
+                continue
+            if u not in leaving:
+                outs = g._out[u]
+                leaving[u] = (OMEGA if any(is_omega(b.multiplicity) for b in outs)
+                              else sum(b.target not in base for b in outs))
+            leaving[u] -= 1
+            if leaving[u] == 0:
+                joining.add(u)
+
+
 def hereditary_saturated_closure(g: Digraph, xs: Iterable[str]) -> frozenset[str]:
-    """Smallest hereditary and saturated vertex set containing xs."""
+    """Smallest hereditary and saturated vertex set containing xs, in O(V + E)."""
     xs = set(xs)
     g.check_vertices(xs)
-    current = set(xs)
-    while True:
-        changed = False
-        for a in g.arrows:
-            if a.source in current and a.target not in current:
-                current.add(a.target)
-                changed = True
-        for v in g.vertices:
-            if v in current:
-                continue
-            deg = g.out_degree(v)
-            if 0 < deg < OMEGA and all(a.target in current for a in g._out[v]):
-                current.add(v)
-                changed = True
-        if not changed:
-            return frozenset(current)
+    return _close(g, frozenset(), xs)
 
 
 def is_hereditary(g: Digraph, hs: frozenset[str] | set[str]) -> bool:
@@ -484,29 +480,35 @@ def is_hereditary(g: Digraph, hs: frozenset[str] | set[str]) -> bool:
 
 
 def is_saturated(g: Digraph, hs: frozenset[str] | set[str]) -> bool:
-    for v in g.vertices:
-        if v in hs:
-            continue
-        deg = g.out_degree(v)
-        if 0 < deg < OMEGA and all(a.target in hs for a in g._out[v]):
-            return False
-    return True
+    return not any(0 < g.out_degree(v) < OMEGA and all(a.target in hs for a in g._out[v])
+                   for v in g.vertices if v not in hs)
 
 
 def enumerate_hereditary_saturated(g: Digraph, limit: int = 10_000) -> list[frozenset[str]]:
-    """All hereditary saturated subsets, sorted by (size, members)."""
-    n = len(g.vertices)
-    if n > MAX_SWEEP_VERTICES:
-        raise ResourceLimitError(
-            f"digraph {g.name} has {n} vertices; subset sweep capped at {MAX_SWEEP_VERTICES}")
+    """All hereditary saturated subsets, sorted by (size, members).
+
+    Branch and close over ``g.vertices`` from (H, excluded) = (∅, ∅): at the
+    next v outside H, "v out" excludes v and is always feasible, "v in" closes
+    H ∪ {v} unless that reaches an excluded vertex.  Each leaf is a distinct
+    closed set, so the work is at most |V| closures per set found.
+    """
+    vs = g.vertices
     out = []
-    for mask in range(1 << n):
-        hs = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
-        if is_hereditary(g, hs) and is_saturated(g, hs):
+    stack = [(frozenset(), frozenset(), 0)]
+    while stack:
+        hs, excluded, i = stack.pop()
+        while i < len(vs) and vs[i] in hs:
+            i += 1
+        if i == len(vs):
             out.append(hs)
             if len(out) > limit:
                 raise ResourceLimitError(
                     f"digraph {g.name} has more than {limit} hereditary saturated sets")
+            continue
+        stack.append((hs, excluded | {vs[i]}, i + 1))
+        grown = _close(g, hs, [vs[i]], excluded)
+        if grown is not None:
+            stack.append((grown, excluded, i + 1))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
@@ -518,11 +520,9 @@ def breaking_vertices(g: Digraph, hs: Iterable[str]) -> frozenset[str]:
         raise NotHereditaryError(f"{sorted(hs)} is not hereditary in {g.name}")
     out = set()
     for v in g.vertices:
-        arrows = g._out[v]
-        if not any(is_omega(a.multiplicity) for a in arrows):
-            continue
-        escaping = [a for a in arrows if a.target not in hs]
-        if escaping and not any(is_omega(a.multiplicity) for a in escaping):
+        escaping = [a.multiplicity for a in g._out[v] if a.target not in hs]
+        if (escaping and not any(map(is_omega, escaping))
+                and any(is_omega(a.multiplicity) for a in g._out[v])):
             out.add(v)
     return frozenset(out)
 
@@ -539,8 +539,7 @@ def instances_escaping(g: Digraph, v: str, hs: Iterable[str]) -> frozenset[tuple
             continue
         if is_omega(a.multiplicity):
             raise ValueError(f"ω class {a.id} escapes {sorted(hs)}; instance set is infinite")
-        for i in range(a.multiplicity):
-            out.add((a.id, i))
+        out.update((a.id, i) for i in range(a.multiplicity))
     return frozenset(out)
 
 

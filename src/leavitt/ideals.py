@@ -14,8 +14,10 @@ it caches instead of validating again.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Mapping, Sequence
 
@@ -234,14 +236,21 @@ def enumerate_admissible_pairs(g: Digraph, limit: int = 10_000) -> list[Admissib
 
 @dataclass(frozen=True)
 class PairLattice:
-    """All admissible pairs with meet/join tables computed by bounded search."""
+    """All admissible pairs with their meet and join tables (element indices)."""
 
     elements: tuple[AdmissiblePair, ...]
     meet_table: Mapping[tuple[int, int], int]
     join_table: Mapping[tuple[int, int], int]
 
+    @functools.cached_property
+    def _positions(self) -> dict[AdmissiblePair, int]:
+        return {pair: i for i, pair in enumerate(self.elements)}
+
     def index(self, pair: AdmissiblePair) -> int:
-        return self.elements.index(pair)
+        try:
+            return self._positions[pair]
+        except KeyError:
+            raise ValueError(f"{pair.label()} is not an admissible pair of this lattice") from None
 
     def meet(self, a: AdmissiblePair, b: AdmissiblePair) -> AdmissiblePair:
         return self.elements[self.meet_table[self.index(a), self.index(b)]]
@@ -251,26 +260,44 @@ class PairLattice:
 
 
 def pair_lattice(g: Digraph, limit: int = 10_000) -> PairLattice:
+    """The admissible pairs with meet and join tables under :func:`pair_order`.
+
+    Ranked by (|H|, |S|), a linear extension of the order, each pair keeps its
+    down-set and up-set as a bitmask of ranks.  The meet of two pairs is the
+    top rank in both down-sets, the join the lowest rank in both up-sets, each
+    accepted only if its own down-set (up-set) is that intersection, else
+    MeetJoinFailureError."""
     elements = enumerate_admissible_pairs(g, limit=limit)
     n = len(elements)
-    leq = [[a.h <= b.h and (a.h | a.s) <= (b.h | b.s) for b in elements] for a in elements]
-    meet_table: dict[tuple[int, int], int] = {}
-    join_table: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for k in range(i, n):
-            lower = [m for m in range(n) if leq[m][i] and leq[m][k]]
-            best = [m for m in lower if all(leq[x][m] for x in lower)]
-            if len(best) != 1:
-                raise MeetJoinFailureError(
-                    f"no meet for {elements[i].label()} and {elements[k].label()}")
-            meet_table[i, k] = meet_table[k, i] = best[0]
-            upper = [m for m in range(n) if leq[i][m] and leq[k][m]]
-            best = [m for m in upper if all(leq[m][x] for x in upper)]
-            if len(best) != 1:
-                raise MeetJoinFailureError(
-                    f"no join for {elements[i].label()} and {elements[k].label()}")
-            join_table[i, k] = join_table[k, i] = best[0]
-    return PairLattice(tuple(elements), meet_table, join_table)
+    order = sorted(range(n), key=lambda i: (len(elements[i].h), len(elements[i].s)))
+    # the ranks of the pairs with v in H, and with v in H ∪ S
+    in_h = {v: sum(1 << r for r, i in enumerate(order) if v in elements[i].h) for v in g.vertices}
+    in_hs = {v: in_h[v] | sum(1 << r for r, i in enumerate(order) if v in elements[i].s)
+             for v in g.vertices}
+    # q ≽ p iff H_p ⊆ H_q and S_p ⊆ H_q ∪ S_q; so q ≼ p iff no v ∈ S_p is in
+    # H_q and no v outside H_p ∪ S_p is in H_q ∪ S_q
+    everything = (1 << n) - 1
+    up = [functools.reduce(operator.and_, [in_h[v] for v in p.h] + [in_hs[v] for v in p.s],
+                           everything) for p in elements]
+    down = [everything & ~functools.reduce(operator.or_, [in_h[v] for v in p.s] + [
+        in_hs[v] for v in g.vertices if v not in p.h and v not in p.s], 0) for p in elements]
+    meets, joins = [], []
+    for i in range(n):  # k >= i; an empty share picks order[-1] and fails the check
+        below = [down[i] & d for d in down[i:]]
+        above = [up[i] & u for u in up[i:]]
+        meet_row = [order[b.bit_length() - 1] for b in below]
+        join_row = [order[(a & -a).bit_length() - 1] for a in above]
+        if [down[m] for m in meet_row] != below or [up[m] for m in join_row] != above:
+            k = next(k for k in range(n - i)
+                     if down[meet_row[k]] != below[k] or up[join_row[k]] != above[k])
+            what = "meet" if down[meet_row[k]] != below[k] else "join"
+            raise MeetJoinFailureError(
+                f"no {what} for {elements[i].label()} and {elements[i + k].label()}")
+        meets += meet_row
+        joins += join_row
+    upper = [(i, k) for i in range(n) for k in range(i, n)]
+    keys = upper + [(k, i) for i, k in upper]
+    return PairLattice(tuple(elements), dict(zip(keys, meets * 2)), dict(zip(keys, joins * 2)))
 
 
 # -- strata -----------------------------------------------------------------------
@@ -325,13 +352,10 @@ def enumerate_strata(g: Digraph, field: Field, max_deg: int,
         for r in range(len(cycles) + 1):
             for beta in itertools.combinations(cycles, r):
                 for degrees in itertools.product(range(1, max_deg + 1), repeat=r):
-                    params = 1
-                    dlf_count = 1
-                    for d in degrees:
-                        params *= census[d][0]
-                        dlf_count *= census[d][1]
                     records.append(StratumRecord(
-                        StratumKey(pair, beta, degrees), params, dlf_count))
+                        StratumKey(pair, beta, degrees),
+                        math.prod(census[d][0] for d in degrees),
+                        math.prod(census[d][1] for d in degrees)))
                     if len(records) > limit:
                         raise ResourceLimitError(
                             f"more than {limit} strata for {g.name} over {field.header()}")

@@ -110,18 +110,15 @@ def monoid_congruent(g: Digraph, a: Element, b: Element,
     start, goal = _norm(a), _norm(b)
     if start == goal:
         return CongruenceVerdict.CONGRUENT
-    seen_a: set = {start}
-    seen_b: set = {goal}
-    frontier_a, frontier_b = [start], [goal]
-    spent = 0
-    while spent < depth and (frontier_a or frontier_b):
-        # expand the smaller frontier
-        if frontier_b and (not frontier_a or len(frontier_b) <= len(frontier_a)):
-            frontier, seen, other = frontier_b, seen_b, seen_a
-            which = "b"
-        else:
-            frontier, seen, other = frontier_a, seen_a, seen_b
-            which = "a"
+    # Each pass grows the smaller ball by one rewrite; the two balls meet
+    # within ``depth`` passes exactly when the distance is at most depth.
+    seen, other = {start}, {goal}
+    frontier, opposite = [start], [goal]
+    for _ in range(depth):
+        if opposite and (not frontier or len(opposite) <= len(frontier)):
+            frontier, opposite, seen, other = opposite, frontier, other, seen
+        if not frontier:
+            break
         nxt = []
         for state in frontier:
             for nb in _neighbors(state, relations):
@@ -130,11 +127,7 @@ def monoid_congruent(g: Digraph, a: Element, b: Element,
                 if nb not in seen:
                     seen.add(nb)
                     nxt.append(nb)
-        if which == "b":
-            frontier_b = nxt
-        else:
-            frontier_a = nxt
-        spent += 1
+        frontier = nxt
     return CongruenceVerdict.NOT_WITHIN_DEPTH
 
 
@@ -179,7 +172,6 @@ def validate_presentation(g: Digraph, p: ProjectivePresentation):
             continue
         if not item.z:
             raise MalformedGeneratorsError(f"corner at {item.vertex} has empty Z")
-        per_class: Counter[str] = Counter()
         for aid, idx in item.z:
             a = g.arrow(aid)
             if a.source != item.vertex:
@@ -188,7 +180,6 @@ def validate_presentation(g: Digraph, p: ProjectivePresentation):
             if idx < 0 or (not is_omega(a.multiplicity) and idx >= a.multiplicity):
                 raise MalformedGeneratorsError(
                     f"corner at {item.vertex}: instance {aid}#{idx} out of range")
-            per_class[aid] += 1
         degree = g.out_degree(item.vertex)
         if not is_omega(degree) and degree <= len(item.z):
             raise MalformedGeneratorsError(
@@ -232,34 +223,21 @@ def galois_psi(g: Digraph, x: ProjectivePresentation | Iterable[Generator]) -> A
     h = set(hereditary_saturated_closure(g, {it.vertex for it in items
                                              if isinstance(it, VertexGen)}))
     corners = [it for it in items if isinstance(it, CornerGen)]
-    while True:
+    grown = True
+    while grown:
         grown = False
         for item in corners:
             if item.vertex in h:
                 continue
             z_classes = Counter(aid for aid, _ in item.z)
-            forced = set()
-            for a in g.out_arrows(item.vertex):
-                covered = z_classes.get(a.id, 0)
-                uncovered = is_omega(a.multiplicity) or a.multiplicity > covered
-                if uncovered and a.target not in h:
-                    forced.add(a.target)
-            if forced:
-                h |= forced
-                h = set(hereditary_saturated_closure(g, h))
+            arrows = g.out_arrows(item.vertex)
+            forced = {a.target for a in arrows if a.target not in h and (
+                is_omega(a.multiplicity) or a.multiplicity > z_classes.get(a.id, 0))}
+            if forced or all(a.target in h for a in arrows):
+                h = set(hereditary_saturated_closure(g, h | (forced or {item.vertex})))
                 grown = True
-            elif all(a.target in h for a in g.out_arrows(item.vertex)):
-                h.add(item.vertex)
-                h = set(hereditary_saturated_closure(g, h))
-                grown = True
-        if not grown:
-            break
-    s = set()
-    for item in corners:
-        if item.vertex in h:
-            continue
-        if item.vertex in breaking_vertices(g, frozenset(h)):
-            s.add(item.vertex)
+    s = {item.vertex for item in corners
+         if item.vertex not in h and item.vertex in breaking_vertices(g, frozenset(h))}
     return AdmissiblePair(frozenset(h), frozenset(s))
 
 
@@ -373,11 +351,10 @@ def end_finite_dim(g: Digraph, p: ProjectivePresentation) -> EndVerdict:
     totals: Counter[str] = Counter()
     for item in p.items:
         reach = g.successors({item.vertex})
-        for w in sorted(reach):
-            for a in g.out_arrows(w):
-                if is_omega(a.multiplicity):
-                    return EndVerdict(
-                        False, witness=f"ω class {a.id} reachable from {item.vertex}")
+        omega = next((a for w in sorted(reach) for a in g.out_arrows(w)
+                      if is_omega(a.multiplicity)), None)
+        if omega is not None:
+            return EndVerdict(False, witness=f"ω class {omega.id} reachable from {item.vertex}")
         sub = g.full_subgraph(reach)
         cyc = find_any_cycle(sub)
         if cyc is not None:

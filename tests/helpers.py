@@ -5,7 +5,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from leavitt.digraph import Digraph, is_omega
+from hypothesis import strategies as st
+
+from leavitt.digraph import OMEGA, Digraph, is_hereditary, is_omega, is_saturated
+from leavitt.errors import MeetJoinFailureError, ResourceLimitError
 from leavitt.fields import Field, Polynomial, RootMultiset
 
 
@@ -286,3 +289,83 @@ def exhaustive_degree_census(field: Field, degree: int) -> tuple[int, int]:
         rm = sweep_roots(Polynomial.of(field, (1,) + tail))
         good += not rm.unfactored_degree and all(m == 1 for _, m in rm.roots)
     return total, good
+
+
+# -- random digraphs ----------------------------------------------------------------
+
+@st.composite
+def digraphs(draw, max_vertices: int = 12) -> Digraph:
+    """Digraphs on up to ``max_vertices`` vertices whose arrow classes may be
+    loops, parallel to one another, of multiplicity 2 or ω."""
+    n = draw(st.integers(0, max_vertices))
+    vs = [f"v{i}" for i in range(n)]
+    ends = st.integers(0, n - 1) if n else st.nothing()
+    classes = draw(st.lists(st.tuples(ends, ends, st.sampled_from((1, 1, 2, OMEGA))),
+                            max_size=2 * n))
+    return Digraph("random", vs, [(f"e{k}", vs[s], vs[t], m)
+                                  for k, (s, t, m) in enumerate(classes)])
+
+
+# -- hereditary saturated sets and the pair lattice by exhaustive search -----------
+
+def fixpoint_closure(g: Digraph, xs) -> frozenset[str]:
+    """Smallest hereditary and saturated set containing xs, by repeating full
+    passes over all arrows and vertices until nothing changes: O(V·(V+E))."""
+    xs = set(xs)
+    g.check_vertices(xs)
+    current = set(xs)
+    while True:
+        changed = False
+        for a in g.arrows:
+            if a.source in current and a.target not in current:
+                current.add(a.target)
+                changed = True
+        for v in g.vertices:
+            if v in current:
+                continue
+            deg = g.out_degree(v)
+            if 0 < deg < OMEGA and all(a.target in current for a in g.out_arrows(v)):
+                current.add(v)
+                changed = True
+        if not changed:
+            return frozenset(current)
+
+
+def sweep_hereditary_saturated(g: Digraph, limit: int = 10_000) -> list[frozenset[str]]:
+    """All hereditary saturated subsets by testing each of the 2ⁿ vertex masks,
+    sorted by (size, members)."""
+    n = len(g.vertices)
+    out = []
+    for mask in range(1 << n):
+        hs = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
+        if is_hereditary(g, hs) and is_saturated(g, hs):
+            out.append(hs)
+            if len(out) > limit:
+                raise ResourceLimitError(
+                    f"digraph {g.name} has more than {limit} hereditary saturated sets")
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def search_lattice_tables(elements):
+    """(meet table, join table) of admissible pairs under pair_order, by
+    searching all lower and upper bounds of every two of them for a greatest
+    and a least one: O(n³)."""
+    n = len(elements)
+    leq = [[a.h <= b.h and (a.h | a.s) <= (b.h | b.s) for b in elements] for a in elements]
+    meet_table: dict[tuple[int, int], int] = {}
+    join_table: dict[tuple[int, int], int] = {}
+    for i in range(n):
+        for k in range(i, n):
+            lower = [m for m in range(n) if leq[m][i] and leq[m][k]]
+            best = [m for m in lower if all(leq[x][m] for x in lower)]
+            if len(best) != 1:
+                raise MeetJoinFailureError(
+                    f"no meet for {elements[i].label()} and {elements[k].label()}")
+            meet_table[i, k] = meet_table[k, i] = best[0]
+            upper = [m for m in range(n) if leq[i][m] and leq[k][m]]
+            best = [m for m in upper if all(leq[m][x] for x in upper)]
+            if len(best) != 1:
+                raise MeetJoinFailureError(
+                    f"no join for {elements[i].label()} and {elements[k].label()}")
+            join_table[i, k] = join_table[k, i] = best[0]
+    return meet_table, join_table
