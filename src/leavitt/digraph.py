@@ -518,6 +518,12 @@ def breaking_vertices(g: Digraph, hs: Iterable[str]) -> frozenset[str]:
     g.check_vertices(hs)
     if not is_hereditary(g, hs):
         raise NotHereditaryError(f"{sorted(hs)} is not hereditary in {g.name}")
+    return _breaking_vertices(g, hs)
+
+
+def _breaking_vertices(g: Digraph, hs: set[str] | frozenset[str]) -> frozenset[str]:
+    """:func:`breaking_vertices` without its checks, for an H known to be a
+    hereditary set of g's vertices."""
     out = set()
     for v in g.vertices:
         escaping = [a.multiplicity for a in g._out[v] if a.target not in hs]

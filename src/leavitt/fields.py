@@ -14,16 +14,22 @@ Over 𝔽p, roots come from g = gcd(f, xᵖ − x), computed by square-and-multi
 modulo f, which Cantor–Zassenhaus equal-degree splitting breaks into its
 linear factors; fields too small to repay that are swept residue by residue.
 Either way the cost is polynomial in deg f and log p, and every multiplicity
-is read by exact deflation.  Over ℚ the rational-root theorem is used.  There
-is deliberately no general polynomial factorization here.
+is read by exact deflation.  Over ℚ, the roots of the primitive integer form
+modulo a small prime are Newton-lifted p-adically until a bound on a·r
+(a the leading coefficient) fixes each candidate, and multiplicities are again
+read by exact deflation, all on plain integer lists; the cost is polynomial in
+deg f and the coefficients' bit size (Loos 1983).  There is deliberately no
+general polynomial factorization here.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from math import gcd, lcm
+from typing import Iterable, Union
 
 from .errors import (
     ConstantPolynomialError,
@@ -32,7 +38,6 @@ from .errors import (
     InternalConsistencyError,
     NotCoprimeError,
     ProductMismatchError,
-    ResourceLimitError,
     UnitElementError,
     ZeroConstantTermError,
     ZeroElementError,
@@ -41,8 +46,7 @@ from .errors import (
 
 Scalar = Union[Fraction, int]
 
-#: Largest prime modulus whose elements :meth:`Field.elements` will list.
-MAX_ENUMERABLE_PRIME = 2**20
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 #: Miller–Rabin with the first thirteen prime bases 2, 3, …, 41 is proven
 #: correct for every n below this bound (Sorenson & Webster 2015; OEIS A014233);
@@ -163,19 +167,17 @@ class Field:
             return 1 / Fraction(a)
         return pow(a, self.p - 2, self.p)
 
-    def elements(self) -> Iterator[Scalar]:
-        """All field elements, ascending; only available over 𝔽p."""
-        if self.p is None:
-            raise FieldMismatchError("cannot enumerate the rationals")
-        if self.p > MAX_ENUMERABLE_PRIME:
-            raise ResourceLimitError(f"refusing exhaustive search over F{self.p}")
-        return iter(range(self.p))
-
     # -- text form ---------------------------------------------------------
 
     def parse_scalar(self, token: str) -> Scalar:
-        """Parse ``a`` or ``a/b`` over ℚ, a decimal residue in [0, p) over 𝔽p."""
+        """Parse ``a`` or ``a/b`` over ℚ, a decimal residue in [0, p) over 𝔽p.
+
+        Over ℚ, ``a`` is ASCII ``[+-]?digits`` and ``b`` is ASCII digits, so a
+        coefficient has no more digits than its token (no ``1e4000``).
+        """
         if self.p is None:
+            if not _RATIONAL.fullmatch(token):
+                raise ValueError(f"bad rational {token!r}: expected a or a/b in decimal digits")
             try:
                 return Fraction(token)
             except (ValueError, ZeroDivisionError) as exc:
@@ -393,14 +395,6 @@ class DlfVerdict:
         return f"unfactored degree {self.unfactored_degree}"
 
 
-def _deflate(f: Polynomial, r: Scalar) -> Polynomial:
-    """Exact division by (x − r); fails loudly unless f(r) = 0."""
-    quotient, rem = divmod(f, Polynomial.of(f.field, [f.field.neg(r), f.field.one]))
-    if not rem.is_zero:
-        raise InternalConsistencyError(f"{r} is not a root of {f!r}")
-    return quotient
-
-
 # -- root finding over 𝔽p on plain coefficient lists ----------------------------
 #
 # Lists are low degree first with residues in [0, p) and no trailing zero; the
@@ -546,6 +540,111 @@ def _roots_mod_p(coeffs: tuple[int, ...], p: int) -> tuple[list[tuple[int, int]]
     return roots, len(rem) - 1
 
 
+# -- rational roots by p-adic lifting on integer coefficient lists ---------------
+#
+# Lists are low degree first with no trailing zero, as above, but hold
+# arbitrary integers.
+
+#: Primes at which the roots of f mod p must all be simple before the exact
+#: squarefree part of f is taken instead; only a repeated rational root (or
+#: roots that collide modulo every one of these primes) costs that gcd.
+LIFTING_PRIME_TRIES = 8
+
+
+def _primitive(coeffs: Iterable[int]) -> list[int]:
+    """The coefficients divided by their content, with a positive leading one."""
+    coeffs = list(coeffs)
+    content = gcd(*coeffs)
+    if coeffs[-1] < 0:
+        content = -content
+    return [c // content for c in coeffs]
+
+
+def _exact_quotient(f: list[int], d: list[int]) -> list[int]:
+    """f / d over ℤ; fails loudly unless d divides f with an integer quotient."""
+    rem = list(f)
+    n = len(d) - 1
+    quo = [0] * (len(f) - n)
+    for i in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[i + n], d[-1])
+        if r:
+            raise InternalConsistencyError(f"{d} does not divide {f} over Z")
+        quo[i] = c
+        for j in range(n):
+            rem[i + j] -= c * d[j]
+    if any(rem[:n]):
+        raise InternalConsistencyError(f"{d} does not divide {f} over Z")
+    return quo
+
+
+def _squarefree(f: list[int]) -> list[int]:
+    """f / gcd(f, f′) for primitive f, by the primitive remainder sequence."""
+    a, b = f, _primitive([i * c for i, c in enumerate(f)][1:])
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):
+            c, shift = r[-1], len(r) - len(b)
+            r = [x * b[-1] for x in r]
+            for j, y in enumerate(b):
+                r[shift + j] -= c * y
+            _trim(r)
+        a, b = b, _primitive(r) if r else []
+    return f if b else _exact_quotient(f, a)
+
+
+def _vanishes(f: list[int], u: int, v: int) -> bool:
+    """f(u/v) = 0, by Horner on the homogeneous form Σ fᵢ uⁱ v^(n−i)."""
+    acc, w = 0, 1
+    for c in reversed(f):
+        acc = acc * u + c * w
+        w *= v
+    return acc == 0
+
+
+def _lift(g: list[int], r: int, p: int, bound: int) -> tuple[int, int]:
+    """(root, pᵏ): a simple root r of g mod p Newton-lifted until pᵏ > bound."""
+    m = p
+    while m <= bound:
+        m *= m
+        val = der = 0
+        for c in reversed(g):
+            der = (der * r + val) % m
+            val = (val * r + c) % m
+        r = (r - val * pow(der, -1, m)) % m
+    return r, m
+
+
+def _root_candidates(f: list[int]) -> list[Fraction]:
+    """Candidates covering every rational root of a primitive f.
+
+    Degree 1 is answered directly.  Otherwise take the first prime p ∤ a = lc(f)
+    at which f's roots mod p are all simple (after LIFTING_PRIME_TRIES
+    failures, those of the exact squarefree part g, which has finitely many
+    bad primes); each lifts to a unique p-adic root r.  A rational root u/v
+    has v | a, so y = a·u/v is an integer with |y| ≤ B = |a| + max|fᵢ|
+    (Cauchy), read off as the symmetric residue of a·r mod pᵏ > 2B.  Roots
+    mod p that come from no rational root give candidates at which f does
+    not vanish.
+    """
+    if len(f) <= 2:
+        return [Fraction(-f[0], f[1])] if len(f) == 2 else []
+    a, g = f[-1], f
+    primes = (n for n in itertools.count(2) if _is_prime(n) and a % n)
+    for tries, p in enumerate(primes):
+        if tries == LIFTING_PRIME_TRIES:
+            g = _squarefree(f)
+        residues, _ = _roots_mod_p(tuple(c % p for c in g), p)
+        if all(m == 1 for _, m in residues):
+            break
+    bound = 2 * (abs(a) + max(map(abs, f)))
+    out = []
+    for r, _ in residues:
+        r, m = _lift(g, r, p, bound)
+        y = a * r % m
+        out.append(Fraction(y - m if 2 * y > m else y, a))
+    return out
+
+
 def find_roots(f: Polynomial) -> RootMultiset:
     """All roots of f in its coefficient field, with multiplicities by deflation."""
     if f.is_zero:
@@ -555,46 +654,21 @@ def find_roots(f: Polynomial) -> RootMultiset:
         roots, unfactored = _roots_mod_p(f.coeffs, field.p)
         return RootMultiset(tuple(roots), unfactored)
 
-    # over Q: strip x^k, pass to the primitive integer form, apply the
-    # rational-root theorem, then deflate candidate by candidate
-    roots: list[tuple[Scalar, int]] = []
-    rem = f
-    k = next(i for i, c in enumerate(f.coeffs) if c != 0)
-    if k:
-        rem = Polynomial.of(field, f.coeffs[k:])
-        roots.append((Fraction(0), k))
-    if rem.degree >= 1:
-        from math import gcd, lcm
-        denom = lcm(*(c.denominator for c in rem.coeffs))
-        ints = [int(c * denom) for c in rem.coeffs]
-        content = gcd(*ints)
-        ints = [c // content for c in ints]
-        for num in sorted(_divisors(abs(ints[0]))):
-            for den in sorted(_divisors(abs(ints[-1]))):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if rem.degree < 1:
-                        break
-                    m = 0
-                    while rem.degree >= 1 and rem.evaluate(cand) == 0:
-                        rem = _deflate(rem, cand)
-                        m += 1
-                    if m:
-                        roots.append((cand, m))
+    # over Q: strip x^k, pass to the primitive integer form, lift its roots
+    # mod p to rational candidates, then deflate while a candidate is a root
+    k = next(i for i, c in enumerate(f.coeffs) if c)
+    roots = [(Fraction(0), k)] if k else []
+    denom = lcm(*(c.denominator for c in f.coeffs))
+    rem = _primitive(c.numerator * (denom // c.denominator) for c in f.coeffs[k:])
+    for root in _root_candidates(rem):
+        u, v, m = root.numerator, root.denominator, 0
+        while len(rem) > 1 and _vanishes(rem, u, v):
+            rem = _exact_quotient(rem, [-u, v])
+            m += 1
+        if m:
+            roots.append((root, m))
     roots.sort(key=lambda rm: rm[0])
-    return RootMultiset(tuple(roots), rem.degree if rem.degree > 0 else 0)
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return []
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+    return RootMultiset(tuple(roots), len(rem) - 1)
 
 
 def is_dlf(f: Polynomial) -> DlfVerdict:

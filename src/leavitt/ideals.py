@@ -25,6 +25,7 @@ from .digraph import (
     Digraph,
     GeometricCycle,
     OMEGA,
+    _breaking_vertices,
     breaking_vertices,
     cycle_vertices,
     enumerate_hereditary_saturated,
@@ -224,7 +225,7 @@ def pair_order(g: Digraph, a: AdmissiblePair, b: AdmissiblePair) -> bool:
 def enumerate_admissible_pairs(g: Digraph, limit: int = 10_000) -> list[AdmissiblePair]:
     out = []
     for hs in enumerate_hereditary_saturated(g, limit=limit):
-        bb = sorted(breaking_vertices(g, hs))
+        bb = sorted(_breaking_vertices(g, hs))
         for k in range(len(bb) + 1):
             for combo in itertools.combinations(bb, k):
                 out.append(AdmissiblePair(hs, frozenset(combo)))

@@ -2,12 +2,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from leavitt.digraph import Digraph
 from leavitt.ideals import IdealPresentation
 from leavitt.io import parse_digraph, parse_ideal
 
 sys.path.insert(0, str(Path(__file__).parent))  # make helpers importable
+
+# One profile for every property test: the same examples on every run and no
+# per-example deadline (exact arithmetic on a loaded host is slow, not wrong).
+# Tests set only their own max_examples.
+settings.register_profile("leavitt", derandomize=True, deadline=None)
+settings.load_profile("leavitt")
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "leavitt" / "corpus"
 

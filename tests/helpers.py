@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from leavitt.digraph import OMEGA, Digraph, is_hereditary, is_omega, is_saturated
-from leavitt.errors import MeetJoinFailureError, ResourceLimitError
+from leavitt.errors import FieldMismatchError, MeetJoinFailureError, ResourceLimitError
 from leavitt.fields import Field, Polynomial, RootMultiset
 
 
@@ -258,24 +259,74 @@ class SinkBlockRepresentation:
         return exact_rank(vectors)
 
 
-# -- residue sweep and strata census over 𝔽p -------------------------------------
+# -- exhaustive root searches (𝔽p and ℚ) and the strata census over 𝔽p ----------
+
+#: Largest prime modulus whose elements :func:`field_elements` will list.
+MAX_ENUMERABLE_PRIME = 2**20
+
+
+def field_elements(field: Field):
+    """All elements of 𝔽p, ascending; refused over ℚ and above MAX_ENUMERABLE_PRIME."""
+    if field.p is None:
+        raise FieldMismatchError("cannot enumerate the rationals")
+    if field.p > MAX_ENUMERABLE_PRIME:
+        raise ResourceLimitError(f"refusing exhaustive search over F{field.p}")
+    return iter(range(field.p))
+
+
+def _deflate_while_root(rem: Polynomial, a) -> tuple[Polynomial, int]:
+    field = rem.field
+    m = 0
+    while rem.degree >= 1 and rem.evaluate(a) == 0:
+        quotient, r = divmod(rem, Polynomial.of(field, [field.neg(a), field.one]))
+        assert r.is_zero
+        rem = quotient
+        m += 1
+    return rem, m
+
 
 def sweep_roots(f: Polynomial) -> RootMultiset:
     """Roots of a nonzero f over 𝔽p by trying every residue in turn and
-    deflating while it stays a root: O(p·deg f), capped by Field.elements()."""
-    field = f.field
+    deflating while it stays a root: O(p·deg f), capped by field_elements()."""
     roots = []
     rem = f
-    for a in field.elements():
-        m = 0
-        while rem.degree >= 1 and rem.evaluate(a) == 0:
-            quotient, r = divmod(rem, Polynomial.of(field, [field.neg(a), field.one]))
-            assert r.is_zero
-            rem = quotient
-            m += 1
+    for a in field_elements(f.field):
+        rem, m = _deflate_while_root(rem, a)
         if m:
             roots.append((a, m))
     return RootMultiset(tuple(roots), max(rem.degree, 0))
+
+
+def _divisors(n: int) -> list[int]:
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out |= {d, n // d}
+        d += 1
+    return sorted(out)
+
+
+def divisor_roots(f: Polynomial) -> RootMultiset:
+    """Roots of a nonzero f over ℚ by the rational-root theorem: every ±u/v
+    with u | a₀ and v | lc of the primitive form, after stripping xᵏ, is
+    tried and deflated while it stays a root: O(√|a₀| + √|lc|) trial
+    divisions and one evaluation per divisor pair."""
+    field = f.field
+    k = next(i for i, c in enumerate(f.coeffs) if c != 0)
+    roots = [(Fraction(0), k)] if k else []
+    rem = Polynomial.of(field, f.coeffs[k:])
+    denom = math.lcm(*(c.denominator for c in rem.coeffs))
+    ints = [int(c * denom) for c in rem.coeffs]
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
+    for u in _divisors(abs(ints[0])):
+        for v in _divisors(abs(ints[-1])):
+            for cand in (Fraction(-u, v), Fraction(u, v)):
+                rem, m = _deflate_while_root(rem, cand)
+                if m:
+                    roots.append((cand, m))
+    return RootMultiset(tuple(sorted(roots)), max(rem.degree, 0))
 
 
 def exhaustive_degree_census(field: Field, degree: int) -> tuple[int, int]:

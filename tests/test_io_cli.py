@@ -375,6 +375,13 @@ class TestCliBehavior:
         assert run_cli("decide", *extra, cpath("loop"), str(path)) == (2, "")
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["1e1", "1_0", "١٢", "1.5", "3/-4", "0x10"])
+    def test_rational_coefficients_are_ascii_fractions(self, tmp_path, capsys, token):
+        path = tmp_path / "j.ideal"
+        path.write_text(f"ideal j\nfield Q\ncycle C: e\npoly C: 1 {token}\n")
+        assert run_cli("decide", cpath("loop"), str(path)) == (2, "")
+        assert f"{path}:line 4: bad rational {token!r}" in capsys.readouterr().err
+
     def test_unknown_vertex_message_is_deterministic(self):
         errs = set()
         for seed in ("1", "2"):

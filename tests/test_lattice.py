@@ -1,6 +1,7 @@
 """Output-sensitive hereditary saturated sets, closure and pair lattice against
 their exhaustive predecessors, and the absence of a vertex cap."""
 
+import itertools
 import subprocess
 import sys
 import time
@@ -15,15 +16,23 @@ from helpers import (
     search_lattice_tables,
     sweep_hereditary_saturated,
 )
-from leavitt.digraph import Digraph, enumerate_hereditary_saturated, hereditary_saturated_closure
+from leavitt.digraph import (
+    Digraph,
+    breaking_vertices,
+    enumerate_hereditary_saturated,
+    hereditary_saturated_closure,
+)
 from leavitt.errors import ResourceLimitError
 from leavitt.ideals import AdmissiblePair, enumerate_admissible_pairs, pair_lattice
 
 from conftest import corpus_graphs
 from test_io_cli import child_env
 
-SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 SMALL_CORPUS = [g for g in corpus_graphs().values() if len(g.vertices) <= 12]
+
+
+def powerset(xs):
+    return itertools.chain.from_iterable(itertools.combinations(xs, k) for k in range(len(xs) + 1))
 
 
 def sq_chain(n: int) -> Digraph:
@@ -49,19 +58,27 @@ class TestAgainstOracles:
             assert hereditary_saturated_closure(g, {v}) == fixpoint_closure(g, {v})
         assert_lattice_matches_search(g)
 
-    @SETTINGS
+    @settings(max_examples=120)
     @given(g=digraphs())
     def test_enumeration_equals_sweep(self, g):
         assert enumerate_hereditary_saturated(g) == sweep_hereditary_saturated(g)
 
-    @SETTINGS
+    @settings(max_examples=120)
     @given(data=st.data())
     def test_closure_equals_fixpoint(self, data):
         g = data.draw(digraphs())
         seeds = data.draw(st.sets(st.sampled_from(g.vertices))) if g.vertices else set()
         assert hereditary_saturated_closure(g, seeds) == fixpoint_closure(g, seeds)
 
-    @SETTINGS
+    @settings(max_examples=120)
+    @given(g=digraphs(max_vertices=7))
+    def test_admissible_pairs_equal_sweep(self, g):
+        expected = [AdmissiblePair(h, frozenset(s))
+                    for h in sweep_hereditary_saturated(g)
+                    for s in powerset(sorted(breaking_vertices(g, h)))]
+        assert enumerate_admissible_pairs(g) == sorted(expected, key=AdmissiblePair.sort_key)
+
+    @settings(max_examples=120)
     @given(g=digraphs(max_vertices=7))
     def test_pair_lattice_equals_search(self, g):
         assume(len(enumerate_admissible_pairs(g)) <= 64)

@@ -1,15 +1,18 @@
-"""Root finding over 𝔽p against the residue sweep, and the primality check.
+"""Root finding against the exhaustive searches, and the primality check.
 
 ``find_roots`` over 𝔽p splits gcd(f, xᵖ − x) by Cantor–Zassenhaus and sweeps
 only tiny fields; :func:`helpers.sweep_roots` is the exhaustive oracle it
-must agree with.  Above the sweep's reach, planted roots and sympy (when
-installed) are the reference.
+must agree with.  Over ℚ it lifts roots mod p p-adically;
+:func:`helpers.divisor_roots`, the rational-root theorem's divisor search, is
+its oracle for small coefficients.  Beyond either search's reach, planted
+roots and sympy (when installed) are the reference.
 """
 
 import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -28,13 +31,11 @@ from leavitt.fields import (
     linear_factorization,
 )
 
-from helpers import sweep_roots
+from helpers import divisor_roots, sweep_roots
 from test_io_cli import child_env
 
 SMALL_PRIMES = [2, 3, 5, 7, 31, 1009]
 LARGE_PRIMES = [1048583, 2**61 - 1]
-
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 def _trial_division(n: int) -> bool:
@@ -121,21 +122,21 @@ class TestPrimality:
 
 class TestAgainstSweep:
     @pytest.mark.parametrize("p", SMALL_PRIMES)
-    @SETTINGS
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_find_roots(self, p, data):
         f = data.draw(polynomials(p))
         assert find_roots(f) == sweep_roots(f)
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
-    @SETTINGS
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_is_dlf(self, p, data):
         f = data.draw(polynomials(p).filter(lambda f: f.degree >= 1))
         assert is_dlf(f) == _expected_verdict(f)
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
-    @SETTINGS
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_linear_factorization(self, p, data):
         f = data.draw(polynomials(p))
@@ -149,7 +150,7 @@ class TestAgainstSweep:
                 (Polynomial.of(field, [field.neg(r), 1]), m) for r, m in rm.roots]
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
-    @SETTINGS
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_splitting_below_the_sweep_threshold(self, p, data):
         # find_roots sweeps fields this small, so call the splitting directly
@@ -160,7 +161,7 @@ class TestAgainstSweep:
 
 class TestLargeFields:
     @pytest.mark.parametrize("p", LARGE_PRIMES)
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_planted_roots(self, p, data):
         f, roots, quadratics = data.draw(planted(p, max_roots=6))
@@ -169,7 +170,7 @@ class TestLargeFields:
         assert rm.unfactored_degree == 2 * quadratics
 
     @pytest.mark.parametrize("p", LARGE_PRIMES)
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     @given(data=st.data())
     def test_matches_sympy(self, p, data):
         sympy = pytest.importorskip("sympy")
@@ -184,7 +185,19 @@ class TestLargeFields:
 class TestInexactDeflation:
     def test_deflating_by_a_non_root_raises(self):
         with pytest.raises(InternalConsistencyError):
-            fields._deflate(Polynomial.of(Field.rationals(), [1, 1]), 5)
+            fields._exact_quotient([1, 1], [-5, 1])
+        with pytest.raises(InternalConsistencyError):  # 3x − 1 over 2x − 1
+            fields._exact_quotient([-1, 3], [-1, 2])
+
+    def test_root_that_does_not_deflate_exits_5(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(fields, "_vanishes", lambda f, u, v: True)
+        with pytest.raises(InternalConsistencyError):
+            find_roots(Polynomial.of(Field.rationals(), [-7, 0, 1]))
+        graph, ideal = tmp_path / "loop.graph", tmp_path / "j.ideal"
+        graph.write_text("digraph loop\nvertex v\narrow e v v\n")
+        ideal.write_text("ideal j\nfield Q\ncycle C: e\npoly C: 1 0 -7\n")
+        assert main(["decide", str(graph), str(ideal)]) == 5
+        assert "internal consistency failure" in capsys.readouterr().err
 
     def test_non_pth_power_raises(self):
         with pytest.raises(InternalConsistencyError):
@@ -206,7 +219,7 @@ class TestInexactDeflation:
             "from leavitt import fields\n"
             "from leavitt.errors import InternalConsistencyError\n"
             "F = fields.Field\n"
-            "checks = [lambda: fields._deflate(fields.Polynomial.of(F(), [1, 1]), 5),\n"
+            "checks = [lambda: fields._exact_quotient([1, 1], [-5, 1]),\n"
             "          lambda: fields._pth_root(fields.Polynomial.of(F(3), [1, 1]))]\n"
             "for check in checks:\n"
             "    try:\n"
@@ -217,3 +230,128 @@ class TestInexactDeflation:
         proc = subprocess.run([sys.executable, "-O", "-c", code],
                               capture_output=True, text=True, env=child_env(), timeout=30)
         assert proc.returncode == 0, proc.stderr
+
+
+# -- ℚ: p-adic lifting against the divisor search and sympy ----------------------
+
+Q = Field.rationals()
+
+#: Irreducible over ℚ: x² + 1, x² − 2, 2x² − 3, 3x² + x + 1, x² + x + 1.
+QUADRATICS = [[1, 0, 1], [-2, 0, 1], [-3, 0, 2], [1, 1, 3], [1, 1, 1]]
+
+
+def _expand(scale, factors) -> Polynomial:
+    f = Polynomial.of(Q, [scale])
+    for factor in factors:
+        f = f * Polynomial.of(Q, factor)
+    return f
+
+
+@st.composite
+def rational_planted(draw, digits: int = 1):
+    """(f, {root: multiplicity}, unfactored degree): a rational multiple,
+    possibly negative, of xᵏ · ∏ (v·x − u)^m · irreducible quadratics, with
+    |u| < 10^digits and 1 ≤ v ≤ 4 (v = 1 when digits > 1)."""
+    top = 10**digits - 1
+    numerators = st.integers(-top, top).filter(bool)
+    denominators = st.integers(1, 4 if digits == 1 else 1)
+    roots = draw(st.lists(st.builds(Fraction, numerators, denominators), max_size=4))
+    mults = [draw(st.integers(1, 3)) for _ in roots]
+    zeros = draw(st.integers(0, 2))
+    quadratics = draw(st.lists(st.sampled_from(QUADRATICS), max_size=2))
+    scale = draw(st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 3)))
+    linear = [[-r.numerator, r.denominator] for r, m in zip(roots, mults) for _ in range(m)]
+    f = _expand(scale, [[0, 1]] * zeros + linear + quadratics)
+    expected = Counter()
+    for r, m in zip(roots, mults):
+        expected[r] += m
+    if zeros:
+        expected[Fraction(0)] = zeros
+    return f, expected, 2 * len(quadratics)
+
+
+@st.composite
+def rational_polynomials(draw):
+    """Random nonzero polynomials with small coefficients, and planted products."""
+    if draw(st.booleans()):
+        return draw(rational_planted())[0]
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=7).filter(any))
+    return Polynomial.of(Q, coeffs)
+
+
+class TestRationalRoots:
+    @settings(max_examples=150)
+    @given(f=rational_polynomials())
+    def test_find_roots_matches_divisor_search(self, f):
+        assert find_roots(f) == divisor_roots(f)
+
+    @settings(max_examples=150)
+    @given(planted=rational_planted())
+    def test_planted_roots(self, planted):
+        f, roots, unfactored = planted
+        rm = find_roots(f)
+        assert rm.roots == tuple(sorted(roots.items()))
+        assert rm.unfactored_degree == unfactored
+
+    @settings(max_examples=25)
+    @given(planted=rational_planted(digits=50), data=st.data())
+    def test_matches_sympy_for_50_digit_roots(self, planted, data):
+        sympy = pytest.importorskip("sympy")
+        f = planted[0]
+        v = data.draw(st.integers(1, 10**20))
+        f = f * Polynomial.of(Q, [-data.draw(st.integers(1, 10**50)), v])
+        x = sympy.symbols("x")
+        expected = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                               for c in reversed(f.coeffs)], x, domain="QQ").ground_roots()
+        assert dict(find_roots(f).roots) == {
+            Fraction(int(r.p), int(r.q)): m for r, m in expected.items()}
+
+    @pytest.mark.parametrize("factors,roots", [
+        # a repeated rational root stays repeated modulo every prime
+        ([[-3, 1], [-3, 1], [5, 2], [1, 0, 1]], {Fraction(3): 2, Fraction(-5, 2): 1}),
+        # squarefree, but the roots 1 and 1 + 2·3·…·23 meet modulo each of the
+        # first nine primes, so at all LIFTING_PRIME_TRIES = 8 primes tried
+        ([[-1, 1], [-1 - 223092870, 1], [1, 0, 1]],
+         {Fraction(1): 1, Fraction(1 + 223092870): 1}),
+    ], ids=["repeated", "colliding"])
+    def test_prime_with_repeated_roots_falls_back_to_squarefree_part(
+            self, monkeypatch, factors, roots):
+        assert fields.LIFTING_PRIME_TRIES == 8
+        calls = []
+        squarefree = fields._squarefree
+        monkeypatch.setattr(fields, "_squarefree",
+                            lambda f: calls.append(f) or squarefree(f))
+        rm = find_roots(_expand(-7, factors))
+        assert rm.roots == tuple(sorted(roots.items()))
+        assert rm.unfactored_degree == 2
+        assert len(calls) == 1
+
+    def test_root_near_the_cauchy_bound(self):
+        # f = (x + q)(x² + 1) lifts at p = 3, and q + 1 < 3³² ≤ 2q: only a
+        # modulus above 2B = 2(q + 1) tells −q from 3³² − q
+        q = 3**32 - 5
+        rm = find_roots(_expand(1, [[q, 1], [1, 0, 1]]))
+        assert rm == fields.RootMultiset(((Fraction(-q), 1),), 2)
+
+    def test_degree_one_needs_no_prime(self, monkeypatch):
+        monkeypatch.setattr(fields, "_is_prime", None)
+        assert find_roots(Polynomial.of(Q, [Fraction(-10**60, 7), 3])).roots == \
+            ((Fraction(10**60, 21), 1),)
+
+    def test_forty_digit_root_is_quick(self, tmp_path, capsys):
+        q = 10**40 + 121
+        graph, ideal = tmp_path / "loop.graph", tmp_path / "big.ideal"
+        graph.write_text("digraph loop\nvertex v\narrow e v v\n")
+        # θ = (1 − x/q)(1 + x²), i.e. (q − x)(1 + x²) with constant term 1
+        ideal.write_text(f"ideal big\nfield Q\ncycle C: e\npoly C: 1 -1/{q} 1 -1/{q}\n")
+        start = time.perf_counter()
+        find_roots(Polynomial.of(Q, [q, -1, q, -1]))
+        assert time.perf_counter() - start < 0.05
+        codes = [main([command, str(graph), str(ideal)])
+                 for command in ("decide", "certificate", "radical")]
+        assert time.perf_counter() - start < 2.0
+        assert codes == [0, 3, 0]
+        captured = capsys.readouterr()
+        assert "notLPA: cycle C: unfactored degree 2" in captured.out
+        assert "no certificate: C: unfactored degree 2" in captured.err
+        assert "squarefree part is not split (unfactored degree 2)" in captured.out
