@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import digraph as dg
 from . import ideals as il
@@ -29,6 +29,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .fields import Field
+from .records import record
 
 DEFAULT_LIMITS = {
     "maxCycles": 10_000,
@@ -305,7 +306,8 @@ def _dot(rep: Reporter, args, g):
     rep.emit_block(dg.to_dot(g), record="dot", name=g.name)
 
 
-class Command(NamedTuple):
+@record
+class Command:
     """One subcommand: what runs it, what it reads, and how it may render."""
 
     handler: Callable[..., None]

@@ -22,7 +22,6 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -32,6 +31,7 @@ from .errors import (
     UnknownArrowError,
     UnknownVertexError,
 )
+from .records import record
 
 #: Multiplicity marker for an infinite arrow class.
 OMEGA = math.inf
@@ -41,7 +41,7 @@ def is_omega(multiplicity) -> bool:
     return multiplicity == OMEGA
 
 
-@dataclass(frozen=True)
+@record
 class ArrowClass:
     id: str
     source: str
@@ -162,7 +162,7 @@ class Digraph:
 
 # -- vertex classification ----------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class VertexInfo:
     sink: bool
     source: bool
@@ -208,7 +208,7 @@ def classify_vertices(g: Digraph) -> dict[str, VertexInfo]:
 
 # -- geometric cycles ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class GeometricCycle:
     """Arrow ids of a simple cycle, canonically rotated."""
 
@@ -249,7 +249,7 @@ def base_vertex(g: Digraph, cycle: GeometricCycle) -> str:
     return g.arrow(cycle.arrows[0]).source
 
 
-@dataclass(frozen=True)
+@record
 class CycleInfo:
     cycle: GeometricCycle
     has_exit: bool
@@ -551,7 +551,7 @@ def instances_escaping(g: Digraph, v: str, hs: Iterable[str]) -> frozenset[tuple
 
 # -- digraph morphisms ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class DigraphMorphism:
     name: str
     source: Digraph
@@ -560,7 +560,7 @@ class DigraphMorphism:
     arrow_map: Mapping[str, str]
 
 
-@dataclass(frozen=True)
+@record
 class MorphismReport:
     valid: bool
     violations: tuple[str, ...]

@@ -18,15 +18,15 @@ is read by exact deflation.  Over ℚ, the roots of the primitive integer form
 modulo a small prime are Newton-lifted p-adically until a bound on a·r
 (a the leading coefficient) fixes each candidate, and multiplicities are again
 read by exact deflation, all on plain integer lists; the cost is polynomial in
-deg f and the coefficients' bit size (Loos 1983).  There is deliberately no
-general polynomial factorization here.
+deg f and the coefficients' bit size (Loos 1983).  The squarefree part over ℚ
+is f / gcd(f, f′) by a primitive remainder sequence on the same integer form.
+There is deliberately no general polynomial factorization here.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
@@ -43,6 +43,7 @@ from .errors import (
     ZeroElementError,
     ZeroPolynomialError,
 )
+from .records import record
 
 Scalar = Union[Fraction, int]
 
@@ -79,7 +80,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class Field:
     """The coefficient field: ℚ when ``p`` is None, 𝔽p otherwise."""
 
@@ -196,7 +197,7 @@ class Field:
         return f"Field({self.header()})"
 
 
-@dataclass(frozen=True)
+@record
 class Polynomial:
     """Dense univariate polynomial; ``coeffs`` low degree first, trailing nonzero."""
 
@@ -342,7 +343,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
-@dataclass(frozen=True)
+@record
 class LaurentElement:
     """Sparse element of 𝔽[x, x⁻¹]: exponent → nonzero coefficient."""
 
@@ -364,7 +365,7 @@ class LaurentElement:
         return not self.terms
 
 
-@dataclass(frozen=True)
+@record
 class RootMultiset:
     """Roots found in the field, with multiplicities, plus the rootless leftover degree."""
 
@@ -378,7 +379,7 @@ class RootMultiset:
         return 0
 
 
-@dataclass(frozen=True)
+@record
 class DlfVerdict:
     """Outcome of the distinct-linear-factors test, with a witness either way."""
 
@@ -560,6 +561,13 @@ def _primitive(coeffs: Iterable[int]) -> list[int]:
     return [c // content for c in coeffs]
 
 
+def _integer_form(coeffs: Iterable[Fraction]) -> list[int]:
+    """The primitive integer multiple of a list of rationals (see _primitive)."""
+    coeffs = list(coeffs)
+    denom = lcm(*(c.denominator for c in coeffs))
+    return _primitive(c.numerator * (denom // c.denominator) for c in coeffs)
+
+
 def _exact_quotient(f: list[int], d: list[int]) -> list[int]:
     """f / d over ℤ; fails loudly unless d divides f with an integer quotient."""
     rem = list(f)
@@ -658,8 +666,7 @@ def find_roots(f: Polynomial) -> RootMultiset:
     # mod p to rational candidates, then deflate while a candidate is a root
     k = next(i for i, c in enumerate(f.coeffs) if c)
     roots = [(Fraction(0), k)] if k else []
-    denom = lcm(*(c.denominator for c in f.coeffs))
-    rem = _primitive(c.numerator * (denom // c.denominator) for c in f.coeffs[k:])
+    rem = _integer_form(f.coeffs[k:])
     for root in _root_candidates(rem):
         u, v, m = root.numerator, root.denominator, 0
         while len(rem) > 1 and _vanishes(rem, u, v):
@@ -724,8 +731,13 @@ def squarefree_part(f: Polynomial) -> Polynomial:
         raise ConstantPolynomialError("squarefree part needs degree >= 1")
     if f.constant_term == 0:
         raise ZeroConstantTermError("squarefree part needs f(0) != 0")
-    g = _radical(f)
-    return g.scale(f.field.inv(g.constant_term))
+    if f.field.is_prime_field:
+        g = _radical(f)
+        return g.scale(f.field.inv(g.constant_term))
+    # over Q (characteristic 0) the radical is f / gcd(f, f′), taken on the
+    # primitive integer form; g(0) ≠ 0 because f(0) ≠ 0
+    g = _squarefree(_integer_form(f.coeffs))
+    return Polynomial.of(f.field, [Fraction(c, g[0]) for c in g])
 
 
 def laurent_normalize(g: LaurentElement) -> tuple[Polynomial, Polynomial]:
@@ -748,7 +760,7 @@ def laurent_normalize(g: LaurentElement) -> tuple[Polynomial, Polynomial]:
     return poly.monic(), poly.scale(field.inv(poly.constant_term))
 
 
-@dataclass(frozen=True)
+@record
 class CrtProfile:
     """Shape of 𝔽[x, x⁻¹]/(f) read off a verified factorization of f."""
 

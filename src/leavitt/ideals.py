@@ -18,7 +18,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Mapping, Sequence
 
 from .digraph import (
@@ -43,9 +42,10 @@ from .errors import (
 )
 # is_dlf is unused here; bench/selftest.py checks that the tracer rebinds it in this module.
 from .fields import Field, Polynomial, is_dlf  # noqa: F401
+from .records import field as record_field, record
 
 
-@dataclass(frozen=True)
+@record
 class AdmissiblePair:
     """A hereditary saturated vertex set H plus chosen breaking vertices S ⊆ B_H."""
 
@@ -99,15 +99,15 @@ def no_exit_quotient_cycles(g: Digraph, pair: AdmissiblePair,
         if v not in pair.h and quotient_out_degree(g, pair.h, primed, v) == 1}, limit=limit)
 
 
-@dataclass
+@record(frozen=False)
 class IdealPresentation:
     """The quadruple (H, S, β, θ); treat instances as immutable."""
 
     field: Field
     pair: AdmissiblePair
     beta: tuple[GeometricCycle, ...] = ()
-    theta: Mapping[GeometricCycle, Polynomial] = dc_field(default_factory=dict)
-    labels: Mapping[GeometricCycle, str] = dc_field(default_factory=dict)
+    theta: Mapping[GeometricCycle, Polynomial] = record_field(default_factory=dict)
+    labels: Mapping[GeometricCycle, str] = record_field(default_factory=dict)
     name: str = "ideal"
 
     def __post_init__(self):
@@ -122,7 +122,7 @@ class IdealPresentation:
         return self.labels.get(cycle, cycle.label())
 
 
-@dataclass(frozen=True)
+@record
 class IdealValidation:
     valid: bool
     violations: tuple[str, ...]
@@ -193,7 +193,7 @@ def validate_ideal(g: Digraph, j: IdealPresentation) -> IdealValidation:
                            primed=primed)
 
 
-@dataclass(frozen=True)
+@record
 class ValidatedIdeal:
     """(Γ, J) once :func:`validated_ideal` passed; ``primed`` is B_H∖S."""
 
@@ -235,7 +235,7 @@ def enumerate_admissible_pairs(g: Digraph, limit: int = 10_000) -> list[Admissib
     return sorted(out, key=AdmissiblePair.sort_key)
 
 
-@dataclass(frozen=True)
+@record
 class PairLattice:
     """All admissible pairs with their meet and join tables (element indices)."""
 
@@ -303,14 +303,14 @@ def pair_lattice(g: Digraph, limit: int = 10_000) -> PairLattice:
 
 # -- strata -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class StratumKey:
     pair: AdmissiblePair
     beta: tuple[GeometricCycle, ...]
     degrees: tuple[int, ...]  # aligned with beta
 
 
-@dataclass(frozen=True)
+@record
 class StratumRecord:
     key: StratumKey
     parameter_count: int

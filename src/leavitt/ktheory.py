@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Union
 
@@ -39,11 +38,12 @@ from .errors import (
 )
 from .ideals import AdmissiblePair, IdealPresentation, ensure_admissible, validated_ideal
 from .quotients import MatrixDecomposition, dimension_blocks
+from .records import record
 
 
 # -- graph monoid ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class MonoidPresentation:
     generators: tuple[str, ...]
     relations: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
@@ -133,7 +133,7 @@ def monoid_congruent(g: Digraph, a: Element, b: Element,
 
 # -- projective presentations -------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class VertexGen:
     vertex: str
 
@@ -141,7 +141,7 @@ class VertexGen:
         return self.vertex
 
 
-@dataclass(frozen=True)
+@record
 class CornerGen:
     vertex: str
     z: frozenset[tuple[str, int]]  # (arrow class id, instance index)
@@ -154,7 +154,7 @@ class CornerGen:
 Generator = Union[VertexGen, CornerGen]
 
 
-@dataclass(frozen=True)
+@record
 class ProjectivePresentation:
     """Finite multiset of module generators (repetition = multiplicity)."""
 
@@ -188,7 +188,7 @@ def validate_presentation(g: Digraph, p: ProjectivePresentation):
 
 # -- Galois correspondence ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ClosedSubmonoid:
     """A closed submonoid of the graph monoid, carried by its (H, S) data."""
 
@@ -236,9 +236,10 @@ def galois_psi(g: Digraph, x: ProjectivePresentation | Iterable[Generator]) -> A
             if forced or all(a.target in h for a in arrows):
                 h = set(hereditary_saturated_closure(g, h | (forced or {item.vertex})))
                 grown = True
-    s = {item.vertex for item in corners
-         if item.vertex not in h and item.vertex in breaking_vertices(g, frozenset(h))}
-    return AdmissiblePair(frozenset(h), frozenset(s))
+    h = frozenset(h)
+    outside = {item.vertex for item in corners if item.vertex not in h}
+    s = outside & breaking_vertices(g, h) if outside else frozenset()
+    return AdmissiblePair(h, frozenset(s))
 
 
 def is_orthogonal(g: Digraph, p: ProjectivePresentation, j: IdealPresentation) -> bool:
@@ -263,7 +264,7 @@ def is_orthogonal(g: Digraph, p: ProjectivePresentation, j: IdealPresentation) -
 
 # -- module classifications --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class SimpleClass:
     representative: str           # the sink
     members: tuple[str, ...]      # line points draining into it
@@ -286,7 +287,7 @@ def classify_simple_projectives(g: Digraph) -> tuple[SimpleClass, ...]:
                  for sink, members in terminal.items())
 
 
-@dataclass(frozen=True)
+@record
 class FgipClass:
     cycle: GeometricCycle
     support: frozenset[str]
@@ -317,7 +318,7 @@ def corner_classify(g: Digraph, v: str) -> CornerKind:
 
 # -- endomorphism algebras ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class EndVerdict:
     finite: bool
     decomposition: MatrixDecomposition | None = None

@@ -26,7 +26,6 @@ quotient, the dlf verdicts and the severed digraph at most once per call.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .digraph import (
@@ -53,9 +52,10 @@ from .ideals import (
     ensure_admissible,
     validated_ideal,
 )
+from .records import record, replace
 
 
-@dataclass(frozen=True)
+@record
 class QuotientResult:
     """A constructed digraph plus, for every new id, where it came from."""
 
@@ -200,14 +200,14 @@ def sever_validated(valid: ValidatedIdeal, q1: QuotientResult | None = None) -> 
     return QuotientResult(digraph, provenance)
 
 
-@dataclass(frozen=True)
+@record
 class CycleDlfReport:
     label: str
     cycle: GeometricCycle
     verdict: DlfVerdict
 
 
-@dataclass(frozen=True)
+@record
 class DecideResult:
     """Dlf verdict per β cycle; if all hold, Γ//J and the graded quotient it is built from."""
 
@@ -235,14 +235,14 @@ def decide_validated(valid: ValidatedIdeal) -> DecideResult:
     return DecideResult(True, reports, sever_validated(valid, q1), q1)
 
 
-@dataclass(frozen=True)
+@record
 class CertEntry:
     kind: str  # "vertex" | "arrow" | "cycle"
     generator: str
     image: tuple[tuple[Scalar, str], ...]
 
 
-@dataclass(frozen=True)
+@record
 class IsoCertificate:
     """Generator images of the isomorphism from the graded quotient onto Γ//J.
 
@@ -297,7 +297,7 @@ def iso_certificate(g: Digraph, j: IdealPresentation) -> IsoCertificate:
     return IsoCertificate(tuple(entries))
 
 
-@dataclass(frozen=True)
+@record
 class RadicalResult:
     j_prime: IdealPresentation
     severed: QuotientResult
@@ -380,7 +380,7 @@ def partial_cycle_path_count(g: Digraph, cycle: GeometricCycle) -> int:
                for w in cycle_vertices(g, cycle))
 
 
-@dataclass(frozen=True)
+@record
 class MatrixDecomposition:
     """Sorted (block size, copies) pairs of a direct sum of matrix algebras."""
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from leavitt import cli, digraph, fields, ideals, ktheory, quotients, records
 from leavitt.digraph import OMEGA, Digraph, is_hereditary, is_omega, is_saturated
 from leavitt.errors import FieldMismatchError, MeetJoinFailureError, ResourceLimitError
 from leavitt.fields import Field, Polynomial, RootMultiset
@@ -329,6 +331,13 @@ def divisor_roots(f: Polynomial) -> RootMultiset:
     return RootMultiset(tuple(sorted(roots)), max(rem.degree, 0))
 
 
+def fraction_squarefree_part(f: Polynomial) -> Polynomial:
+    """Squarefree part normalized to g(0) = 1 by Euclid's gcd on Fraction
+    polynomials, over any field: the path ℚ took before the integer one."""
+    g = fields._radical(f)
+    return g.scale(f.field.inv(g.constant_term))
+
+
 def exhaustive_degree_census(field: Field, degree: int) -> tuple[int, int]:
     """(#parameter polynomials, #dlf ones) of 1 + a₁x + ... + a_d x^d, a_d ≠ 0,
     by sweeping 𝔽p^d and testing each with :func:`sweep_roots`."""
@@ -420,3 +429,36 @@ def search_lattice_tables(elements):
                     f"no join for {elements[i].label()} and {elements[k].label()}")
             join_table[i, k] = join_table[k, i] = best[0]
     return meet_table, join_table
+
+
+# -- dataclass twins of the record classes ------------------------------------------
+
+def record_classes() -> list[type]:
+    """Every class of the package made by :func:`leavitt.records.record`."""
+    return [obj for module in (cli, digraph, fields, ideals, ktheory, quotients)
+            for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+            and "__record__" in vars(obj)]
+
+
+def dataclass_twin(cls: type) -> type:
+    """A ``dataclasses.dataclass`` with the record's name, annotations, defaults
+    and frozen flag, and every method the record's class body defines."""
+    spec = cls.__record__
+    specs = []
+    for name in spec.names:
+        default = spec.defaults.get(name, dataclasses.MISSING)
+        if isinstance(default, records._Factory):
+            default = dataclasses.field(default_factory=default.make)
+        elif default is not dataclasses.MISSING:
+            default = dataclasses.field(default=default)
+        specs.append((name, cls.__annotations__[name]) if default is dataclasses.MISSING
+                     else (name, cls.__annotations__[name], default))
+    installed = {"__init__", "__eq__", "__hash__", "__setattr__", "__delattr__", "__record__",
+                 "__dict__", "__weakref__", "__annotations__", *spec.names}
+    namespace = {k: v for k, v in vars(cls).items() if k not in installed
+                 and getattr(v, "__module__", None) != records.__name__}
+    twin = dataclasses.make_dataclass(cls.__name__, specs, frozen=spec.frozen,
+                                      namespace=namespace)
+    twin.__module__, twin.__qualname__ = cls.__module__, cls.__qualname__
+    return twin

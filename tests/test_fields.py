@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leavitt.errors import (
     ConstantPolynomialError,
@@ -16,7 +18,7 @@ from leavitt.errors import (
     ZeroElementError,
     ZeroPolynomialError,
 )
-from helpers import field_elements
+from helpers import field_elements, fraction_squarefree_part
 from leavitt.fields import (
     Field,
     LaurentElement,
@@ -206,6 +208,20 @@ class TestSquarefree:
             squarefree_part(P(Q, 2))
         with pytest.raises(ZeroConstantTermError):
             squarefree_part(P(Q, 0, 1))
+
+    @settings(max_examples=150)
+    @given(st.lists(st.tuples(st.lists(st.fractions(max_denominator=12), min_size=1, max_size=3),
+                              st.integers(1, 3)), min_size=1, max_size=3),
+           st.fractions(min_value=-50, max_value=50, max_denominator=7).filter(bool))
+    def test_integer_path_matches_fraction_path_over_q(self, factors, constant):
+        """Over ℚ the integer primitive remainder sequence gives the same
+        polynomial as Euclid's gcd on Fraction polynomials."""
+        f = P(Q, constant)
+        for tail, m in factors:  # (constant + tail x + ...)^m, f(0) stays nonzero
+            for _ in range(m):
+                f = f * P(Q, constant, *tail)
+        if f.degree >= 1:
+            assert squarefree_part(f) == fraction_squarefree_part(f)
 
     @pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=lambda f: f.header())
     def test_squarefree_properties(self, field):
