@@ -5,72 +5,58 @@ presentations (H, S, β, θ), quotient digraph constructions, the
 distinct-linear-factor criterion for a quotient to be of path-algebra type,
 radical quotients, and the Galois correspondence between graded ideals and
 the graph monoid.  All arithmetic is exact (rationals or prime fields).
+
+Importing the package loads none of its modules.  Each name below is looked
+up on its module at every access (PEP 562), so ``leavitt.is_dlf`` is always
+``leavitt.fields.is_dlf``, and a command loads only the modules it runs.
 """
 
-from .digraph import (
-    ArrowClass,
-    Digraph,
-    DigraphMorphism,
-    GeometricCycle,
-    OMEGA,
-    breaking_vertices,
-    check_admissible_morphism,
-    classify_vertices,
-    enumerate_cycles,
-    enumerate_hereditary_saturated,
-    hereditary_saturated_closure,
-    to_dot,
-)
-from .fields import (
-    Field,
-    LaurentElement,
-    Polynomial,
-    RootMultiset,
-    crt_profile,
-    find_roots,
-    is_dlf,
-    laurent_normalize,
-    poly_gcd,
-    squarefree_part,
-)
-from .ideals import (
-    AdmissiblePair,
-    IdealPresentation,
-    enumerate_admissible_pairs,
-    enumerate_strata,
-    graded_part,
-    pair_lattice,
-    pair_order,
-    validate_ideal,
-)
-from .ktheory import (
-    ClosedSubmonoid,
-    CornerGen,
-    ProjectivePresentation,
-    VertexGen,
-    acyclic_decomposition,
-    classify_fgips,
-    classify_simple_projectives,
-    corner_classify,
-    end_finite_dim,
-    galois_phi,
-    galois_psi,
-    is_orthogonal,
-    monoid_congruent,
-    monoid_presentation,
-)
-from .quotients import (
-    IsoCertificate,
-    MatrixDecomposition,
-    QuotientResult,
-    cycle_to_loop,
-    decide_lpa_quotient,
-    dimension_blocks,
-    graded_quotient,
-    iso_certificate,
-    quotient_dimension,
-    radical_quotient,
-    sever,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "digraph": (
+        "ArrowClass", "Digraph", "DigraphMorphism", "GeometricCycle", "OMEGA",
+        "breaking_vertices", "check_admissible_morphism", "classify_vertices",
+        "enumerate_cycles", "enumerate_hereditary_saturated",
+        "hereditary_saturated_closure", "to_dot",
+    ),
+    "fields": (
+        "Field", "LaurentElement", "Polynomial", "RootMultiset", "crt_profile",
+        "find_roots", "is_dlf", "laurent_normalize", "poly_gcd", "squarefree_part",
+    ),
+    "ideals": (
+        "AdmissiblePair", "IdealPresentation", "enumerate_admissible_pairs",
+        "enumerate_strata", "graded_part", "pair_lattice", "pair_order", "validate_ideal",
+    ),
+    "ktheory": (
+        "ClosedSubmonoid", "CornerGen", "ProjectivePresentation", "VertexGen",
+        "acyclic_decomposition", "classify_fgips", "classify_simple_projectives",
+        "corner_classify", "end_finite_dim", "galois_phi", "galois_psi", "is_orthogonal",
+        "monoid_congruent", "monoid_presentation",
+    ),
+    "quotients": (
+        "IsoCertificate", "MatrixDecomposition", "QuotientResult", "cycle_to_loop",
+        "decide_lpa_quotient", "dimension_blocks", "graded_quotient", "iso_certificate",
+        "quotient_dimension", "radical_quotient", "sever",
+    ),
+}
+#: exported name -> the module that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+#: the modules an ``import leavitt`` used to bind as attributes
+_MODULES = ("digraph", "errors", "fields", "ideals", "ktheory", "quotients", "records")
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME) | set(_MODULES))

@@ -4,32 +4,32 @@ One subcommand per operation; deterministic text output, with ``--format
 json-lines`` mirroring every report line as a JSON record and ``--format
 dot`` available where the result is a digraph.  :data:`COMMANDS` is the one
 list of subcommands: the parser, the loading of operand files, the ``--format
-dot`` check and the dispatch all read it.  Exit codes: 0 verdicts, 2 parse
-errors, 3 validation errors, 4 resource limits, 5 internal consistency
-failures.
+dot`` check and the dispatch all read it.  Only ``digraph``, ``errors`` and
+``records`` load with this module; each handler imports the other modules it
+runs, so a command compiles no code it does not use.  Exit codes: 0 verdicts,
+2 parse errors, 3 validation errors, 4 resource limits, 5 internal
+consistency failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import digraph as dg
-from . import ideals as il
-from . import io as tio
-from . import ktheory as kt
-from . import quotients as qt
 from .errors import (
     InternalConsistencyError,
     LeavittError,
     ParseError,
     ResourceLimitError,
 )
-from .fields import Field
 from .records import record
+
+if TYPE_CHECKING:
+    from . import quotients as qt
+    from .fields import Field
 
 DEFAULT_LIMITS = {
     "maxCycles": 10_000,
@@ -46,19 +46,22 @@ class Reporter:
     def __init__(self, fmt: str, out):
         self.fmt = fmt
         self.out = out
+        if fmt == "json-lines":
+            from json import dumps
+            self._dumps = dumps
 
     def emit(self, text: str, **fields):
         if self.fmt == "json-lines":
             record = dict(fields)
             record.setdefault("text", text)
-            self.out.write(json.dumps(record, sort_keys=True) + "\n")
+            self.out.write(self._dumps(record, sort_keys=True) + "\n")
         else:
             self.out.write(text + "\n")
 
     def emit_block(self, text: str, **fields):
         """A multi-line payload: a serialized digraph, ideal or certificate, or DOT."""
         if self.fmt == "json-lines":
-            self.out.write(json.dumps(dict(fields, content=text), sort_keys=True) + "\n")
+            self.out.write(self._dumps(dict(fields, content=text), sort_keys=True) + "\n")
         else:
             self.out.write(text)
 
@@ -67,6 +70,7 @@ class Reporter:
         if self.fmt == "dot":
             self.out.write(dg.to_dot(result.digraph))
         else:
+            from . import io as tio
             self.emit_block(tio.serialize_quotient(result), record="digraph",
                             name=result.digraph.name)
 
@@ -104,6 +108,7 @@ def _load(operand: str, path: str | None, override: Field | None):
     None for an optional operand left out."""
     if path is None:
         return None
+    from . import io as tio
     text = _read(path)
     if operand.endswith("graph"):
         return tio.parse_digraph(text, path)
@@ -122,10 +127,13 @@ def _config_from(args) -> tuple[dict, Field | None, str]:
         if getattr(args, key, None) is not None:
             limits[key] = _positive_int(getattr(args, key), flag)
     field_arg = getattr(args, "field", None)
-    try:
-        override = Field.from_header(field_arg) if field_arg else None
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    override = None
+    if field_arg:
+        from .fields import Field
+        try:
+            override = Field.from_header(field_arg)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
     return limits, override, getattr(args, "output_format", "text")
 
 
@@ -140,7 +148,8 @@ def _failures(decision: qt.DecideResult, field: Field) -> str:
 
 # -- handlers: each takes the reporter, the parsed arguments (with the checked
 # ``limits`` and ``override`` that run adds) and the loaded operands in
-# COMMANDS order, and writes only through the reporter
+# COMMANDS order, imports the modules it runs beyond digraph, and writes only
+# through the reporter
 
 def _analyze(rep: Reporter, args, g):
     info = dg.classify_vertices(g)
@@ -172,10 +181,12 @@ def _closure(rep: Reporter, args, g):
 
 
 def _quotient(rep: Reporter, args, g, j):
+    from . import quotients as qt
     rep.quotient(qt.graded_quotient(g, j.pair))
 
 
 def _decide(rep: Reporter, args, g, j):
+    from . import quotients as qt
     decision = qt.decide_lpa_quotient(g, j)
     if not decision.is_lpa:
         detail = _failures(decision, j.field)
@@ -190,6 +201,8 @@ def _decide(rep: Reporter, args, g, j):
 
 
 def _sever(rep: Reporter, args, g, j):
+    from . import ideals as il
+    from . import quotients as qt
     valid = il.validated_ideal(g, j)
     decision = qt.decide_validated(valid)
     if not decision.is_lpa and not args.force_degree_only:
@@ -199,6 +212,8 @@ def _sever(rep: Reporter, args, g, j):
 
 
 def _certificate(rep: Reporter, args, g, j):
+    from . import io as tio
+    from . import quotients as qt
     cert = qt.iso_certificate(g, j)
     if rep.fmt == "json-lines":
         for entry in cert.entries:
@@ -210,6 +225,8 @@ def _certificate(rep: Reporter, args, g, j):
 
 
 def _radical(rep: Reporter, args, g, j):
+    from . import io as tio
+    from . import quotients as qt
     result = qt.radical_quotient(g, j)
     for label, drop in result.degree_drops:
         rep.emit(f"cycle {label}: degree drop {drop}", record="degree-drop",
@@ -223,6 +240,7 @@ def _radical(rep: Reporter, args, g, j):
 
 
 def _dim(rep: Reporter, args, g, j):
+    from . import quotients as qt
     blocks = qt.dimension_blocks(g, j, limit=args.limits["maxCycles"])
     rep.emit(f"{blocks.total_dimension} = {blocks.describe()}",
              record="dimension", total=blocks.total_dimension,
@@ -230,6 +248,7 @@ def _dim(rep: Reporter, args, g, j):
 
 
 def _monoid(rep: Reporter, args, g):
+    from . import ktheory as kt
     pres = kt.monoid_presentation(g)
     rep.emit("generators: " + " ".join(pres.generators), record="generators",
              vertices=list(pres.generators))
@@ -240,6 +259,7 @@ def _monoid(rep: Reporter, args, g):
 
 
 def _strata(rep: Reporter, args, g):
+    from . import ideals as il
     if args.override is None or not args.override.is_prime_field:
         raise ParseError("strata requires --field F<p>")
     records = il.enumerate_strata(g, args.override, _positive_int(args.max_deg, "--max-deg"),
@@ -258,18 +278,21 @@ def _strata(rep: Reporter, args, g):
 
 
 def _orth(rep: Reporter, args, g, j, p):
+    from . import ktheory as kt
     verdict = kt.is_orthogonal(g, p, j)
     rep.emit(f"orthogonal: {'true' if verdict else 'false'}",
              record="orthogonal", value=verdict)
 
 
 def _fgip(rep: Reporter, args, g):
+    from . import ktheory as kt
     for f in kt.classify_fgips(g, limit=args.limits["maxCycles"]):
         rep.emit(f"fgip {f.cycle.label()}: support " + " ".join(sorted(f.support)),
                  record="fgip", arrows=list(f.cycle.arrows), support=sorted(f.support))
 
 
 def _simples(rep: Reporter, args, g):
+    from . import ktheory as kt
     for cls in kt.classify_simple_projectives(g):
         rep.emit(f"simple {cls.representative}: members " + " ".join(cls.members),
                  record="simple", representative=cls.representative,
@@ -277,6 +300,7 @@ def _simples(rep: Reporter, args, g):
 
 
 def _end(rep: Reporter, args, g, p):
+    from . import ktheory as kt
     verdict = kt.end_finite_dim(g, p)
     if verdict.finite:
         rep.emit(f"finite: {verdict.decomposition.describe()}",

@@ -18,7 +18,8 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Iterable
 
 from .digraph import (
     Digraph,
@@ -92,7 +93,13 @@ def quotient_out_degree(g: Digraph, h: frozenset[str], primed: frozenset[str],
 def no_exit_quotient_cycles(g: Digraph, pair: AdmissiblePair,
                             limit: int = 10_000) -> list[GeometricCycle]:
     """Cycles of Γ/(H, S) with no exit there, as cycles of g (arrow ids survive)."""
-    primed = ensure_admissible(g, pair)
+    return _no_exit_quotient_cycles(g, pair, ensure_admissible(g, pair), limit)
+
+
+def _no_exit_quotient_cycles(g: Digraph, pair: AdmissiblePair, primed: frozenset[str],
+                             limit: int) -> list[GeometricCycle]:
+    """:func:`no_exit_quotient_cycles` of a pair known to be admissible, with
+    ``primed`` = B_H∖S."""
     return no_exit_cycles(g, {
         v: next(a for a in g.out_arrows(v) if a.target not in pair.h)
         for v in g.vertices
@@ -235,6 +242,35 @@ def enumerate_admissible_pairs(g: Digraph, limit: int = 10_000) -> list[Admissib
     return sorted(out, key=AdmissiblePair.sort_key)
 
 
+class _SquareTable(Mapping):
+    """A read-only n × n table of ints keyed by ``(i, k)``, stored as one flat
+    list indexed i·n + k."""
+
+    __slots__ = ("_n", "_cells")
+
+    def __init__(self, n: int, cells: list[int]):
+        self._n = n
+        self._cells = cells
+
+    def __getitem__(self, key):
+        try:
+            i, k = key
+            if 0 <= i < self._n and 0 <= k < self._n:
+                return self._cells[i * self._n + k]
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return itertools.product(range(self._n), repeat=2)
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self._n})"
+
+
 @record
 class PairLattice:
     """All admissible pairs with their meet and join tables (element indices)."""
@@ -282,7 +318,7 @@ def pair_lattice(g: Digraph, limit: int = 10_000) -> PairLattice:
                            everything) for p in elements]
     down = [everything & ~functools.reduce(operator.or_, [in_h[v] for v in p.s] + [
         in_hs[v] for v in g.vertices if v not in p.h and v not in p.s], 0) for p in elements]
-    meets, joins = [], []
+    meets, joins = [0] * (n * n), [0] * (n * n)
     for i in range(n):  # k >= i; an empty share picks order[-1] and fails the check
         below = [down[i] & d for d in down[i:]]
         above = [up[i] & u for u in up[i:]]
@@ -294,11 +330,10 @@ def pair_lattice(g: Digraph, limit: int = 10_000) -> PairLattice:
             what = "meet" if down[meet_row[k]] != below[k] else "join"
             raise MeetJoinFailureError(
                 f"no {what} for {elements[i].label()} and {elements[i + k].label()}")
-        meets += meet_row
-        joins += join_row
-    upper = [(i, k) for i in range(n) for k in range(i, n)]
-    keys = upper + [(k, i) for i, k in upper]
-    return PairLattice(tuple(elements), dict(zip(keys, meets * 2)), dict(zip(keys, joins * 2)))
+        # row i from column i on, and column i from row i down (symmetry)
+        meets[i * n + i:(i + 1) * n] = meets[i * n + i::n] = meet_row
+        joins[i * n + i:(i + 1) * n] = joins[i * n + i::n] = join_row
+    return PairLattice(tuple(elements), _SquareTable(n, meets), _SquareTable(n, joins))
 
 
 # -- strata -----------------------------------------------------------------------
@@ -348,7 +383,9 @@ def enumerate_strata(g: Digraph, field: Field, max_deg: int,
     census = {d: _degree_census(field, d) for d in range(1, max_deg + 1)}
     records: list[StratumRecord] = []
     for pair in enumerate_admissible_pairs(g, limit=limit):
-        cycles = sorted(no_exit_quotient_cycles(g, pair, limit=limit),
+        # the pairs are admissible by construction: no ensure_admissible here
+        primed = _breaking_vertices(g, pair.h) - pair.s
+        cycles = sorted(_no_exit_quotient_cycles(g, pair, primed, limit),
                         key=lambda c: c.arrows)
         for r in range(len(cycles) + 1):
             for beta in itertools.combinations(cycles, r):

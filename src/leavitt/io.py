@@ -2,20 +2,23 @@
 
 All formats are UTF-8 with '#' comments and blank lines ignored.  Parsers
 raise :class:`~leavitt.errors.ParseError` with a line number; serializers
-emit a canonical form so parse/serialize round-trips are exact.
+emit a canonical form so parse/serialize round-trips are exact.  Only
+``digraph`` and ``errors`` load with this module: the ideal and presentation
+parsers import the modules of the types they build.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING
 
-from .digraph import ArrowClass, Digraph, GeometricCycle, OMEGA, is_omega
+from .digraph import Digraph, GeometricCycle, OMEGA, is_omega
 from .errors import ParseError
-from .fields import Field, Polynomial
-from .ideals import AdmissiblePair, IdealPresentation
-from .ktheory import CornerGen, ProjectivePresentation, VertexGen
-from .quotients import IsoCertificate, QuotientResult
+
+if TYPE_CHECKING:
+    from .fields import Field
+    from .ideals import IdealPresentation
+    from .ktheory import ProjectivePresentation
+    from .quotients import IsoCertificate, QuotientResult
 
 
 def _lines(text: str):
@@ -111,6 +114,9 @@ def serialize_quotient(q: QuotientResult) -> str:
 
 def parse_ideal(text: str, path: str | None = None,
                 field_override: Field | None = None) -> IdealPresentation:
+    from .fields import Field, Polynomial
+    from .ideals import AdmissiblePair, IdealPresentation
+
     name = None
     field: Field | None = None
     h: list[str] = []
@@ -173,6 +179,9 @@ def parse_ideal(text: str, path: str | None = None,
 
 def cast_ideal(j: IdealPresentation, field: Field) -> IdealPresentation:
     """Reinterpret the presentation over another field (CLI --field override)."""
+    from .fields import Polynomial
+    from .ideals import IdealPresentation
+
     theta = {c: Polynomial.of(field, f.coeffs) for c, f in j.theta.items()}
     return IdealPresentation(field=field, pair=j.pair, beta=j.beta,
                              theta=theta, labels=dict(j.labels), name=j.name)
@@ -232,6 +241,8 @@ def parse_morphism_file(text: str, path: str | None = None):
 # -- projective presentations ----------------------------------------------------------
 
 def parse_presentation(text: str, path: str | None = None) -> ProjectivePresentation:
+    from .ktheory import CornerGen, ProjectivePresentation, VertexGen
+
     items = []
     for no, line in _whole_lines(text):
         if line.startswith("P:"):

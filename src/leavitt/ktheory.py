@@ -7,7 +7,9 @@ maps translate to and from generator items.  A bounded bidirectional
 rewrite search is provided as an oracle for congruence questions.
 
 Projective presentations are finite multisets of Vertex(v) and Corner(v, Z)
-items, Z a set of (arrow class, instance index) pairs leaving v.
+items, Z a set of (arrow class, instance index) pairs leaving v.  Only
+:func:`end_finite_dim` and :func:`acyclic_decomposition` need ``quotients``,
+and they import it themselves, so the Galois maps load no quotient code.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .digraph import (
     Digraph,
@@ -37,8 +39,10 @@ from .errors import (
     UnknownArrowError,
 )
 from .ideals import AdmissiblePair, IdealPresentation, ensure_admissible, validated_ideal
-from .quotients import MatrixDecomposition, dimension_blocks
 from .records import record
+
+if TYPE_CHECKING:
+    from .quotients import MatrixDecomposition
 
 
 # -- graph monoid ----------------------------------------------------------------
@@ -344,6 +348,8 @@ def _sink_multiset(g: Digraph, v: str, memo: dict) -> Counter:
 
 def end_finite_dim(g: Digraph, p: ProjectivePresentation) -> EndVerdict:
     """Finite-dimensionality of End(P) with either the block decomposition or a witness."""
+    from .quotients import MatrixDecomposition
+
     validate_presentation(g, p)
     for item in p.items:
         if isinstance(item, CornerGen):
@@ -367,6 +373,8 @@ def end_finite_dim(g: Digraph, p: ProjectivePresentation) -> EndVerdict:
 
 def acyclic_decomposition(g: Digraph) -> MatrixDecomposition:
     """One M_{n(v)} block per sink of a finite acyclic row-finite digraph."""
+    from .quotients import dimension_blocks
+
     _require_row_finite(g)
     cyc = find_any_cycle(g)
     if cyc is not None:

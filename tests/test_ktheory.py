@@ -21,7 +21,6 @@ from leavitt.ktheory import (
     CongruenceVerdict,
     CornerGen,
     CornerKind,
-    MatrixDecomposition,
     ProjectivePresentation,
     VertexGen,
     acyclic_decomposition,
@@ -36,7 +35,7 @@ from leavitt.ktheory import (
     monoid_presentation,
     validate_presentation,
 )
-from leavitt.quotients import quotient_dimension
+from leavitt.quotients import MatrixDecomposition, quotient_dimension
 
 from conftest import corpus_graphs, load_graph, load_ideal
 

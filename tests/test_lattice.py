@@ -5,6 +5,7 @@ import itertools
 import subprocess
 import sys
 import time
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import assume, given, settings
@@ -131,6 +132,19 @@ class TestPairLatticeIndex:
     def test_index_of_a_stranger(self, sq2):
         with pytest.raises(ValueError):
             pair_lattice(sq2).index(AdmissiblePair.of({"u"}))
+
+    def test_tables_are_read_only_square_mappings(self, sq2):
+        lattice = pair_lattice(sq2)
+        cells = {(i, k) for i in range(5) for k in range(5)}
+        for table in (lattice.meet_table, lattice.join_table):
+            assert isinstance(table, Mapping) and len(table) == 25 and set(table) == cells
+            assert all(table[i, k] == table[k, i] for i, k in cells)
+            for key in [(-1, 0), (0, -1), (5, 0), (0, 5), (0,), (0, 0, 0), 0, "ab", None]:
+                assert key not in table
+                with pytest.raises(KeyError):
+                    table[key]
+            with pytest.raises(TypeError):
+                table[0, 0] = 0
 
     def test_256_elements(self):
         loops = Digraph("c8", [f"v{i}" for i in range(8)],

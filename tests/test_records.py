@@ -1,5 +1,6 @@
 """The record helper against its oracle, ``dataclasses``, and a start-up guard
-that ``import leavitt.cli`` generates and compiles no code at run time."""
+that importing ``leavitt.cli`` and every other module of the package generates
+and compiles no code at run time."""
 
 import dataclasses
 import functools
@@ -214,7 +215,9 @@ def test_unsupported_options_and_mutable_defaults_fail_loudly():
 #: Run in a fresh interpreter: record every compile/exec of generated source
 #: (a file name such as "<string>") made while code of the package is on the
 #: stack with no import of a module outside the package in between, then list
-#: which of the named modules the import left behind.
+#: which of the named modules the import left behind.  ``import leavitt.cli``
+#: loads only the modules the CLI needs at start, so every other module of the
+#: package is imported after it.
 STARTUP_PROBE = """
 import json, os, sys, traceback
 generated = []
@@ -235,7 +238,12 @@ def hook(event, args):
             return
 sys.addaudithook(hook)
 import leavitt.cli
+package = os.path.dirname(leavitt.__file__)
+for name in sorted(os.listdir(package)):
+    if name.endswith(".py") and name != "__init__.py":
+        __import__("leavitt." + name[:-3])
 print(json.dumps({"generated": generated,
+                  "modules": sorted(m for m in sys.modules if m.startswith("leavitt.")),
                   "after": [m for m in ("dataclasses", "inspect") if m in sys.modules]}))
 """
 
@@ -250,4 +258,6 @@ def test_cli_import_generates_no_code():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["generated"] == []
+    assert {"leavitt.fields", "leavitt.ideals", "leavitt.io", "leavitt.ktheory",
+            "leavitt.quotients"} <= set(report["modules"])
     assert set(report["after"]) <= set(json.loads(bare.stdout))

@@ -1,0 +1,134 @@
+"""Which modules a command loads, checked by module name rather than by time,
+and the lazy ``leavitt`` namespace that makes that possible."""
+
+import subprocess
+import sys
+
+import pytest
+
+import leavitt
+from leavitt import digraph, fields, ideals, ktheory, quotients
+
+from test_io_cli import child_env, cpath
+
+#: Every name ``leavitt`` exported when its ``__init__`` imported them eagerly.
+EXPORTED = {
+    digraph: ("ArrowClass", "Digraph", "DigraphMorphism", "GeometricCycle", "OMEGA",
+              "breaking_vertices", "check_admissible_morphism", "classify_vertices",
+              "enumerate_cycles", "enumerate_hereditary_saturated",
+              "hereditary_saturated_closure", "to_dot"),
+    fields: ("Field", "LaurentElement", "Polynomial", "RootMultiset", "crt_profile",
+             "find_roots", "is_dlf", "laurent_normalize", "poly_gcd", "squarefree_part"),
+    ideals: ("AdmissiblePair", "IdealPresentation", "enumerate_admissible_pairs",
+             "enumerate_strata", "graded_part", "pair_lattice", "pair_order",
+             "validate_ideal"),
+    ktheory: ("ClosedSubmonoid", "CornerGen", "ProjectivePresentation", "VertexGen",
+              "acyclic_decomposition", "classify_fgips", "classify_simple_projectives",
+              "corner_classify", "end_finite_dim", "galois_phi", "galois_psi",
+              "is_orthogonal", "monoid_congruent", "monoid_presentation"),
+    quotients: ("IsoCertificate", "MatrixDecomposition", "QuotientResult", "cycle_to_loop",
+                "decide_lpa_quotient", "dimension_blocks", "graded_quotient",
+                "iso_certificate", "quotient_dimension", "radical_quotient", "sever"),
+}
+NAMES = sorted(name for names in EXPORTED.values() for name in names)
+
+#: Runs ``python -m leavitt.cli ARGS`` as ``-m`` does, then prints the loaded
+#: module names as the last line of stdout.
+CLI_PROBE = """
+import runpy, sys
+sys.argv = ["leavitt", *sys.argv[1:]]
+try:
+    runpy.run_module("leavitt.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(" ".join(sorted(sys.modules)))
+"""
+
+#: The benchmark's library call: the pair lattice and the Galois round trip.
+LATTICE_PROBE = """
+import sys
+from leavitt import ideals, io, ktheory
+with open(sys.argv[1], encoding="utf-8") as fh:
+    g = io.parse_digraph(fh.read(), sys.argv[1])
+lattice = ideals.pair_lattice(g)
+for pair in lattice.elements:
+    assert ktheory.galois_psi(g, ktheory.galois_phi(g, pair).generating_items(g)) == pair
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def loaded(code: str, *args: str) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.fixture(scope="module")
+def bare() -> set[str]:
+    """What a bare interpreter has loaded before any leavitt code runs."""
+    return loaded("import sys; print(' '.join(sys.modules))")
+
+
+def test_analyze_loads_no_algebra(bare):
+    modules = loaded(CLI_PROBE, "analyze", cpath("sq2"))
+    # the CLI itself runs as __main__, as under python -m
+    assert {m for m in modules if m.startswith("leavitt")} == {
+        "leavitt", "leavitt.digraph", "leavitt.errors", "leavitt.io", "leavitt.records"}
+    assert not {"fractions", "json"} & (modules - bare)
+
+
+def test_decide_loads_no_ktheory(bare):
+    text = loaded(CLI_PROBE, "decide", cpath("sq5"), cpath("ch2-ideal-F3"))
+    assert "leavitt.quotients" in text and "leavitt.ktheory" not in text
+    assert "json" not in text - bare
+    lines = loaded(CLI_PROBE, "--format", "json-lines", "decide", cpath("sq5"),
+                   cpath("ch2-ideal-F3"))
+    assert "json" in lines and "leavitt.ktheory" not in lines
+
+
+def test_strata_loads_no_quotients():
+    modules = loaded(CLI_PROBE, "strata", "--field", "F3", "--max-deg", "2", cpath("loop"))
+    assert not {"leavitt.quotients", "leavitt.ktheory"} & modules
+
+
+def test_lattice_library_call_loads_no_quotients():
+    modules = loaded(LATTICE_PROBE, cpath("sq5"))
+    assert "leavitt.ktheory" in modules and "leavitt.quotients" not in modules
+
+
+def test_package_import_loads_no_submodule():
+    modules = loaded("import sys, leavitt; print(' '.join(sys.modules))")
+    assert "leavitt" in modules and not {m for m in modules if m.startswith("leavitt.")}
+
+
+def test_every_name_resolves_through_its_module():
+    for module, names in EXPORTED.items():
+        for name in names:
+            assert getattr(leavitt, name) is getattr(module, name), name
+
+
+def test_namespace_listing():
+    assert leavitt.__all__ == NAMES and leavitt.__version__ == "0.1.0"
+    assert set(NAMES) | {"digraph", "fields", "ideals", "ktheory", "quotients"} \
+        <= set(dir(leavitt))
+    namespace = {}
+    exec("from leavitt import *", namespace)
+    namespace.pop("__builtins__")
+    assert namespace == {name: getattr(leavitt, name) for name in NAMES}
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(leavitt, "no_such_name")
+    assert not hasattr(leavitt, "cycle_vertices")  # defined in digraph, never exported
+
+
+def test_names_are_looked_up_on_every_access(monkeypatch):
+    # nothing is cached in the package: a rebinding in fields shows at once
+    original = fields.is_dlf
+    sentinel = object()
+    monkeypatch.setattr(fields, "is_dlf", sentinel)
+    assert leavitt.is_dlf is sentinel and "is_dlf" not in vars(leavitt)
+    monkeypatch.undo()
+    assert leavitt.is_dlf is original

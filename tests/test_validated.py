@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from leavitt import ideals
 from leavitt.digraph import OMEGA, Digraph, GeometricCycle
 from leavitt.errors import InternalConsistencyError
 from leavitt.fields import Field, Polynomial
@@ -37,21 +38,22 @@ COUNTED = ("validate_ideal", "graded_quotient", "_graded_quotient",
            "breaking_vertices", "find_roots")
 
 
-def count_calls(monkeypatch) -> Counter:
-    """Live call counts of COUNTED, wrapped in every leavitt module that binds them."""
+def counted(counts: Counter, name: str, fn):
+    """fn, counting its calls in counts[name]; a method too, set on its class."""
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def count_calls(monkeypatch, names=COUNTED) -> Counter:
+    """Live call counts of ``names``, wrapped in every leavitt module that binds them."""
     counts: Counter = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     modules = [m for n, m in sys.modules.items() if n == "leavitt" or n.startswith("leavitt.")]
     for mod in modules:
-        for name in COUNTED:
+        for name in names:
             if name in vars(mod):
-                monkeypatch.setattr(mod, name, counted(name, vars(mod)[name]))
+                monkeypatch.setattr(mod, name, counted(counts, name, vars(mod)[name]))
     return counts
 
 
@@ -174,3 +176,30 @@ def test_rewrite_loop_takes_no_id(tmp_path):
     code, out = run_cli("sever", str(graph), str(ideal))
     assert out.splitlines()[:6] == ["digraph r", "vertex a.1", "vertex b", "vertex c",
                                     "arrow f.1 b a.1", "arrow e'.1 c a.1"]
+
+
+def _strata_counts(monkeypatch, loops: int) -> Counter:
+    """Checks run by enumerate_strata on ``loops`` bare loops beside a breaking
+    vertex b of H = {h}: 2^loops · 3 admissible pairs."""
+    arrows = [(f"c{i}", f"v{i}", f"v{i}") for i in range(loops)]
+    arrows += [("om", "b", "h", OMEGA), ("esc", "b", "v0")]
+    g = Digraph("strata", [f"v{i}" for i in range(loops)] + ["b", "h"], arrows)
+    counts = count_calls(monkeypatch, ("is_hereditary", "is_saturated", "breaking_vertices",
+                                       "ensure_admissible", "no_exit_quotient_cycles"))
+    for method in ("check_vertices", "out_arrows"):
+        monkeypatch.setattr(Digraph, method, counted(counts, method, getattr(Digraph, method)))
+    records = ideals.enumerate_strata(g, Field.gf(3), 1)
+    monkeypatch.undo()
+    counts["records"] = len(records)
+    return counts
+
+
+def test_strata_does_not_recheck_the_pairs_it_enumerated(monkeypatch):
+    small, large = _strata_counts(monkeypatch, 1), _strata_counts(monkeypatch, 4)
+    assert large["records"] > 10 * small["records"]
+    for counts in (small, large):
+        # every vertex check is the lookup inside out_arrows, none a pair's
+        assert counts["check_vertices"] == counts["out_arrows"] > 0
+        assert counts["is_hereditary"] == counts["is_saturated"] == 0
+        assert counts["breaking_vertices"] == counts["ensure_admissible"] == 0
+        assert counts["no_exit_quotient_cycles"] == 0
