@@ -3,19 +3,30 @@
 One subcommand per operation; deterministic text output, with ``--format
 json-lines`` mirroring every report line as a JSON record and ``--format
 dot`` available where the result is a digraph.  :data:`COMMANDS` is the one
-list of subcommands: the parser, the loading of operand files, the ``--format
-dot`` check and the dispatch all read it.  Only ``digraph``, ``errors`` and
-``records`` load with this module; each handler imports the other modules it
-runs, so a command compiles no code it does not use.  Exit codes: 0 verdicts,
-2 parse errors, 3 validation errors, 4 resource limits, 5 internal
-consistency failures.
+list of subcommands: the command line reader (:func:`_parse`, which keeps
+argparse's conventions without loading argparse, gettext or locale), the
+loading of operand files, the ``--format dot`` check and the dispatch all
+read it.  Exit codes: 0 verdicts and help, 2 usage and parse errors,
+3 validation errors, 4 resource limits, 5 internal consistency failures.
+
+Only ``digraph``, ``errors`` and ``records`` load with this module; each
+handler imports the modules it runs, so a command compiles no code it does
+not use.  ``analyze``, ``closure``, ``dot`` and ``check-morphism`` add ``io``
+alone; ``decide``, ``sever``, ``certificate``, ``radical``, ``quotient`` and
+``dim`` add ``io``, ``fields``, ``ideals`` and ``quotients``; ``strata`` adds
+``io``, ``fields`` and ``ideals``; ``monoid``, ``orth``, ``fgip``,
+``simples`` and ``end`` add ``ktheory`` with them (``end`` also
+``quotients``).  Coefficients over ℚ load ``rationals`` and with it
+``fractions``; work over 𝔽p does not.  ``json`` loads only under ``--format
+json-lines``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
 from . import digraph as dg
@@ -124,17 +135,16 @@ def _config_from(args) -> tuple[dict, Field | None, str]:
     limits = dict(DEFAULT_LIMITS)
     limits.update(_env_limits())
     for key, flag in LIMIT_FLAGS.items():
-        if getattr(args, key, None) is not None:
+        if getattr(args, key) is not None:
             limits[key] = _positive_int(getattr(args, key), flag)
-    field_arg = getattr(args, "field", None)
     override = None
-    if field_arg:
+    if args.field:
         from .fields import Field
         try:
-            override = Field.from_header(field_arg)
+            override = Field.from_header(args.field)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-    return limits, override, getattr(args, "output_format", "text")
+    return limits, override, args.output_format
 
 
 def _set_label(vs) -> str:
@@ -337,24 +347,40 @@ class Command:
     handler: Callable[..., None]
     operands: tuple[str, ...]  # positional operand files, loaded in this order
     dot: bool = False  # whether --format dot applies
-    options: tuple[tuple[str, dict], ...] = ()  # (flag, add_argument keywords)
+    options: tuple[tuple[str, str, object, str], ...] = ()  # (flag, attribute, default, help)
 
+
+#: The default of an option that must be given; a default of False marks an
+#: option that takes no value and sets True.
+REQUIRED = object()
+
+FORMATS = ("text", "dot", "json-lines")
+
+#: The options every command takes, before or after its name; the one after
+#: it wins.  Same shape as Command.options.
+GLOBAL_OPTIONS = (
+    ("--format", "output_format", "text", "output format: " + ", ".join(FORMATS)),
+    ("--field", "field", None, "override the ideal file's field (Q or F<p>)"),
+    *((flag, key, None, f"limit {key} (default {DEFAULT_LIMITS[key]})")
+      for key, flag in LIMIT_FLAGS.items()),
+)
 
 #: Every subcommand; a trailing "?" marks an optional operand.
 COMMANDS = {
     "analyze": Command(_analyze, ("graph",)),
     "closure": Command(_closure, ("graph",), options=(
-        ("--set", dict(dest="vertex_set", default="", help="comma-separated vertex ids")),)),
+        ("--set", "vertex_set", "", "comma-separated vertex ids"),)),
     "quotient": Command(_quotient, ("graph", "ideal"), dot=True),
     "decide": Command(_decide, ("graph", "ideal")),
     "sever": Command(_sever, ("graph", "ideal"), dot=True, options=(
-        ("--force-degree-only", dict(
-            action="store_true", help="emit the severed digraph even for non-dlf ideals")),)),
+        ("--force-degree-only", "force_degree_only", False,
+         "emit the severed digraph even for non-dlf ideals"),)),
     "certificate": Command(_certificate, ("graph", "ideal")),
     "radical": Command(_radical, ("graph", "ideal")),
     "dim": Command(_dim, ("graph", "ideal?")),
     "monoid": Command(_monoid, ("graph",)),
-    "strata": Command(_strata, ("graph",), options=(("--max-deg", dict(required=True)),)),
+    "strata": Command(_strata, ("graph",), options=(
+        ("--max-deg", "max_deg", REQUIRED, "largest degree of theta counted"),)),
     "orth": Command(_orth, ("graph", "ideal", "presentation")),
     "fgip": Command(_fgip, ("graph",)),
     "simples": Command(_simples, ("graph",)),
@@ -364,25 +390,157 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["text", "dot", "json-lines"],
-                        default=argparse.SUPPRESS, dest="output_format")
-    common.add_argument("--field", default=argparse.SUPPRESS,
-                        help="override the ideal file's field (Q or F<p>)")
-    for key, flag in LIMIT_FLAGS.items():
-        common.add_argument(flag, default=argparse.SUPPRESS, dest=key)
-    parser = argparse.ArgumentParser(
-        prog="leavitt", parents=[common],
-        description="Exact computations with Leavitt path algebras of finite digraphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common])
-        for operand in command.operands:
-            p.add_argument(operand.rstrip("?"), nargs="?" if operand.endswith("?") else None)
-        for flag, kw in command.options:
-            p.add_argument(flag, **kw)
-    return parser
+# -- the command line, read as argparse read it ----------------------------------
+#
+# Options may come before or after the command name; an option is also taken
+# by a unique prefix of its name (an ambiguous one is an error even where a
+# value is expected) and with its value inline as --flag=value.  A value is a
+# token that is not option-like, so "-1" is one and "--" or "-h" is not.  As
+# in argparse, each run of operands between options fills the pending
+# operands in order, and the run that fills the operand before an optional
+# one also settles it, filled or absent.
+
+class _Exit(Exception):
+    """The command line ends the run: help on stdout (0), a usage error on stderr (2)."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code, self.text = code, text
+
+
+#: argparse's negative number, a value rather than an option; compiled only
+#: when an option-like token is neither a flag nor a prefix of one.
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
+
+
+def _usage(name: str | None) -> str:
+    if name is None:
+        return "usage: leavitt [options] COMMAND [options] OPERAND ...\n"
+    command = COMMANDS[name]
+    words = [f"{flag} {flag[2:].upper()}" for flag, _, default, _ in command.options
+             if default is REQUIRED]
+    words += [f"[{o[:-1]}]" if o.endswith("?") else o for o in command.operands]
+    return f"usage: leavitt [options] {name} [options] {' '.join(words)}\n"
+
+
+def _help(name: str | None) -> str:
+    options = GLOBAL_OPTIONS + (COMMANDS[name].options if name else ())
+    rows = [("-h, --help", "show this help and exit")] + [
+        (flag if default is False else f"{flag} {flag[2:].upper()}", text)
+        for flag, _, default, text in options]
+    width = max(len(a) for a, _ in rows)
+    text = _usage(name) + "\noptions:\n" + "".join(f"  {a:{width}}  {b}\n" for a, b in rows)
+    return text if name else text + "\ncommands: " + ", ".join(COMMANDS) + "\n"
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The attributes ``run`` and the handlers read, or _Exit."""
+    ns = {dest: default for _, dest, default, _ in GLOBAL_OPTIONS}
+    extras: list[str] = []  # unknown options and surplus operands, refused at the end
+    name = None
+
+    def fail(message: str):
+        raise _Exit(2, f"{_usage(name)}leavitt: error: {message}\n")
+
+    def read(token: str, flags: dict):
+        """None for a value or operand, else (flag, inline value); flag "" if unknown."""
+        if token in flags:
+            return token, None
+        if token[:1] != "-" or token == "-":
+            return None
+        head, eq, tail = token.partition("=")
+        if eq and head in flags:
+            return head, tail
+        if token[1] == "-":
+            matches, inline = [f for f in flags if f.startswith(head)], tail if eq else None
+        else:  # -h, with the rest of the token inline
+            matches, inline = [token[:2]] if token[:2] in flags else [], token[2:]
+        if len(matches) > 1:
+            fail(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], inline
+        return None if re.match(_NEGATIVE, token) or " " in token else ("", None)
+
+    def scan(tokens: list[str], flags: dict):
+        """Refuse an ambiguous option anywhere before "--" first, as argparse does."""
+        for token in tokens[:tokens.index("--")] if "--" in tokens else tokens:
+            read(token, flags)
+
+    def take(tokens: list[str], i: int, flags: dict) -> int:
+        """Apply the option at tokens[i]; the index after it and its value."""
+        flag, inline = read(tokens[i], flags)
+        if flag in ("-h", "--help"):
+            # -hh… is -h given again, as joined short flags are
+            if inline is None or flag == "-h" and inline and not inline.strip("h"):
+                raise _Exit(0, _help(name))
+            fail(f"argument -h/--help: ignored explicit argument {inline!r}")
+        if not flag:
+            extras.append(tokens[i])
+            return i + 1
+        dest, default = flags[flag]
+        if default is False:
+            if inline is not None:
+                fail(f"argument {flag}: ignored explicit argument {inline!r}")
+            ns[dest] = True
+            return i + 1
+        if inline is None:
+            if i + 1 == len(tokens) or tokens[i + 1] == "--" or read(tokens[i + 1], flags):
+                fail(f"argument {flag}: expected one argument")
+            i += 1
+            inline = tokens[i]
+        if dest == "output_format" and inline not in FORMATS:
+            fail(f"argument --format: invalid choice: {inline!r}")
+        ns[dest] = inline
+        return i + 1
+
+    def fill(values: list[str], separated: bool = False):
+        """Give a run of operands to the pending operands, in order."""
+        filled = 0
+        while pending and (values or pending[0].endswith("?") and (filled or separated)):
+            operand = pending.pop(0)
+            if values:
+                ns[operand.rstrip("?")] = values.pop(0)
+            filled += 1
+        extras.extend(values + (["--"] if separated and not filled else []))
+
+    flags = {"-h": None, "--help": None,
+             **{flag: (dest, default) for flag, dest, default, _ in GLOBAL_OPTIONS}}
+    scan(argv, flags)
+    i = 0
+    while i < len(argv) and argv[i] != "--" and read(argv[i], flags):
+        i = take(argv, i, flags)
+    if i == len(argv):
+        fail("the following arguments are required: COMMAND")
+    if argv[i] not in COMMANDS:
+        fail(f"argument COMMAND: invalid choice: {argv[i]!r}")
+    name, rest = argv[i], argv[i + 1:]
+    command = COMMANDS[name]
+    flags.update((flag, (dest, default)) for flag, dest, default, _ in command.options)
+    ns.update((dest, default) for _, dest, default, _ in command.options if default is not REQUIRED)
+    ns.update((operand.rstrip("?"), None) for operand in command.operands)
+    pending = list(command.operands)
+    scan(rest, flags)
+    words, i = [], 0
+    while i < len(rest):
+        if rest[i] == "--":
+            fill(words + rest[i + 1:], separated=True)
+            break
+        if read(rest[i], flags):
+            fill(words)
+            words, i = [], take(rest, i, flags)
+        else:
+            words.append(rest[i])
+            i += 1
+    else:
+        fill(words)
+    missing = [o for o in pending if not o.endswith("?")] + [
+        flag for flag, dest, default, _ in command.options
+        if default is REQUIRED and dest not in ns]
+    if missing:
+        fail("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        fail("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=name, **ns)
 
 
 def run(args) -> int:
@@ -397,11 +555,12 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line (``sys.argv[1:]`` when argv is None); the exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _Exit as exc:
+        print(exc.text, end="", file=sys.stderr if exc.code else sys.stdout)
+        return exc.code
     try:
         return run(args)
     except ParseError as exc:

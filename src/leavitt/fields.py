@@ -1,8 +1,8 @@
 """Exact scalar and polynomial arithmetic over ℚ and 𝔽p.
 
-Scalars are plain Python values: ``fractions.Fraction`` over the rationals
-(always in lowest terms with positive denominator) and ``int`` residues in
-``[0, p)`` over a prime field.  A :class:`Field` value carries the choice of
+Scalars are plain Python values: ``int`` residues in ``[0, p)`` over a prime
+field and ``fractions.Fraction`` over the rationals (always in lowest terms
+with positive denominator).  A :class:`Field` value carries the choice of
 field and performs all scalar arithmetic, parsing and printing.
 
 Polynomials are dense coefficient tuples, low degree first, with a nonzero
@@ -14,22 +14,19 @@ Over 𝔽p, roots come from g = gcd(f, xᵖ − x), computed by square-and-multi
 modulo f, which Cantor–Zassenhaus equal-degree splitting breaks into its
 linear factors; fields too small to repay that are swept residue by residue.
 Either way the cost is polynomial in deg f and log p, and every multiplicity
-is read by exact deflation.  Over ℚ, the roots of the primitive integer form
-modulo a small prime are Newton-lifted p-adically until a bound on a·r
-(a the leading coefficient) fixes each candidate, and multiplicities are again
-read by exact deflation, all on plain integer lists; the cost is polynomial in
-deg f and the coefficients' bit size (Loos 1983).  The squarefree part over ℚ
-is f / gcd(f, f′) by a primitive remainder sequence on the same integer form.
-There is deliberately no general polynomial factorization here.
+is read by exact deflation.  Everything particular to ℚ (``Fraction``
+scalars, the parsing of ``a/b``, roots by p-adic lifting and the squarefree
+part by a primitive remainder sequence) lives in :mod:`leavitt.rationals`,
+which this module imports inside its ℚ branches only: work over 𝔽p loads
+neither it nor ``fractions``, ``decimal`` and ``numbers``.  There is
+deliberately no general polynomial factorization here.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
-from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Union
+import sys
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     ConstantPolynomialError,
@@ -45,9 +42,18 @@ from .errors import (
 )
 from .records import record
 
-Scalar = Union[Fraction, int]
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+    Scalar = Fraction | int
+
+
+def _is_fraction(x) -> bool:
+    """isinstance(x, Fraction) without importing fractions: until something
+    has loaded it, no Fraction exists."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
 
 #: Miller–Rabin with the first thirteen prime bases 2, 3, …, 41 is proven
 #: correct for every n below this bound (Sorenson & Webster 2015; OEIS A014233);
@@ -124,25 +130,28 @@ class Field:
 
     @property
     def zero(self) -> Scalar:
-        return 0 if self.p is not None else Fraction(0)
+        if self.p is not None:
+            return 0
+        from .rationals import ZERO
+        return ZERO
 
     @property
     def one(self) -> Scalar:
-        return 1 if self.p is not None else Fraction(1)
+        if self.p is not None:
+            return 1
+        from .rationals import ONE
+        return ONE
 
     def coerce(self, x) -> Scalar:
         """Normalize an int/Fraction (or a scalar from another field) into this field."""
         if self.p is None:
-            if isinstance(x, bool):
-                raise FieldMismatchError(f"cannot coerce {x!r} into Q")
-            if isinstance(x, (int, Fraction)):
-                return Fraction(x)
-            raise FieldMismatchError(f"cannot coerce {x!r} into Q")
+            from .rationals import coerce
+            return coerce(x)
         if isinstance(x, bool):
             raise FieldMismatchError(f"cannot coerce {x!r} into F{self.p}")
         if isinstance(x, int):
             return x % self.p
-        if isinstance(x, Fraction):
+        if _is_fraction(x):
             if x.denominator % self.p == 0:
                 raise FieldMismatchError(
                     f"denominator of {x} is divisible by the characteristic {self.p}")
@@ -165,7 +174,8 @@ class Field:
         if a == 0:
             raise DivisionByZeroError("inverse of zero")
         if self.p is None:
-            return 1 / Fraction(a)
+            from .rationals import inverse
+            return inverse(a)
         return pow(a, self.p - 2, self.p)
 
     # -- text form ---------------------------------------------------------
@@ -177,12 +187,8 @@ class Field:
         coefficient has no more digits than its token (no ``1e4000``).
         """
         if self.p is None:
-            if not _RATIONAL.fullmatch(token):
-                raise ValueError(f"bad rational {token!r}: expected a or a/b in decimal digits")
-            try:
-                return Fraction(token)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad rational {token!r}: {exc}") from None
+            from .rationals import parse
+            return parse(token)
         if not (token.isascii() and token.isdigit()):
             raise ValueError(f"bad residue {token!r}: expected a decimal integer in [0, {self.p})")
         value = int(token)
@@ -541,118 +547,6 @@ def _roots_mod_p(coeffs: tuple[int, ...], p: int) -> tuple[list[tuple[int, int]]
     return roots, len(rem) - 1
 
 
-# -- rational roots by p-adic lifting on integer coefficient lists ---------------
-#
-# Lists are low degree first with no trailing zero, as above, but hold
-# arbitrary integers.
-
-#: Primes at which the roots of f mod p must all be simple before the exact
-#: squarefree part of f is taken instead; only a repeated rational root (or
-#: roots that collide modulo every one of these primes) costs that gcd.
-LIFTING_PRIME_TRIES = 8
-
-
-def _primitive(coeffs: Iterable[int]) -> list[int]:
-    """The coefficients divided by their content, with a positive leading one."""
-    coeffs = list(coeffs)
-    content = gcd(*coeffs)
-    if coeffs[-1] < 0:
-        content = -content
-    return [c // content for c in coeffs]
-
-
-def _integer_form(coeffs: Iterable[Fraction]) -> list[int]:
-    """The primitive integer multiple of a list of rationals (see _primitive)."""
-    coeffs = list(coeffs)
-    denom = lcm(*(c.denominator for c in coeffs))
-    return _primitive(c.numerator * (denom // c.denominator) for c in coeffs)
-
-
-def _exact_quotient(f: list[int], d: list[int]) -> list[int]:
-    """f / d over ℤ; fails loudly unless d divides f with an integer quotient."""
-    rem = list(f)
-    n = len(d) - 1
-    quo = [0] * (len(f) - n)
-    for i in range(len(quo) - 1, -1, -1):
-        c, r = divmod(rem[i + n], d[-1])
-        if r:
-            raise InternalConsistencyError(f"{d} does not divide {f} over Z")
-        quo[i] = c
-        for j in range(n):
-            rem[i + j] -= c * d[j]
-    if any(rem[:n]):
-        raise InternalConsistencyError(f"{d} does not divide {f} over Z")
-    return quo
-
-
-def _squarefree(f: list[int]) -> list[int]:
-    """f / gcd(f, f′) for primitive f, by the primitive remainder sequence."""
-    a, b = f, _primitive([i * c for i, c in enumerate(f)][1:])
-    while len(b) > 1:
-        r = list(a)
-        while len(r) >= len(b):
-            c, shift = r[-1], len(r) - len(b)
-            r = [x * b[-1] for x in r]
-            for j, y in enumerate(b):
-                r[shift + j] -= c * y
-            _trim(r)
-        a, b = b, _primitive(r) if r else []
-    return f if b else _exact_quotient(f, a)
-
-
-def _vanishes(f: list[int], u: int, v: int) -> bool:
-    """f(u/v) = 0, by Horner on the homogeneous form Σ fᵢ uⁱ v^(n−i)."""
-    acc, w = 0, 1
-    for c in reversed(f):
-        acc = acc * u + c * w
-        w *= v
-    return acc == 0
-
-
-def _lift(g: list[int], r: int, p: int, bound: int) -> tuple[int, int]:
-    """(root, pᵏ): a simple root r of g mod p Newton-lifted until pᵏ > bound."""
-    m = p
-    while m <= bound:
-        m *= m
-        val = der = 0
-        for c in reversed(g):
-            der = (der * r + val) % m
-            val = (val * r + c) % m
-        r = (r - val * pow(der, -1, m)) % m
-    return r, m
-
-
-def _root_candidates(f: list[int]) -> list[Fraction]:
-    """Candidates covering every rational root of a primitive f.
-
-    Degree 1 is answered directly.  Otherwise take the first prime p ∤ a = lc(f)
-    at which f's roots mod p are all simple (after LIFTING_PRIME_TRIES
-    failures, those of the exact squarefree part g, which has finitely many
-    bad primes); each lifts to a unique p-adic root r.  A rational root u/v
-    has v | a, so y = a·u/v is an integer with |y| ≤ B = |a| + max|fᵢ|
-    (Cauchy), read off as the symmetric residue of a·r mod pᵏ > 2B.  Roots
-    mod p that come from no rational root give candidates at which f does
-    not vanish.
-    """
-    if len(f) <= 2:
-        return [Fraction(-f[0], f[1])] if len(f) == 2 else []
-    a, g = f[-1], f
-    primes = (n for n in itertools.count(2) if _is_prime(n) and a % n)
-    for tries, p in enumerate(primes):
-        if tries == LIFTING_PRIME_TRIES:
-            g = _squarefree(f)
-        residues, _ = _roots_mod_p(tuple(c % p for c in g), p)
-        if all(m == 1 for _, m in residues):
-            break
-    bound = 2 * (abs(a) + max(map(abs, f)))
-    out = []
-    for r, _ in residues:
-        r, m = _lift(g, r, p, bound)
-        y = a * r % m
-        out.append(Fraction(y - m if 2 * y > m else y, a))
-    return out
-
-
 def find_roots(f: Polynomial) -> RootMultiset:
     """All roots of f in its coefficient field, with multiplicities by deflation."""
     if f.is_zero:
@@ -660,22 +554,10 @@ def find_roots(f: Polynomial) -> RootMultiset:
     field = f.field
     if field.is_prime_field:
         roots, unfactored = _roots_mod_p(f.coeffs, field.p)
-        return RootMultiset(tuple(roots), unfactored)
-
-    # over Q: strip x^k, pass to the primitive integer form, lift its roots
-    # mod p to rational candidates, then deflate while a candidate is a root
-    k = next(i for i, c in enumerate(f.coeffs) if c)
-    roots = [(Fraction(0), k)] if k else []
-    rem = _integer_form(f.coeffs[k:])
-    for root in _root_candidates(rem):
-        u, v, m = root.numerator, root.denominator, 0
-        while len(rem) > 1 and _vanishes(rem, u, v):
-            rem = _exact_quotient(rem, [-u, v])
-            m += 1
-        if m:
-            roots.append((root, m))
-    roots.sort(key=lambda rm: rm[0])
-    return RootMultiset(tuple(roots), len(rem) - 1)
+    else:
+        from .rationals import roots as rational_roots
+        roots, unfactored = rational_roots(f.coeffs)
+    return RootMultiset(tuple(roots), unfactored)
 
 
 def is_dlf(f: Polynomial) -> DlfVerdict:
@@ -734,10 +616,9 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     if f.field.is_prime_field:
         g = _radical(f)
         return g.scale(f.field.inv(g.constant_term))
-    # over Q (characteristic 0) the radical is f / gcd(f, f′), taken on the
-    # primitive integer form; g(0) ≠ 0 because f(0) ≠ 0
-    g = _squarefree(_integer_form(f.coeffs))
-    return Polynomial.of(f.field, [Fraction(c, g[0]) for c in g])
+    # over Q (characteristic 0) the radical is f / gcd(f, f′)
+    from .rationals import squarefree
+    return Polynomial.of(f.field, squarefree(f.coeffs))
 
 
 def laurent_normalize(g: LaurentElement) -> tuple[Polynomial, Polynomial]:

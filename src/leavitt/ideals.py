@@ -22,6 +22,7 @@ from collections.abc import Mapping
 from typing import Iterable
 
 from .digraph import (
+    ArrowClass,
     Digraph,
     GeometricCycle,
     OMEGA,
@@ -81,8 +82,14 @@ def quotient_out_degree(g: Digraph, h: frozenset[str], primed: frozenset[str],
     Classes with target outside H survive; classes with target in
     ``primed`` = B_H∖S are duplicated toward the primed sink.
     """
+    return _quotient_out_degree(g.out_arrows(v), h, primed)
+
+
+def _quotient_out_degree(arrows: Iterable[ArrowClass], h: frozenset[str],
+                         primed: frozenset[str]) -> int | float:
+    """:func:`quotient_out_degree` of the vertex that ``arrows`` leave."""
     total = 0
-    for a in g.out_arrows(v):
+    for a in arrows:
         copies = (a.target not in h) + (a.target in primed)
         if copies and is_omega(a.multiplicity):
             return OMEGA
@@ -99,11 +106,13 @@ def no_exit_quotient_cycles(g: Digraph, pair: AdmissiblePair,
 def _no_exit_quotient_cycles(g: Digraph, pair: AdmissiblePair, primed: frozenset[str],
                              limit: int) -> list[GeometricCycle]:
     """:func:`no_exit_quotient_cycles` of a pair known to be admissible, with
-    ``primed`` = B_H∖S."""
+    ``primed`` = B_H∖S.  The ids come from ``g.vertices``, so each adjacency
+    list is read as it is, with no vertex check or copy."""
+    out = g._out
     return no_exit_cycles(g, {
-        v: next(a for a in g.out_arrows(v) if a.target not in pair.h)
+        v: next(a for a in out[v] if a.target not in pair.h)
         for v in g.vertices
-        if v not in pair.h and quotient_out_degree(g, pair.h, primed, v) == 1}, limit=limit)
+        if v not in pair.h and _quotient_out_degree(out[v], pair.h, primed) == 1}, limit=limit)
 
 
 @record(frozen=False)

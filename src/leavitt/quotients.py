@@ -26,7 +26,7 @@ quotient, the dlf verdicts and the severed digraph at most once per call.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .digraph import (
     ArrowClass,
@@ -44,7 +44,7 @@ from .errors import (
     NotDlfError,
     UnsupportedShapeError,
 )
-from .fields import DlfVerdict, Polynomial, Scalar, is_dlf, squarefree_part
+from .fields import DlfVerdict, Polynomial, is_dlf, squarefree_part
 from .ideals import (
     AdmissiblePair,
     IdealPresentation,
@@ -53,6 +53,9 @@ from .ideals import (
     validated_ideal,
 )
 from .records import record, replace
+
+if TYPE_CHECKING:
+    from .fields import Scalar
 
 
 @record

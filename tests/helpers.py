@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import itertools
 import math
@@ -429,6 +430,39 @@ def search_lattice_tables(elements):
                     f"no join for {elements[i].label()} and {elements[k].label()}")
             join_table[i, k] = join_table[k, i] = best[0]
     return meet_table, join_table
+
+
+# -- the argparse parser that cli._parse replaced ------------------------------------
+
+#: The command options as argparse keyword dicts, as cli.COMMANDS held them.
+ARGPARSE_OPTIONS = {
+    "closure": (("--set", dict(dest="vertex_set", default="", help="comma-separated vertex ids")),),
+    "sever": (("--force-degree-only", dict(
+        action="store_true", help="emit the severed digraph even for non-dlf ideals")),),
+    "strata": (("--max-deg", dict(required=True)),),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the CLI, the oracle of ``cli._parse``."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=["text", "dot", "json-lines"],
+                        default=argparse.SUPPRESS, dest="output_format")
+    common.add_argument("--field", default=argparse.SUPPRESS,
+                        help="override the ideal file's field (Q or F<p>)")
+    for key, flag in cli.LIMIT_FLAGS.items():
+        common.add_argument(flag, default=argparse.SUPPRESS, dest=key)
+    parser = argparse.ArgumentParser(
+        prog="leavitt", parents=[common],
+        description="Exact computations with Leavitt path algebras of finite digraphs.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in cli.COMMANDS.items():
+        p = sub.add_parser(name, parents=[common])
+        for operand in command.operands:
+            p.add_argument(operand.rstrip("?"), nargs="?" if operand.endswith("?") else None)
+        for flag, kw in ARGPARSE_OPTIONS.get(name, ()):
+            p.add_argument(flag, **kw)
+    return parser
 
 
 # -- dataclass twins of the record classes ------------------------------------------

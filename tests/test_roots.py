@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leavitt import fields
+from leavitt import fields, rationals
 from leavitt.cli import main
 from leavitt.errors import InternalConsistencyError, ProductMismatchError
 from leavitt.fields import (
@@ -185,12 +185,12 @@ class TestLargeFields:
 class TestInexactDeflation:
     def test_deflating_by_a_non_root_raises(self):
         with pytest.raises(InternalConsistencyError):
-            fields._exact_quotient([1, 1], [-5, 1])
+            rationals._exact_quotient([1, 1], [-5, 1])
         with pytest.raises(InternalConsistencyError):  # 3x − 1 over 2x − 1
-            fields._exact_quotient([-1, 3], [-1, 2])
+            rationals._exact_quotient([-1, 3], [-1, 2])
 
     def test_root_that_does_not_deflate_exits_5(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(fields, "_vanishes", lambda f, u, v: True)
+        monkeypatch.setattr(rationals, "_vanishes", lambda f, u, v: True)
         with pytest.raises(InternalConsistencyError):
             find_roots(Polynomial.of(Field.rationals(), [-7, 0, 1]))
         graph, ideal = tmp_path / "loop.graph", tmp_path / "j.ideal"
@@ -216,10 +216,10 @@ class TestInexactDeflation:
 
     def test_checks_survive_optimize_flag(self):
         code = (
-            "from leavitt import fields\n"
+            "from leavitt import fields, rationals\n"
             "from leavitt.errors import InternalConsistencyError\n"
             "F = fields.Field\n"
-            "checks = [lambda: fields._exact_quotient([1, 1], [-5, 1]),\n"
+            "checks = [lambda: rationals._exact_quotient([1, 1], [-5, 1]),\n"
             "          lambda: fields._pth_root(fields.Polynomial.of(F(3), [1, 1]))]\n"
             "for check in checks:\n"
             "    try:\n"
@@ -316,10 +316,10 @@ class TestRationalRoots:
     ], ids=["repeated", "colliding"])
     def test_prime_with_repeated_roots_falls_back_to_squarefree_part(
             self, monkeypatch, factors, roots):
-        assert fields.LIFTING_PRIME_TRIES == 8
+        assert rationals.LIFTING_PRIME_TRIES == 8
         calls = []
-        squarefree = fields._squarefree
-        monkeypatch.setattr(fields, "_squarefree",
+        squarefree = rationals._squarefree
+        monkeypatch.setattr(rationals, "_squarefree",
                             lambda f: calls.append(f) or squarefree(f))
         rm = find_roots(_expand(-7, factors))
         assert rm.roots == tuple(sorted(roots.items()))

@@ -1,6 +1,7 @@
 """Which modules a command loads, checked by module name rather than by time,
 and the lazy ``leavitt`` namespace that makes that possible."""
 
+import json
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 import leavitt
 from leavitt import digraph, fields, ideals, ktheory, quotients
 
-from test_io_cli import child_env, cpath
+from test_io_cli import SAMPLE_ARGS, child_env, cpath
 
 #: Every name ``leavitt`` exported when its ``__init__`` imported them eagerly.
 EXPORTED = {
@@ -57,6 +58,23 @@ print(" ".join(sorted(sys.modules)))
 """
 
 
+#: Runs ``cli.main`` on each command line of the JSON list in argv[1], with
+#: their output discarded, then prints the loaded module names.
+MAIN_PROBE = """
+import json, os, sys
+from leavitt import cli
+streams = sys.stdout, sys.stderr
+sys.stdout = sys.stderr = open(os.devnull, "w", encoding="utf-8")
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+sys.stdout, sys.stderr = streams
+assert set(codes) <= {0, 2}, codes
+print(" ".join(sorted(sys.modules)))
+"""
+
+#: Modules that ℚ arithmetic (``fractions``) brings with it.
+RATIONAL = {"leavitt.rationals", "fractions", "decimal", "numbers"}
+
+
 def loaded(code: str, *args: str) -> set[str]:
     proc = subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, env=child_env())
@@ -95,6 +113,30 @@ def test_strata_loads_no_quotients():
 def test_lattice_library_call_loads_no_quotients():
     modules = loaded(LATTICE_PROBE, cpath("sq5"))
     assert "leavitt.ktheory" in modules and "leavitt.quotients" not in modules
+
+
+def test_no_command_line_loads_argparse(bare):
+    lines = [[*fmt, name, *args] for name, args in SAMPLE_ARGS.items()
+             for fmt in ([], ["--format", "json-lines"], ["--format", "dot"])]
+    lines += [["--help"], ["strata", "-h"], ["no-such-command"], ["strata", cpath("loop")]]
+    modules = loaded(MAIN_PROBE, json.dumps(lines))
+    assert "leavitt.ktheory" in modules  # every command ran
+    assert not {"argparse", "gettext", "locale"} & (modules - bare)
+
+
+@pytest.mark.parametrize("code,args", [
+    (CLI_PROBE, ("decide", cpath("sq5"), cpath("ch2-ideal-F3"))),
+    (CLI_PROBE, ("--format", "json-lines", "decide", cpath("sq5"), cpath("ch2-ideal-F3"))),
+    (CLI_PROBE, ("strata", "--field", "F3", "--max-deg", "2", cpath("loop"))),
+    (LATTICE_PROBE, (cpath("sq5"),)),
+], ids=["decide-F3", "decide-F3-json-lines", "strata-F3", "lattice"])
+def test_prime_field_work_loads_no_rational_arithmetic(bare, code, args):
+    assert not RATIONAL & (loaded(code, *args) - bare)
+
+
+def test_rational_ideal_loads_rational_arithmetic(bare):
+    modules = loaded(CLI_PROBE, "radical", cpath("loop"), cpath("radical-ideal-Q"))
+    assert {"leavitt.rationals", "fractions"} <= modules - bare
 
 
 def test_package_import_loads_no_submodule():
