@@ -18,7 +18,8 @@ alone; ``decide``, ``sever``, ``certificate``, ``radical``, ``quotient`` and
 ``simples`` and ``end`` add ``ktheory`` with them (``end`` also
 ``quotients``).  Coefficients over ℚ load ``rationals`` and with it
 ``fractions``; work over 𝔽p does not.  ``json`` loads only under ``--format
-json-lines``.
+json-lines``.  ``bitindex`` loads with the first closure, enumeration of
+closed sets or check of an ideal.
 """
 
 from __future__ import annotations

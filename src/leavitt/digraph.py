@@ -15,14 +15,24 @@ The cycles without exits need no enumeration: every vertex on one emits
 exactly one arrow, so they are vertex-disjoint and one walk along the map
 "vertex -> its only arrow" finds them all in linear time.
 
+Vertex sets inside the structural analyses are int masks over a
+:class:`~leavitt.bitindex.BitIndex`, which a digraph builds on first use and
+keeps (:attr:`Digraph.bits`): one bit per vertex, and per vertex the masks of
+its successors, its predecessors and the targets of its ω classes.  The
+hereditary saturated closure, the enumeration of closed sets and the
+breaking vertices B_H are then word operations on those masks; the public
+functions take and return ``frozenset``s of ids.  ``bitindex`` loads on the
+first use of the index, so a command that never needs it does not compile it.
+
 All values are immutable after construction and every analysis is a pure
 function, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     MalformedMorphismError,
@@ -32,6 +42,9 @@ from .errors import (
     UnknownVertexError,
 )
 from .records import record
+
+if TYPE_CHECKING:
+    from .bitindex import BitIndex
 
 #: Multiplicity marker for an infinite arrow class.
 OMEGA = math.inf
@@ -80,6 +93,12 @@ class Digraph:
             self._by_id[a.id] = a
             self._out[a.source].append(a)
             self._in[a.target].append(a)
+
+    @functools.cached_property
+    def bits(self) -> BitIndex:
+        """The vertex bit index, built on first use and kept (g is immutable)."""
+        from .bitindex import BitIndex
+        return BitIndex(self)
 
     def __eq__(self, other):
         return (isinstance(other, Digraph) and self.name == other.name
@@ -437,42 +456,11 @@ def find_any_cycle(g: Digraph) -> GeometricCycle | None:
 
 # -- hereditary and saturated sets ---------------------------------------------
 
-def _close(g: Digraph, base: frozenset[str], seeds: Iterable[str],
-           excluded: AbstractSet[str] = frozenset()) -> frozenset[str] | None:
-    """Least hereditary saturated set holding the closed set ``base`` and
-    ``seeds``, or None once it takes in an ``excluded`` vertex.  A Horn worklist
-    (Dowling & Gallier 1984): each new member brings in its targets, and each
-    regular vertex pointing at it counts down its classes still leaving the
-    set, joining at 0.  Only new members and their neighbours are touched."""
-    added, joining, todo = set(), set(seeds) - base, []
-    leaving: dict[str, int | float] = {}  # ω-emitters start at ω and never join
-    while True:
-        if not joining.isdisjoint(excluded):
-            return None
-        added |= joining
-        todo += joining
-        if not todo:
-            return base | added
-        v = todo.pop()
-        joining = {a.target for a in g._out[v]} - added - base
-        for a in g._in[v]:
-            u = a.source
-            if u in added or u in base:
-                continue
-            if u not in leaving:
-                outs = g._out[u]
-                leaving[u] = (OMEGA if any(is_omega(b.multiplicity) for b in outs)
-                              else sum(b.target not in base for b in outs))
-            leaving[u] -= 1
-            if leaving[u] == 0:
-                joining.add(u)
-
-
 def hereditary_saturated_closure(g: Digraph, xs: Iterable[str]) -> frozenset[str]:
-    """Smallest hereditary and saturated vertex set containing xs, in O(V + E)."""
-    xs = set(xs)
-    g.check_vertices(xs)
-    return _close(g, frozenset(), xs)
+    """Smallest hereditary and saturated vertex set containing xs, in O(V + E)
+    mask operations."""
+    bits = g.bits
+    return bits.members(bits.close(0, bits.mask(set(xs))))
 
 
 def is_hereditary(g: Digraph, hs: frozenset[str] | set[str]) -> bool:
@@ -487,29 +475,31 @@ def is_saturated(g: Digraph, hs: frozenset[str] | set[str]) -> bool:
 def enumerate_hereditary_saturated(g: Digraph, limit: int = 10_000) -> list[frozenset[str]]:
     """All hereditary saturated subsets, sorted by (size, members).
 
-    Branch and close over ``g.vertices`` from (H, excluded) = (∅, ∅): at the
-    next v outside H, "v out" excludes v and is always feasible, "v in" closes
-    H ∪ {v} unless that reaches an excluded vertex.  Each leaf is a distinct
-    closed set, so the work is at most |V| closures per set found.
+    Branch and close on masks of :attr:`Digraph.bits` from (H, excluded) =
+    (∅, ∅): at the lowest bit v in neither, "v out" excludes v and is always
+    feasible, "v in" closes H ∪ {v} unless that reaches an excluded vertex.
+    Each leaf is a distinct closed set, so the work is at most |V| closures
+    per set found.  Each set becomes a ``frozenset`` once, after sorting.
     """
-    vs = g.vertices
-    out = []
-    stack = [(frozenset(), frozenset(), 0)]
+    bits = g.bits
+    found: list[int] = []
+    stack = [(0, 0)]
     while stack:
-        hs, excluded, i = stack.pop()
-        while i < len(vs) and vs[i] in hs:
-            i += 1
-        if i == len(vs):
-            out.append(hs)
-            if len(out) > limit:
+        hs, excluded = stack.pop()
+        free = bits.everything & ~(hs | excluded)
+        if not free:
+            found.append(hs)
+            if len(found) > limit:
                 raise ResourceLimitError(
                     f"digraph {g.name} has more than {limit} hereditary saturated sets")
             continue
-        stack.append((hs, excluded | {vs[i]}, i + 1))
-        grown = _close(g, hs, [vs[i]], excluded)
+        v = free & -free
+        stack.append((hs, excluded | v))
+        grown = bits.close(hs, v, excluded)
         if grown is not None:
-            stack.append((grown, excluded, i + 1))
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+            stack.append((grown, excluded))
+    found.sort(key=lambda m: (m.bit_count(), -m))
+    return [bits.members(m) for m in found]
 
 
 def breaking_vertices(g: Digraph, hs: Iterable[str]) -> frozenset[str]:
@@ -521,16 +511,11 @@ def breaking_vertices(g: Digraph, hs: Iterable[str]) -> frozenset[str]:
     return _breaking_vertices(g, hs)
 
 
-def _breaking_vertices(g: Digraph, hs: set[str] | frozenset[str]) -> frozenset[str]:
+def _breaking_vertices(g: Digraph, hs: Collection[str]) -> frozenset[str]:
     """:func:`breaking_vertices` without its checks, for an H known to be a
     hereditary set of g's vertices."""
-    out = set()
-    for v in g.vertices:
-        escaping = [a.multiplicity for a in g._out[v] if a.target not in hs]
-        if (escaping and not any(map(is_omega, escaping))
-                and any(is_omega(a.multiplicity) for a in g._out[v])):
-            out.add(v)
-    return frozenset(out)
+    bits = g.bits
+    return bits.members(bits.breaking(bits.mask(hs)))
 
 
 def instances_escaping(g: Digraph, v: str, hs: Iterable[str]) -> frozenset[tuple[str, int]]:

@@ -19,7 +19,7 @@ import itertools
 import math
 import operator
 from collections.abc import Mapping
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .digraph import (
     ArrowClass,
@@ -27,12 +27,9 @@ from .digraph import (
     GeometricCycle,
     OMEGA,
     _breaking_vertices,
-    breaking_vertices,
     cycle_vertices,
     enumerate_hereditary_saturated,
-    is_hereditary,
     is_omega,
-    is_saturated,
     no_exit_cycles,
 )
 from .errors import (
@@ -41,10 +38,21 @@ from .errors import (
     MeetJoinFailureError,
     NotAdmissibleError,
     ResourceLimitError,
+    UnknownVertexError,
 )
-# is_dlf is unused here; bench/selftest.py checks that the tracer rebinds it in this module.
-from .fields import Field, Polynomial, is_dlf  # noqa: F401
 from .records import field as record_field, record
+
+if TYPE_CHECKING:
+    from .fields import Field, Polynomial
+
+
+def __getattr__(name):
+    # bench/selftest.py reads ideals.is_dlf, which this module once imported;
+    # forwarding the one name keeps fields out of the lattice and strata imports
+    if name == "is_dlf":
+        from .fields import is_dlf
+        return is_dlf
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @record
@@ -66,12 +74,22 @@ class AdmissiblePair:
 
 
 def ensure_admissible(g: Digraph, pair: AdmissiblePair) -> frozenset[str]:
-    """B_H∖S, the vertices that get a primed sink; raises unless (H, S) is admissible."""
-    g.check_vertices(pair.h | pair.s)
-    if is_hereditary(g, pair.h) and is_saturated(g, pair.h):
-        bb = breaking_vertices(g, pair.h)
-        if pair.s <= bb:
-            return bb - pair.s
+    """B_H∖S, the vertices that get a primed sink; raises unless (H, S) is admissible.
+
+    One pass on ``g.bits``: the ids of H and S, then H hereditary (no member
+    of H has an arrow leaving H) and saturated (every regular vertex outside
+    H has one), then S ⊆ B_H."""
+    bits = g.bits
+    try:
+        h, s = bits.mask(pair.h), bits.mask(pair.s)
+    except UnknownVertexError:
+        g.check_vertices(pair.h | pair.s)  # names the smallest unknown id of H ∪ S
+        raise
+    leaving = bits.leaving(h)
+    if not leaving & h and not bits.regular & ~h & ~leaving:
+        bb = bits.breaking(h)
+        if not s & ~bb:
+            return bits.members(bb & ~s)
     raise NotAdmissibleError(f"{pair.label()} is not admissible in {g.name}")
 
 
@@ -153,14 +171,17 @@ def validate_ideal(g: Digraph, j: IdealPresentation) -> IdealValidation:
             g.arrow(aid)
 
     violations: list[str] = []
-    if not is_hereditary(g, j.pair.h):
+    bits = g.bits
+    h = bits.mask(j.pair.h)
+    leaving = bits.leaving(h)
+    if leaving & h:
         violations.append("H is not hereditary")
-    if not is_saturated(g, j.pair.h):
+    if bits.regular & ~h & ~leaving:
         violations.append("H is not saturated")
     h_ok = not violations
     primed: frozenset[str] = frozenset()
     if h_ok:
-        bb = breaking_vertices(g, j.pair.h)
+        bb = bits.members(bits.breaking(h))
         for v in sorted(j.pair.s - bb):
             violations.append(f"S contains {v}, which is not a breaking vertex of H")
         primed = bb - j.pair.s
@@ -251,38 +272,61 @@ def enumerate_admissible_pairs(g: Digraph, limit: int = 10_000) -> list[Admissib
     return sorted(out, key=AdmissiblePair.sort_key)
 
 
-class _SquareTable(Mapping):
-    """A read-only n × n table of ints keyed by ``(i, k)``, stored as one flat
-    list indexed i·n + k."""
+class _CellTable(Mapping):
+    """The meet or the join table of a pair lattice, an n × n read-only
+    ``Mapping`` keyed by element indices ``(i, k)``.
 
-    __slots__ = ("_n", "_cells")
+    Element ``order[r]`` has rank r, and ``sets[i]`` holds the ranks of the
+    down-set of element i (meet table) or of its up-set (join table).  A cell
+    is computed when it is read: the top rank of ``sets[i] & sets[k]`` for a
+    meet, the lowest for a join, accepted only if that element's own set is
+    exactly the intersection, else MeetJoinFailureError."""
 
-    def __init__(self, n: int, cells: list[int]):
-        self._n = n
-        self._cells = cells
+    __slots__ = ("_elements", "_order", "_sets", "_meet")
 
-    def __getitem__(self, key):
+    def __init__(self, elements: Sequence[AdmissiblePair], order: Sequence[int],
+                 sets: Sequence[int], meet: bool):
+        self._elements = elements
+        self._order = order
+        self._sets = sets
+        self._meet = meet
+
+    def __getitem__(self, key) -> int:
+        n = len(self._sets)
         try:
-            i, k = key
-            if 0 <= i < self._n and 0 <= k < self._n:
-                return self._cells[i * self._n + k]
+            i, k = map(operator.index, key)
+            inside = 0 <= i < n and 0 <= k < n
         except (TypeError, ValueError):
-            pass
-        raise KeyError(key)
+            inside = False
+        if not inside:
+            raise KeyError(key)
+        sets = self._sets
+        both = sets[i] & sets[k]
+        # an empty intersection picks order[-1], whose set is not empty
+        m = self._order[(both if self._meet else both & -both).bit_length() - 1]
+        if sets[m] != both:
+            a, b = sorted((i, k))
+            raise MeetJoinFailureError(
+                f"no {'meet' if self._meet else 'join'} for {self._elements[a].label()} "
+                f"and {self._elements[b].label()}")
+        return m
 
     def __iter__(self):
-        return itertools.product(range(self._n), repeat=2)
+        return itertools.product(range(len(self._sets)), repeat=2)
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return len(self._sets) ** 2
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={self._n})"
+        return f"{type(self).__name__}(n={len(self._sets)})"
 
 
 @record
 class PairLattice:
-    """All admissible pairs with their meet and join tables (element indices)."""
+    """All admissible pairs with their meet and join tables (element indices).
+
+    The tables hold each pair's down-set and up-set as a bitmask of ranks, and
+    compute a cell when it is read (:class:`_CellTable`)."""
 
     elements: tuple[AdmissiblePair, ...]
     meet_table: Mapping[tuple[int, int], int]
@@ -309,11 +353,12 @@ def pair_lattice(g: Digraph, limit: int = 10_000) -> PairLattice:
     """The admissible pairs with meet and join tables under :func:`pair_order`.
 
     Ranked by (|H|, |S|), a linear extension of the order, each pair keeps its
-    down-set and up-set as a bitmask of ranks.  The meet of two pairs is the
-    top rank in both down-sets, the join the lowest rank in both up-sets, each
-    accepted only if its own down-set (up-set) is that intersection, else
-    MeetJoinFailureError."""
-    elements = enumerate_admissible_pairs(g, limit=limit)
+    down-set and up-set as a bitmask of ranks, built in O(n·|V|) mask
+    operations.  The tables compute each cell on read: the meet of two pairs
+    is the top rank in both down-sets, the join the lowest rank in both
+    up-sets, each accepted only if its own down-set (up-set) is that
+    intersection, else MeetJoinFailureError.  Nothing of size n² is stored."""
+    elements = tuple(enumerate_admissible_pairs(g, limit=limit))
     n = len(elements)
     order = sorted(range(n), key=lambda i: (len(elements[i].h), len(elements[i].s)))
     # the ranks of the pairs with v in H, and with v in H ∪ S
@@ -327,22 +372,8 @@ def pair_lattice(g: Digraph, limit: int = 10_000) -> PairLattice:
                            everything) for p in elements]
     down = [everything & ~functools.reduce(operator.or_, [in_h[v] for v in p.s] + [
         in_hs[v] for v in g.vertices if v not in p.h and v not in p.s], 0) for p in elements]
-    meets, joins = [0] * (n * n), [0] * (n * n)
-    for i in range(n):  # k >= i; an empty share picks order[-1] and fails the check
-        below = [down[i] & d for d in down[i:]]
-        above = [up[i] & u for u in up[i:]]
-        meet_row = [order[b.bit_length() - 1] for b in below]
-        join_row = [order[(a & -a).bit_length() - 1] for a in above]
-        if [down[m] for m in meet_row] != below or [up[m] for m in join_row] != above:
-            k = next(k for k in range(n - i)
-                     if down[meet_row[k]] != below[k] or up[join_row[k]] != above[k])
-            what = "meet" if down[meet_row[k]] != below[k] else "join"
-            raise MeetJoinFailureError(
-                f"no {what} for {elements[i].label()} and {elements[i + k].label()}")
-        # row i from column i on, and column i from row i down (symmetry)
-        meets[i * n + i:(i + 1) * n] = meets[i * n + i::n] = meet_row
-        joins[i * n + i:(i + 1) * n] = joins[i * n + i::n] = join_row
-    return PairLattice(tuple(elements), _SquareTable(n, meets), _SquareTable(n, joins))
+    return PairLattice(elements, _CellTable(elements, order, down, meet=True),
+                       _CellTable(elements, order, up, meet=False))
 
 
 # -- strata -----------------------------------------------------------------------

@@ -23,11 +23,9 @@ from .digraph import (
     Digraph,
     GeometricCycle,
     OMEGA,
-    breaking_vertices,
     classify_vertices,
     cycle_vertices,
     find_any_cycle,
-    hereditary_saturated_closure,
     instances_escaping,
     is_omega,
     no_exit_cycles,
@@ -224,26 +222,26 @@ def galois_psi(g: Digraph, x: ProjectivePresentation | Iterable[Generator]) -> A
     items = tuple(x.items) if isinstance(x, ProjectivePresentation) else tuple(x)
     p = ProjectivePresentation.of(items)
     validate_presentation(g, p)
-    h = set(hereditary_saturated_closure(g, {it.vertex for it in items
-                                             if isinstance(it, VertexGen)}))
+    # p names only vertices of g now; H is a closed mask of g.bits from here on
+    bits = g.bits
+    h = bits.close(0, bits.mask({it.vertex for it in items if isinstance(it, VertexGen)}))
     corners = [it for it in items if isinstance(it, CornerGen)]
     grown = True
     while grown:
         grown = False
         for item in corners:
-            if item.vertex in h:
+            if bits.bit[item.vertex] & h:
                 continue
             z_classes = Counter(aid for aid, _ in item.z)
-            arrows = g.out_arrows(item.vertex)
-            forced = {a.target for a in arrows if a.target not in h and (
-                is_omega(a.multiplicity) or a.multiplicity > z_classes.get(a.id, 0))}
-            if forced or all(a.target in h for a in arrows):
-                h = set(hereditary_saturated_closure(g, h | (forced or {item.vertex})))
+            arrows = g._out[item.vertex]
+            forced = bits.mask({a.target for a in arrows if is_omega(a.multiplicity)
+                                or a.multiplicity > z_classes.get(a.id, 0)}) & ~h
+            if forced or not bits.mask({a.target for a in arrows}) & ~h:
+                h = bits.close(h, forced or bits.bit[item.vertex])
                 grown = True
-    h = frozenset(h)
-    outside = {item.vertex for item in corners if item.vertex not in h}
-    s = outside & breaking_vertices(g, h) if outside else frozenset()
-    return AdmissiblePair(h, frozenset(s))
+    # H is closed, so B_H needs no check; it lies outside H
+    s = bits.mask({item.vertex for item in corners}) & bits.breaking(h)
+    return AdmissiblePair(bits.members(h), bits.members(s))
 
 
 def is_orthogonal(g: Digraph, p: ProjectivePresentation, j: IdealPresentation) -> bool:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -367,7 +369,8 @@ def digraphs(draw, max_vertices: int = 12) -> Digraph:
                                   for k, (s, t, m) in enumerate(classes)])
 
 
-# -- hereditary saturated sets and the pair lattice by exhaustive search -----------
+# -- hereditary saturated sets and the pair lattice by exhaustive search, and the
+#    frozenset closure and eager tables that the bit index replaced ---------------
 
 def fixpoint_closure(g: Digraph, xs) -> frozenset[str]:
     """Smallest hereditary and saturated set containing xs, by repeating full
@@ -405,6 +408,117 @@ def sweep_hereditary_saturated(g: Digraph, limit: int = 10_000) -> list[frozense
                 raise ResourceLimitError(
                     f"digraph {g.name} has more than {limit} hereditary saturated sets")
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def frozenset_close(g: Digraph, base: frozenset[str], seeds,
+                    excluded=frozenset()) -> frozenset[str] | None:
+    """Least hereditary saturated set holding the closed set ``base`` and
+    ``seeds``, or None once it takes in an ``excluded`` vertex.  A Horn worklist
+    (Dowling & Gallier 1984): each new member brings in its targets, and each
+    regular vertex pointing at it counts down its classes still leaving the
+    set, joining at 0.  Only new members and their neighbours are touched."""
+    added, joining, todo = set(), set(seeds) - base, []
+    leaving: dict[str, int | float] = {}  # ω-emitters start at ω and never join
+    while True:
+        if not joining.isdisjoint(excluded):
+            return None
+        added |= joining
+        todo += joining
+        if not todo:
+            return base | added
+        v = todo.pop()
+        joining = {a.target for a in g._out[v]} - added - base
+        for a in g._in[v]:
+            u = a.source
+            if u in added or u in base:
+                continue
+            if u not in leaving:
+                outs = g._out[u]
+                leaving[u] = (OMEGA if any(is_omega(b.multiplicity) for b in outs)
+                              else sum(b.target not in base for b in outs))
+            leaving[u] -= 1
+            if leaving[u] == 0:
+                joining.add(u)
+
+
+def closure_enumerate_hereditary_saturated(g: Digraph, limit: int = 10_000) -> list[frozenset[str]]:
+    """All hereditary saturated subsets, sorted by (size, members).
+
+    Branch and close over ``g.vertices`` from (H, excluded) = (∅, ∅): at the
+    next v outside H, "v out" excludes v and is always feasible, "v in" closes
+    H ∪ {v} unless that reaches an excluded vertex.  Each leaf is a distinct
+    closed set, so the work is at most |V| closures per set found.
+    """
+    vs = g.vertices
+    out = []
+    stack = [(frozenset(), frozenset(), 0)]
+    while stack:
+        hs, excluded, i = stack.pop()
+        while i < len(vs) and vs[i] in hs:
+            i += 1
+        if i == len(vs):
+            out.append(hs)
+            if len(out) > limit:
+                raise ResourceLimitError(
+                    f"digraph {g.name} has more than {limit} hereditary saturated sets")
+            continue
+        stack.append((hs, excluded | {vs[i]}, i + 1))
+        grown = frozenset_close(g, hs, [vs[i]], excluded)
+        if grown is not None:
+            stack.append((grown, excluded, i + 1))
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def scan_breaking_vertices(g: Digraph, hs) -> frozenset[str]:
+    """B_H of a hereditary H by reading every vertex's arrow classes."""
+    out = set()
+    for v in g.vertices:
+        escaping = [a.multiplicity for a in g._out[v] if a.target not in hs]
+        if (escaping and not any(map(is_omega, escaping))
+                and any(is_omega(a.multiplicity) for a in g._out[v])):
+            out.add(v)
+    return frozenset(out)
+
+
+def bitset_lattice_tables(g: Digraph, elements):
+    """(meet table, join table) of the admissible pairs ``elements`` of g, as
+    dicts, from n-bit down-sets and up-sets filled into two flat n² lists.
+
+    Ranked by (|H|, |S|), a linear extension of the order, each pair keeps its
+    down-set and up-set as a bitmask of ranks.  The meet of two pairs is the
+    top rank in both down-sets, the join the lowest rank in both up-sets, each
+    accepted only if its own down-set (up-set) is that intersection, else
+    MeetJoinFailureError."""
+    n = len(elements)
+    order = sorted(range(n), key=lambda i: (len(elements[i].h), len(elements[i].s)))
+    # the ranks of the pairs with v in H, and with v in H ∪ S
+    in_h = {v: sum(1 << r for r, i in enumerate(order) if v in elements[i].h) for v in g.vertices}
+    in_hs = {v: in_h[v] | sum(1 << r for r, i in enumerate(order) if v in elements[i].s)
+             for v in g.vertices}
+    # q ≽ p iff H_p ⊆ H_q and S_p ⊆ H_q ∪ S_q; so q ≼ p iff no v ∈ S_p is in
+    # H_q and no v outside H_p ∪ S_p is in H_q ∪ S_q
+    everything = (1 << n) - 1
+    up = [functools.reduce(operator.and_, [in_h[v] for v in p.h] + [in_hs[v] for v in p.s],
+                           everything) for p in elements]
+    down = [everything & ~functools.reduce(operator.or_, [in_h[v] for v in p.s] + [
+        in_hs[v] for v in g.vertices if v not in p.h and v not in p.s], 0) for p in elements]
+    meets, joins = [0] * (n * n), [0] * (n * n)
+    for i in range(n):  # k >= i; an empty share picks order[-1] and fails the check
+        below = [down[i] & d for d in down[i:]]
+        above = [up[i] & u for u in up[i:]]
+        meet_row = [order[b.bit_length() - 1] for b in below]
+        join_row = [order[(a & -a).bit_length() - 1] for a in above]
+        if [down[m] for m in meet_row] != below or [up[m] for m in join_row] != above:
+            k = next(k for k in range(n - i)
+                     if down[meet_row[k]] != below[k] or up[join_row[k]] != above[k])
+            what = "meet" if down[meet_row[k]] != below[k] else "join"
+            raise MeetJoinFailureError(
+                f"no {what} for {elements[i].label()} and {elements[i + k].label()}")
+        # row i from column i on, and column i from row i down (symmetry)
+        meets[i * n + i:(i + 1) * n] = meets[i * n + i::n] = meet_row
+        joins[i * n + i:(i + 1) * n] = joins[i * n + i::n] = join_row
+    cells = list(itertools.product(range(n), repeat=2))  # the flat lists' order
+    return dict(zip(cells, meets)), dict(zip(cells, joins))
 
 
 def search_lattice_tables(elements):

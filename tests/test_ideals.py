@@ -1,6 +1,6 @@
 import pytest
 
-from leavitt.digraph import GeometricCycle, enumerate_hereditary_saturated
+from leavitt.digraph import Digraph, GeometricCycle, enumerate_hereditary_saturated
 from leavitt.errors import (
     FieldMismatchError,
     NotAdmissibleError,
@@ -14,6 +14,7 @@ from leavitt.ideals import (
     IdealPresentation,
     enumerate_admissible_pairs,
     enumerate_strata,
+    ensure_admissible,
     graded_part,
     no_exit_quotient_cycles,
     pair_lattice,
@@ -132,6 +133,20 @@ class TestPairOrder:
     def test_not_admissible_rejected(self, sq2):
         with pytest.raises(NotAdmissibleError):
             pair_order(sq2, AdmissiblePair.of({"u"}), AdmissiblePair.of(set()))
+
+    def test_admissibility_errors(self, sq2):
+        # an unknown id is named by the smallest one of H ∪ S, wherever it is
+        for h, s in [({"zz"}, {"aa"}), ({"aa", "w2"}, {"zz"}), (set(), {"aa"})]:
+            with pytest.raises(UnknownVertexError, match="unknown vertex 'aa' in digraph sq2"):
+                ensure_admissible(sq2, AdmissiblePair.of(h, s))
+        path = Digraph("path", ["v", "w"], [("e", "v", "w")])
+        for g, h, s in [(sq2, {"u"}, ()),  # not hereditary
+                        (path, {"w"}, ()),  # not saturated
+                        (sq2, (), {"w2"})]:  # S ⊄ B_H
+            pair = AdmissiblePair.of(h, s)
+            with pytest.raises(NotAdmissibleError) as raised:
+                ensure_admissible(g, pair)
+            assert str(raised.value) == f"{pair.label()} is not admissible in {g.name}"
 
     def test_breaking_pairs_ordered(self, breaking):
         a = AdmissiblePair.of({"h"})

@@ -2,9 +2,11 @@
 their exhaustive predecessors, and the absence of a vertex cap."""
 
 import itertools
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections.abc import Mapping
 
 import pytest
@@ -12,8 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bitset_lattice_tables,
+    closure_enumerate_hereditary_saturated,
     digraphs,
     fixpoint_closure,
+    scan_breaking_vertices,
     search_lattice_tables,
     sweep_hereditary_saturated,
 )
@@ -22,9 +27,21 @@ from leavitt.digraph import (
     breaking_vertices,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
+    is_hereditary,
+    is_saturated,
 )
-from leavitt.errors import ResourceLimitError
-from leavitt.ideals import AdmissiblePair, enumerate_admissible_pairs, pair_lattice
+from leavitt.errors import MeetJoinFailureError, NotAdmissibleError, ResourceLimitError
+from leavitt.fields import Field
+from leavitt.ideals import (
+    AdmissiblePair,
+    IdealPresentation,
+    _CellTable,
+    enumerate_admissible_pairs,
+    ensure_admissible,
+    pair_lattice,
+    validate_ideal,
+)
+from leavitt.ktheory import galois_phi, galois_psi
 
 from conftest import corpus_graphs
 from test_io_cli import child_env
@@ -49,6 +66,7 @@ def assert_lattice_matches_search(g: Digraph):
     meet, join = search_lattice_tables(lattice.elements)
     assert lattice.meet_table == meet
     assert lattice.join_table == join
+    assert bitset_lattice_tables(g, lattice.elements) == (meet, join)
 
 
 class TestAgainstOracles:
@@ -84,6 +102,41 @@ class TestAgainstOracles:
     def test_pair_lattice_equals_search(self, g):
         assume(len(enumerate_admissible_pairs(g)) <= 64)
         assert_lattice_matches_search(g)
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_bit_index_equals_frozenset_oracles(self, data):
+        g = data.draw(digraphs(max_vertices=7))
+        sets = enumerate_hereditary_saturated(g)
+        assert sets == closure_enumerate_hereditary_saturated(g)  # the order too
+        for h in sets:
+            assert breaking_vertices(g, h) == scan_breaking_vertices(g, h)
+        pairs = enumerate_admissible_pairs(g)
+        assert pairs == sorted([AdmissiblePair(h, frozenset(s)) for h in sets
+                                for s in powerset(sorted(scan_breaking_vertices(g, h)))],
+                               key=AdmissiblePair.sort_key)
+        for pair in pairs:
+            assert galois_psi(g, galois_phi(g, pair).generating_items(g)) == pair
+        subsets = st.sets(st.sampled_from(g.vertices)) if g.vertices else st.just(set())
+        seeds, h, s = data.draw(subsets), data.draw(subsets), data.draw(subsets)
+        assert hereditary_saturated_closure(g, seeds) == fixpoint_closure(g, seeds)
+        closed = is_hereditary(g, h) and is_saturated(g, h)
+        admissible = closed and s <= scan_breaking_vertices(g, h)
+        try:
+            primed = ensure_admissible(g, AdmissiblePair.of(h, s))
+        except NotAdmissibleError:
+            primed = None
+        assert primed == (scan_breaking_vertices(g, h) - s if admissible else None)
+        report = validate_ideal(g, IdealPresentation(Field.gf(2), AdmissiblePair.of(h, s)))
+        expected = [text for text, bad in (("H is not hereditary", not is_hereditary(g, h)),
+                                           ("H is not saturated", not is_saturated(g, h))) if bad]
+        if closed:
+            expected = [f"S contains {v}, which is not a breaking vertex of H"
+                        for v in sorted(s - scan_breaking_vertices(g, h))]
+        assert list(report.violations) == expected
+        assert report.primed == (scan_breaking_vertices(g, h) - s if closed else frozenset())
+        if len(pairs) <= 64:
+            assert_lattice_matches_search(g)
 
     def test_limit_counts_like_the_sweep(self):
         g = Digraph("sinks", [f"v{i}" for i in range(6)], [])  # 64 sets
@@ -139,7 +192,9 @@ class TestPairLatticeIndex:
         for table in (lattice.meet_table, lattice.join_table):
             assert isinstance(table, Mapping) and len(table) == 25 and set(table) == cells
             assert all(table[i, k] == table[k, i] for i, k in cells)
-            for key in [(-1, 0), (0, -1), (5, 0), (0, 5), (0,), (0, 0, 0), 0, "ab", None]:
+            assert list(table) == list(itertools.product(range(5), repeat=2))
+            for key in [(-1, 0), (0, -1), (5, 0), (0, 5), (0,), (0, 0, 0), 0, "ab", None,
+                        (0.0, 1), ("0", 1)]:
                 assert key not in table
                 with pytest.raises(KeyError):
                     table[key]
@@ -154,3 +209,63 @@ class TestPairLatticeIndex:
         top = AdmissiblePair.of(loops.vertices)
         assert all(lattice.join(p, top) == top for p in lattice.elements)
         assert all(lattice.meet(p, top) == p for p in lattice.elements)
+
+
+class TestCellsOnRead:
+    #: x and y below both p and q: p and q have no meet, x and y no join
+    ELEMENTS = tuple(AdmissiblePair.of({v}) for v in "xypq")
+    DOWN = [0b0001, 0b0010, 0b0111, 0b1011]  # by rank: x, y, p, q
+    UP = [0b1101, 0b1110, 0b0100, 0b1000]
+
+    def table(self, meet: bool) -> _CellTable:
+        return _CellTable(self.ELEMENTS, [0, 1, 2, 3], self.DOWN if meet else self.UP, meet)
+
+    def test_missing_meet_raises_naming_both_pairs(self):
+        meet = self.table(meet=True)
+        for key in [(2, 3), (3, 2)]:
+            with pytest.raises(MeetJoinFailureError, match=r"no meet for \(\{p\}, \{\}\) "
+                                                           r"and \(\{q\}, \{\}\)"):
+                meet[key]
+        assert meet[0, 2] == 0 and meet[2, 2] == 2 and meet[3, 1] == 1
+
+    def test_missing_join_raises_naming_both_pairs(self):
+        join = self.table(meet=False)
+        with pytest.raises(MeetJoinFailureError, match=r"no join for \(\{x\}, \{\}\) "
+                                                       r"and \(\{y\}, \{\}\)"):
+            join[1, 0]
+        assert join[0, 2] == 2 and join[3, 3] == 3
+
+    def test_an_empty_intersection_has_no_meet(self):
+        meet = self.table(meet=True)
+        with pytest.raises(MeetJoinFailureError, match="no meet"):
+            meet[0, 1]  # x and y share no lower bound here
+
+    def test_mapping_shape(self):
+        for table in (self.table(meet=True), self.table(meet=False)):
+            assert len(table) == 16
+            assert list(table) == list(itertools.product(range(4), repeat=2))
+            for key in [(4, 0), (0, -1), (1,), 1, "xy", None, (1.0, 0)]:
+                with pytest.raises(KeyError):
+                    table[key]
+
+
+def test_13_loops_read_on_demand():
+    """8,192 pairs: the tables store no n² cells (two 67-million-cell lists
+    before), so reading 1,000 cells stays far below 64 MB."""
+    g = Digraph("c13", [f"v{i}" for i in range(13)],
+                [(f"c{i}", f"v{i}", f"v{i}") for i in range(13)])
+    tracemalloc.start()
+    try:
+        lattice = pair_lattice(g)
+        rng = random.Random(13)
+        n = len(lattice.elements)
+        cells = [(rng.randrange(n), rng.randrange(n)) for _ in range(1000)]
+        read = [(lattice.meet_table[c], lattice.join_table[c]) for c in cells]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 8192 and peak < 64 * 2**20
+    # with loops only, S is always empty, so the meet is H ∩ H' and the join H ∪ H'
+    for (i, k), (m, j) in zip(cells, read):
+        a, b = lattice.elements[i], lattice.elements[k]
+        assert lattice.elements[m].h == a.h & b.h and lattice.elements[j].h == a.h | b.h

@@ -92,8 +92,14 @@ def test_analyze_loads_no_algebra(bare):
     modules = loaded(CLI_PROBE, "analyze", cpath("sq2"))
     # the CLI itself runs as __main__, as under python -m
     assert {m for m in modules if m.startswith("leavitt")} == {
-        "leavitt", "leavitt.digraph", "leavitt.errors", "leavitt.io", "leavitt.records"}
+        "leavitt", "leavitt.bitindex", "leavitt.digraph", "leavitt.errors", "leavitt.io",
+        "leavitt.records"}
     assert not {"fractions", "json"} & (modules - bare)
+
+
+def test_bit_index_loads_on_first_use():
+    assert "leavitt.bitindex" not in loaded("import sys, leavitt.cli; print(' '.join(sys.modules))")
+    assert "leavitt.bitindex" not in loaded(CLI_PROBE, "dot", cpath("sq2"))
 
 
 def test_decide_loads_no_ktheory(bare):
@@ -108,11 +114,24 @@ def test_decide_loads_no_ktheory(bare):
 def test_strata_loads_no_quotients():
     modules = loaded(CLI_PROBE, "strata", "--field", "F3", "--max-deg", "2", cpath("loop"))
     assert not {"leavitt.quotients", "leavitt.ktheory"} & modules
+    assert "leavitt.fields" in modules  # the --field header is parsed
 
 
 def test_lattice_library_call_loads_no_quotients():
     modules = loaded(LATTICE_PROBE, cpath("sq5"))
     assert "leavitt.ktheory" in modules and "leavitt.quotients" not in modules
+    assert "leavitt.fields" not in modules  # ideals names Field only in annotations
+
+
+def test_ideals_forwards_is_dlf_to_fields():
+    code = ("import sys; from leavitt import ideals; loaded = 'leavitt.fields' in sys.modules; "
+            "from leavitt import fields; assert ideals.is_dlf is fields.is_dlf; "
+            "print(loaded)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0 and proc.stdout.split() == ["False"], proc.stderr
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ideals.no_such_name
 
 
 def test_no_command_line_loads_argparse(bare):

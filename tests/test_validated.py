@@ -20,7 +20,13 @@ from leavitt.ideals import (
     validated_ideal,
 )
 from leavitt.io import serialize_digraph, serialize_ideal
-from leavitt.ktheory import ProjectivePresentation, VertexGen, is_orthogonal
+from leavitt.ktheory import (
+    ProjectivePresentation,
+    VertexGen,
+    galois_phi,
+    galois_psi,
+    is_orthogonal,
+)
 from leavitt.quotients import (
     decide_lpa_quotient,
     dimension_blocks,
@@ -204,3 +210,31 @@ def test_strata_does_not_recheck_the_pairs_it_enumerated(monkeypatch):
         assert counts["is_hereditary"] == counts["is_saturated"] == 0
         assert counts["breaking_vertices"] == counts["ensure_admissible"] == 0
         assert counts["no_exit_quotient_cycles"] == 0
+
+
+def component_union(kinds: str) -> Digraph:
+    """The disjoint union of components A (a loop feeding a sink, 3 pairs),
+    B (an ω class beside an escaping arrow, 6 pairs) and C (a bare loop, 2)."""
+    vertices, arrows = [], []
+    for k, kind in enumerate(kinds):
+        if kind == "A":
+            vertices += [f"a{k}u", f"a{k}w"]
+            arrows += [(f"a{k}c", f"a{k}u", f"a{k}u"), (f"a{k}x", f"a{k}u", f"a{k}w")]
+        elif kind == "B":
+            vertices += [f"b{k}v", f"b{k}h", f"b{k}w"]
+            arrows += [(f"b{k}o", f"b{k}v", f"b{k}h", OMEGA), (f"b{k}x", f"b{k}v", f"b{k}w")]
+        else:
+            vertices.append(f"c{k}v")
+            arrows.append((f"c{k}c", f"c{k}v", f"c{k}v"))
+    return Digraph(kinds, vertices, arrows)
+
+
+def test_galois_round_trip_does_not_recheck_enumerated_pairs(monkeypatch):
+    g = component_union("ABBCA")
+    lattice = ideals.pair_lattice(g)
+    counts = count_calls(monkeypatch, ("breaking_vertices",))
+    for pair in lattice.elements:
+        assert galois_psi(g, galois_phi(g, pair).generating_items(g)) == pair
+    monkeypatch.undo()
+    assert len(lattice.elements) == 648
+    assert counts["breaking_vertices"] == 0
