@@ -23,7 +23,7 @@ _EXPORTS = {
         "hereditary_saturated_closure", "to_dot",
     ),
     "fields": (
-        "Field", "LaurentElement", "Polynomial", "RootMultiset", "crt_profile",
+        "LaurentElement", "Polynomial", "RootMultiset", "crt_profile",
         "find_roots", "is_dlf", "laurent_normalize", "poly_gcd", "squarefree_part",
     ),
     "ideals": (
@@ -41,6 +41,7 @@ _EXPORTS = {
         "decide_lpa_quotient", "dimension_blocks", "graded_quotient", "iso_certificate",
         "quotient_dimension", "radical_quotient", "sever",
     ),
+    "scalars": ("Field",),
 }
 #: exported name -> the module that defines it
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -3,7 +3,8 @@
 :attr:`leavitt.digraph.Digraph.bits` builds a :class:`BitIndex` on first use.
 The hereditary saturated closure (:meth:`BitIndex.close`), the breaking
 vertices B_H (:meth:`BitIndex.breaking`) and the hereditary and saturated
-tests (:meth:`BitIndex.leaving`) are then word operations on int masks.
+tests (:meth:`BitIndex.leaving`) are then word operations on int masks;
+:meth:`BitIndex.ids` and :meth:`BitIndex.members` read a mask's ids back.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Collection, Iterator
 
-from .digraph import is_omega
+from .digraph import _strong_components, is_omega
 from .errors import UnknownVertexError
 
 if TYPE_CHECKING:
@@ -40,7 +41,7 @@ class BitIndex:
     """
 
     __slots__ = ("graph_name", "ascending", "bit", "everything", "succ", "pred", "omega_succ",
-                 "regular", "infinite", "_digits")
+                 "regular", "infinite", "_digits", "_ancestors")
 
     def __init__(self, g: Digraph):
         self.graph_name = g.name
@@ -54,6 +55,7 @@ class BitIndex:
         self.pred: list[int] = []
         self.omega_succ: list[int] = []
         self.regular = self.infinite = 0
+        self._ancestors: list[int] | None = None
         for v in by_bit:
             succ = omega = pred = 0
             for a in g._out[v]:
@@ -83,10 +85,35 @@ class BitIndex:
                 f"unknown vertex {unknown!r} in digraph {self.graph_name}") from None
         return m
 
-    def members(self, m: int) -> frozenset[str]:
+    def ids(self, m: int) -> list[str]:
+        """The ids of m in sorted order."""
         # the binary digits of m, |V| of them, are the ids in sorted order
         digits = format(m, self._digits).encode().translate(_BINARY_DIGITS)
-        return frozenset(itertools.compress(self.ascending, digits))
+        return list(itertools.compress(self.ascending, digits))
+
+    def members(self, m: int) -> frozenset[str]:
+        return frozenset(self.ids(m))
+
+    @property
+    def ancestors(self) -> list[int]:
+        """By bit position, the vertices with a path to that vertex, itself
+        included; built on first use in one pass over the strongly connected
+        components, O(V + E) mask operations."""
+        if self._ancestors is None:
+            pred = [list(_positions(m)) for m in self.pred]
+            ancestors = [0] * len(pred)
+            # Tarjan's search along reversed arrows emits a component only
+            # after every component it reaches, so after all its ancestors
+            for comp in _strong_components(range(len(pred)), pred):
+                reach = 0
+                for i in comp:
+                    reach |= 1 << i
+                    for j in pred[i]:
+                        reach |= ancestors[j]
+                for i in comp:
+                    ancestors[i] = reach
+            self._ancestors = ancestors
+        return self._ancestors
 
     def close(self, h: int, seeds: int, excluded: int = 0) -> int | None:
         """The least hereditary saturated set holding the closed set h and

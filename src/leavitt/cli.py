@@ -14,12 +14,13 @@ handler imports the modules it runs, so a command compiles no code it does
 not use.  ``analyze``, ``closure``, ``dot`` and ``check-morphism`` add ``io``
 alone; ``decide``, ``sever``, ``certificate``, ``radical``, ``quotient`` and
 ``dim`` add ``io``, ``fields``, ``ideals`` and ``quotients``; ``strata`` adds
-``io``, ``fields`` and ``ideals``; ``monoid``, ``orth``, ``fgip``,
+``io``, ``scalars`` and ``ideals``; ``monoid``, ``orth``, ``fgip``,
 ``simples`` and ``end`` add ``ktheory`` with them (``end`` also
-``quotients``).  Coefficients over ℚ load ``rationals`` and with it
-``fractions``; work over 𝔽p does not.  ``json`` loads only under ``--format
-json-lines``.  ``bitindex`` loads with the first closure, enumeration of
-closed sets or check of an ideal.
+``quotients``).  ``--field`` loads ``scalars``, the field without its
+polynomials, which ``fields`` imports.  Coefficients over ℚ load
+``rationals`` and with it ``fractions``; work over 𝔽p does not.  ``json``
+loads only under ``--format json-lines``.  ``bitindex`` loads with the first
+closure, enumeration of closed sets or check of an ideal.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .records import record
 
 if TYPE_CHECKING:
     from . import quotients as qt
-    from .fields import Field
+    from .scalars import Field
 
 DEFAULT_LIMITS = {
     "maxCycles": 10_000,
@@ -140,7 +141,7 @@ def _config_from(args) -> tuple[dict, Field | None, str]:
             limits[key] = _positive_int(getattr(args, key), flag)
     override = None
     if args.field:
-        from .fields import Field
+        from .scalars import Field
         try:
             override = Field.from_header(args.field)
         except ValueError as exc:
@@ -181,8 +182,14 @@ def _analyze(rep: Reporter, args, g):
                  record="cycle", arrows=list(ci.cycle.arrows),
                  hasExit=ci.has_exit, exclusive=ci.exclusive,
                  multiplicityOne=ci.multiplicity_one)
-    for hs in dg.enumerate_hereditary_saturated(g, limit=args.limits["maxPairs"]):
-        rep.emit(f"hs-set {_set_label(hs)}", record="hs-set", vertices=sorted(hs))
+    ids, lines = g.bits.ids, rep.fmt == "json-lines"
+    for m in dg.hereditary_saturated_masks(g, limit=args.limits["maxPairs"]):
+        members = ids(m)  # sorted, as _set_label would sort them
+        text = "hs-set {" + ",".join(members) + "}"
+        if lines:
+            rep.emit(text, record="hs-set", vertices=members)
+        else:
+            rep.emit(text)
 
 
 def _closure(rep: Reporter, args, g):
@@ -276,16 +283,24 @@ def _strata(rep: Reporter, args, g):
     records = il.enumerate_strata(g, args.override, _positive_int(args.max_deg, "--max-deg"),
                                   limit=args.limits["maxPairs"],
                                   max_param_points=args.limits["maxParamPoints"])
+    # the records of one pair, and of one β, come together and share it
+    lines, pair, beta = rep.fmt == "json-lines", None, None
     for r in records:
-        beta = "[" + " ".join(c.label() for c in r.key.beta) + "]"
-        degrees = "[" + " ".join(map(str, r.key.degrees)) + "]"
-        rep.emit(
-            f"stratum pair={r.key.pair.label()} beta={beta} degrees={degrees}: "
-            f"parameters {r.parameter_count}, dlf {r.dlf_count}",
-            record="stratum", h=sorted(r.key.pair.h), s=sorted(r.key.pair.s),
-            beta=[list(c.arrows) for c in r.key.beta],
-            degrees=list(r.key.degrees),
-            parameters=r.parameter_count, dlf=r.dlf_count)
+        key = r.key
+        if key.pair is not pair:
+            pair = key.pair
+            pair_text = f"stratum pair={pair.label()} beta="
+        if key.beta is not beta:
+            beta = key.beta
+            beta_text = "[" + " ".join(c.label() for c in beta) + "] degrees=["
+        text = (f"{pair_text}{beta_text}{' '.join(map(str, key.degrees))}]: "
+                f"parameters {r.parameter_count}, dlf {r.dlf_count}")
+        if lines:
+            rep.emit(text, record="stratum", h=sorted(pair.h), s=sorted(pair.s),
+                     beta=[list(c.arrows) for c in beta], degrees=list(key.degrees),
+                     parameters=r.parameter_count, dlf=r.dlf_count)
+        else:
+            rep.emit(text)
 
 
 def _orth(rep: Reporter, args, g, j, p):

@@ -21,8 +21,10 @@ keeps (:attr:`Digraph.bits`): one bit per vertex, and per vertex the masks of
 its successors, its predecessors and the targets of its ω classes.  The
 hereditary saturated closure, the enumeration of closed sets and the
 breaking vertices B_H are then word operations on those masks; the public
-functions take and return ``frozenset``s of ids.  ``bitindex`` loads on the
-first use of the index, so a command that never needs it does not compile it.
+functions take and return ``frozenset``s of ids, except
+:func:`hereditary_saturated_masks`, which returns the masks.  ``bitindex``
+loads on the first use of the index, so a command that never needs it does
+not compile it.
 
 All values are immutable after construction and every analysis is a pure
 function, so everything here is safe to share across threads.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     MalformedMorphismError,
@@ -472,34 +474,50 @@ def is_saturated(g: Digraph, hs: frozenset[str] | set[str]) -> bool:
                    for v in g.vertices if v not in hs)
 
 
-def enumerate_hereditary_saturated(g: Digraph, limit: int = 10_000) -> list[frozenset[str]]:
-    """All hereditary saturated subsets, sorted by (size, members).
+def hereditary_saturated_masks(g: Digraph, limit: int = 10_000) -> list[int]:
+    """The hereditary saturated subsets as masks of :attr:`Digraph.bits`,
+    sorted by (size, members).
 
-    Branch and close on masks of :attr:`Digraph.bits` from (H, excluded) =
-    (∅, ∅): at the lowest bit v in neither, "v out" excludes v and is always
-    feasible, "v in" closes H ∪ {v} unless that reaches an excluded vertex.
-    Each leaf is a distinct closed set, so the work is at most |V| closures
-    per set found.  Each set becomes a ``frozenset`` once, after sorting.
+    Branch and close from (H, excluded) = (∅, ∅): at the lowest bit v in
+    neither, "v out" excludes v with all its ancestors (a hereditary set
+    holding one holds v) and is always feasible, "v in" closes H ∪ {v}
+    unless that reaches an excluded vertex.  Each leaf is a distinct closed
+    set, so the work is at most |V| closures per set found.  Within one size,
+    descending masks list their ids in ascending order, so the sets are
+    bucketed by size and each bucket sorted descending.
     """
     bits = g.bits
-    found: list[int] = []
+    everything, ancestors = bits.everything, bits.ancestors
+    by_size: list[list[int]] = [[] for _ in range(len(ancestors) + 1)]
+    found = 0
     stack = [(0, 0)]
     while stack:
         hs, excluded = stack.pop()
-        free = bits.everything & ~(hs | excluded)
+        free = everything & ~(hs | excluded)
         if not free:
-            found.append(hs)
-            if len(found) > limit:
+            by_size[hs.bit_count()].append(hs)
+            found += 1
+            if found > limit:
                 raise ResourceLimitError(
                     f"digraph {g.name} has more than {limit} hereditary saturated sets")
             continue
         v = free & -free
-        stack.append((hs, excluded | v))
+        stack.append((hs, excluded | ancestors[v.bit_length() - 1]))
         grown = bits.close(hs, v, excluded)
         if grown is not None:
             stack.append((grown, excluded))
-    found.sort(key=lambda m: (m.bit_count(), -m))
-    return [bits.members(m) for m in found]
+    out: list[int] = []
+    for bucket in by_size:
+        bucket.sort(reverse=True)
+        out += bucket
+    return out
+
+
+def enumerate_hereditary_saturated(g: Digraph, limit: int = 10_000) -> list[frozenset[str]]:
+    """All hereditary saturated subsets, sorted by (size, members): the sets
+    of :func:`hereditary_saturated_masks`, each read back as a ``frozenset``."""
+    members = g.bits.members
+    return [members(m) for m in hereditary_saturated_masks(g, limit)]
 
 
 def breaking_vertices(g: Digraph, hs: Iterable[str]) -> frozenset[str]:
@@ -508,12 +526,6 @@ def breaking_vertices(g: Digraph, hs: Iterable[str]) -> frozenset[str]:
     g.check_vertices(hs)
     if not is_hereditary(g, hs):
         raise NotHereditaryError(f"{sorted(hs)} is not hereditary in {g.name}")
-    return _breaking_vertices(g, hs)
-
-
-def _breaking_vertices(g: Digraph, hs: Collection[str]) -> frozenset[str]:
-    """:func:`breaking_vertices` without its checks, for an H known to be a
-    hereditary set of g's vertices."""
     bits = g.bits
     return bits.members(bits.breaking(bits.mask(hs)))
 

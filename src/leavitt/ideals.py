@@ -26,9 +26,8 @@ from .digraph import (
     Digraph,
     GeometricCycle,
     OMEGA,
-    _breaking_vertices,
     cycle_vertices,
-    enumerate_hereditary_saturated,
+    hereditary_saturated_masks,
     is_omega,
     no_exit_cycles,
 )
@@ -259,17 +258,48 @@ def pair_order(g: Digraph, a: AdmissiblePair, b: AdmissiblePair) -> bool:
     return a.h <= b.h and (a.h | a.s) <= (b.h | b.s)
 
 
+def _preorder_key(m: int) -> int:
+    """Taken descending, orders the nonzero masks of a :class:`BitIndex` as
+    :meth:`AdmissiblePair.sort_key` orders the ascending id lists of their
+    members, a list before its extensions: m + lowbit(m) − |m| is 2^|V| less
+    the list's place in the preorder of all of them."""
+    return m + (m & -m) - m.bit_count()
+
+
+def admissible_pair_masks(g: Digraph, limit: int = 10_000) -> list[tuple[int, int]]:
+    """The (H, S) masks on ``g.bits`` of every admissible pair, in the order
+    of :func:`enumerate_admissible_pairs`: each hereditary saturated H of
+    :func:`~leavitt.digraph.hereditary_saturated_masks` with every S ⊆ B_H,
+    both in :func:`_preorder_key` order, ∅ first."""
+    bits = g.bits
+    sets = hereditary_saturated_masks(g, limit)  # ∅, always closed, comes first
+    out: list[tuple[int, int]] = []
+    for h in sets[:1] + sorted(sets[1:], key=_preorder_key, reverse=True):
+        bb = s = bits.breaking(h)
+        if len(out) + (1 << bb.bit_count()) > limit:
+            raise ResourceLimitError(f"digraph {g.name} has more than {limit} admissible pairs")
+        subsets = []
+        while s:
+            subsets.append(s)
+            s = (s - 1) & bb
+        out += [(h, s) for s in [0] + sorted(subsets, key=_preorder_key, reverse=True)]
+    return out
+
+
+def _pairs(g: Digraph, masks: list[tuple[int, int]]) -> list[AdmissiblePair]:
+    """The pairs of (H, S) masks on ``g.bits``; pairs with one H share its set."""
+    members, out, last = g.bits.members, [], None
+    empty = frozenset()
+    for h, s in masks:
+        if h != last:
+            last, h_set = h, members(h)
+        out.append(AdmissiblePair(h_set, members(s) if s else empty))
+    return out
+
+
 def enumerate_admissible_pairs(g: Digraph, limit: int = 10_000) -> list[AdmissiblePair]:
-    out = []
-    for hs in enumerate_hereditary_saturated(g, limit=limit):
-        bb = sorted(_breaking_vertices(g, hs))
-        for k in range(len(bb) + 1):
-            for combo in itertools.combinations(bb, k):
-                out.append(AdmissiblePair(hs, frozenset(combo)))
-                if len(out) > limit:
-                    raise ResourceLimitError(
-                        f"digraph {g.name} has more than {limit} admissible pairs")
-    return sorted(out, key=AdmissiblePair.sort_key)
+    """Every admissible pair (H, S), sorted by :meth:`AdmissiblePair.sort_key`."""
+    return _pairs(g, admissible_pair_masks(g, limit))
 
 
 class _CellTable(Mapping):
@@ -358,20 +388,37 @@ def pair_lattice(g: Digraph, limit: int = 10_000) -> PairLattice:
     is the top rank in both down-sets, the join the lowest rank in both
     up-sets, each accepted only if its own down-set (up-set) is that
     intersection, else MeetJoinFailureError.  Nothing of size n² is stored."""
-    elements = tuple(enumerate_admissible_pairs(g, limit=limit))
-    n = len(elements)
-    order = sorted(range(n), key=lambda i: (len(elements[i].h), len(elements[i].s)))
-    # the ranks of the pairs with v in H, and with v in H ∪ S
-    in_h = {v: sum(1 << r for r, i in enumerate(order) if v in elements[i].h) for v in g.vertices}
-    in_hs = {v: in_h[v] | sum(1 << r for r, i in enumerate(order) if v in elements[i].s)
-             for v in g.vertices}
+    masks = admissible_pair_masks(g, limit)
+    elements = tuple(_pairs(g, masks))
+    n, vertices = len(masks), range(len(g.vertices))
+    sizes = [(h.bit_count(), s.bit_count()) for h, s in masks]
+    order = sorted(range(n), key=sizes.__getitem__)
+    # by bit position, the ranks of the pairs with that vertex in H, in S
+    in_h, in_s = [0] * len(vertices), [0] * len(vertices)
+    for r, i in enumerate(order):
+        rank = 1 << r
+        for ranks, m in zip((in_h, in_s), masks[i]):
+            while m:
+                low = m & -m
+                ranks[low.bit_length() - 1] |= rank
+                m ^= low
+    in_hs = [a | b for a, b in zip(in_h, in_s)]
     # q ≽ p iff H_p ⊆ H_q and S_p ⊆ H_q ∪ S_q; so q ≼ p iff no v ∈ S_p is in
     # H_q and no v outside H_p ∪ S_p is in H_q ∪ S_q
     everything = (1 << n) - 1
-    up = [functools.reduce(operator.and_, [in_h[v] for v in p.h] + [in_hs[v] for v in p.s],
-                           everything) for p in elements]
-    down = [everything & ~functools.reduce(operator.or_, [in_h[v] for v in p.s] + [
-        in_hs[v] for v in g.vertices if v not in p.h and v not in p.s], 0) for p in elements]
+    up, down = [], []
+    for h, s in masks:
+        above, below = everything, 0
+        for v in vertices:
+            if h >> v & 1:
+                above &= in_h[v]
+            elif s >> v & 1:
+                above &= in_hs[v]
+                below |= in_h[v]
+            else:
+                below |= in_hs[v]
+        up.append(above)
+        down.append(everything & ~below)
     return PairLattice(elements, _CellTable(elements, order, down, meet=True),
                        _CellTable(elements, order, up, meet=False))
 
@@ -421,20 +468,26 @@ def enumerate_strata(g: Digraph, field: Field, max_deg: int,
             f"parameter sweep over {field.header()} up to degree {max_deg} exceeds "
             f"{max_param_points} points")
     census = {d: _degree_census(field, d) for d in range(1, max_deg + 1)}
+    # by |β|: each degree tuple with its parameter and dlf counts, built once
+    rows: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
+    bits = g.bits
     records: list[StratumRecord] = []
-    for pair in enumerate_admissible_pairs(g, limit=limit):
+    masks = admissible_pair_masks(g, limit)
+    for pair, (h, s) in zip(_pairs(g, masks), masks):
         # the pairs are admissible by construction: no ensure_admissible here
-        primed = _breaking_vertices(g, pair.h) - pair.s
+        primed = bits.members(bits.breaking(h) & ~s)
         cycles = sorted(_no_exit_quotient_cycles(g, pair, primed, limit),
                         key=lambda c: c.arrows)
         for r in range(len(cycles) + 1):
+            per_beta = max_deg ** r
             for beta in itertools.combinations(cycles, r):
-                for degrees in itertools.product(range(1, max_deg + 1), repeat=r):
-                    records.append(StratumRecord(
-                        StratumKey(pair, beta, degrees),
-                        math.prod(census[d][0] for d in degrees),
-                        math.prod(census[d][1] for d in degrees)))
-                    if len(records) > limit:
-                        raise ResourceLimitError(
-                            f"more than {limit} strata for {g.name} over {field.header()}")
+                if len(records) + per_beta > limit:
+                    raise ResourceLimitError(
+                        f"more than {limit} strata for {g.name} over {field.header()}")
+                if r not in rows:
+                    rows[r] = [(degrees, math.prod(census[d][0] for d in degrees),
+                                math.prod(census[d][1] for d in degrees))
+                               for degrees in itertools.product(range(1, max_deg + 1), repeat=r)]
+                records += [StratumRecord(StratumKey(pair, beta, degrees), parameters, dlf)
+                            for degrees, parameters, dlf in rows[r]]
     return records

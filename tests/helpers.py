@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from leavitt import cli, digraph, fields, ideals, ktheory, quotients, records
+from leavitt import cli, digraph, fields, ideals, ktheory, quotients, records, scalars
 from leavitt.digraph import OMEGA, Digraph, is_hereditary, is_omega, is_saturated
 from leavitt.errors import FieldMismatchError, MeetJoinFailureError, ResourceLimitError
 from leavitt.fields import Field, Polynomial, RootMultiset
@@ -583,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def record_classes() -> list[type]:
     """Every class of the package made by :func:`leavitt.records.record`."""
-    return [obj for module in (cli, digraph, fields, ideals, ktheory, quotients)
+    return [obj for module in (cli, digraph, fields, ideals, ktheory, quotients, scalars)
             for obj in vars(module).values()
             if isinstance(obj, type) and obj.__module__ == module.__name__
             and "__record__" in vars(obj)]

@@ -1,13 +1,19 @@
 """Output-sensitive hereditary saturated sets, closure and pair lattice against
 their exhaustive predecessors, and the absence of a vertex cap."""
 
+import contextlib
+import io
 import itertools
+import json
+import math
 import random
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,19 +23,23 @@ from helpers import (
     bitset_lattice_tables,
     closure_enumerate_hereditary_saturated,
     digraphs,
+    exhaustive_degree_census,
     fixpoint_closure,
     scan_breaking_vertices,
     search_lattice_tables,
     sweep_hereditary_saturated,
 )
 from leavitt.digraph import (
+    OMEGA,
     Digraph,
     breaking_vertices,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
+    hereditary_saturated_masks,
     is_hereditary,
     is_saturated,
 )
+from leavitt.cli import main
 from leavitt.errors import MeetJoinFailureError, NotAdmissibleError, ResourceLimitError
 from leavitt.fields import Field
 from leavitt.ideals import (
@@ -38,9 +48,11 @@ from leavitt.ideals import (
     _CellTable,
     enumerate_admissible_pairs,
     ensure_admissible,
+    no_exit_quotient_cycles,
     pair_lattice,
     validate_ideal,
 )
+from leavitt.io import serialize_digraph
 from leavitt.ktheory import galois_phi, galois_psi
 
 from conftest import corpus_graphs
@@ -144,6 +156,109 @@ class TestAgainstOracles:
         for fn in (enumerate_hereditary_saturated, sweep_hereditary_saturated):
             with pytest.raises(ResourceLimitError):
                 fn(g, limit=63)
+
+
+def run_on(g: Digraph, *argv: str) -> str:
+    """stdout of ``leavitt ARGV GRAPH`` run in process on g, which must exit 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.graph"
+        path.write_text(serialize_digraph(g))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, str(path)]) == 0
+    return out.getvalue()
+
+
+def oracle_pairs(g: Digraph) -> list[AdmissiblePair]:
+    """Every admissible pair, from the 2ⁿ sweep and the B_H scan, in sort_key order."""
+    return sorted([AdmissiblePair(h, frozenset(s)) for h in sweep_hereditary_saturated(g)
+                   for s in powerset(sorted(scan_breaking_vertices(g, h)))],
+                  key=AdmissiblePair.sort_key)
+
+
+def hs_lines(sets) -> list[str]:
+    return ["hs-set {" + ",".join(sorted(h)) + "}" for h in sets]
+
+
+def strata_lines(g: Digraph, pairs, field: Field, max_deg: int) -> list[str]:
+    """strata's report rendered from oracle pairs and the exhaustive census."""
+    census = {d: exhaustive_degree_census(field, d) for d in range(1, max_deg + 1)}
+    lines = []
+    for pair in pairs:
+        cycles = sorted(no_exit_quotient_cycles(g, pair), key=lambda c: c.arrows)
+        for r in range(len(cycles) + 1):
+            for beta in itertools.combinations(cycles, r):
+                for degrees in itertools.product(range(1, max_deg + 1), repeat=r):
+                    lines.append(
+                        f"stratum pair={pair.label()} "
+                        f"beta=[{' '.join(c.label() for c in beta)}] "
+                        f"degrees=[{' '.join(map(str, degrees))}]: "
+                        f"parameters {math.prod(census[d][0] for d in degrees)}, "
+                        f"dlf {math.prod(census[d][1] for d in degrees)}")
+    return lines
+
+
+def component_union(kinds: str) -> Digraph:
+    """Disjoint components by letter: A a loop feeding a sink (3 closed sets),
+    B an ω-breaking vertex (5), C a bare loop (2)."""
+    vertices, arrows = [], []
+    for k, kind in enumerate(kinds):
+        if kind == "A":
+            vertices += [f"a{k}u", f"a{k}w"]
+            arrows += [(f"a{k}c", f"a{k}u", f"a{k}u"), (f"a{k}x", f"a{k}u", f"a{k}w")]
+        elif kind == "B":
+            vertices += [f"b{k}v", f"b{k}h", f"b{k}w"]
+            arrows += [(f"b{k}o", f"b{k}v", f"b{k}h", OMEGA), (f"b{k}x", f"b{k}v", f"b{k}w")]
+        else:
+            vertices.append(f"c{k}v")
+            arrows.append((f"c{k}c", f"c{k}v", f"c{k}v"))
+    return Digraph("union", vertices, arrows)
+
+
+class TestMasksAgainstOracles:
+    """The mask enumeration, the pair order read off the masks, and the
+    reports rendered from them, against the frozenset oracles."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=digraphs(max_vertices=8))
+    def test_masks_pairs_and_reports(self, g):
+        bits = g.bits
+        sets = closure_enumerate_hereditary_saturated(g)
+        assert sweep_hereditary_saturated(g) == sets
+        assert [bits.members(m) for m in hereditary_saturated_masks(g)] == sets  # in order
+        for v in g.vertices:
+            assert bits.ancestors[bits.bit[v].bit_length() - 1] == bits.mask(g.predecessors([v]))
+        pairs = oracle_pairs(g)
+        assert enumerate_admissible_pairs(g) == pairs  # in order
+
+        analyze = run_on(g, "analyze").splitlines()
+        head = [line for line in analyze if not line.startswith("hs-set ")]
+        assert analyze == head + hs_lines(sets)
+        records = [json.loads(line) for line in run_on(g, "--format", "json-lines", "analyze")
+                   .splitlines()]
+        assert [r["vertices"] for r in records if r["record"] == "hs-set"] == \
+            [sorted(h) for h in sets]
+        assert [r["text"] for r in records] == analyze
+
+        # up to 4⁸ records (eight bare loops), beyond the default maxPairs
+        strata_argv = ["--max-pairs", "100000", "strata", "--field", "F3", "--max-deg", "2"]
+        strata = run_on(g, *strata_argv).splitlines()
+        assert strata == strata_lines(g, pairs, Field.gf(3), 2)
+        records = [json.loads(line) for line in run_on(
+            g, "--format", "json-lines", *strata_argv).splitlines()]
+        assert [r["text"] for r in records] == strata
+        # every pair has its graded stratum (β empty), so each shows, in order
+        assert list(dict.fromkeys((tuple(r["h"]), tuple(r["s"])) for r in records)) == \
+            [(tuple(sorted(p.h)), tuple(sorted(p.s))) for p in pairs]
+
+    def test_largest_analyze_of_the_lattice_schedule(self):
+        """15 vertices, 9,600 closed sets, 9,623 lines."""
+        g = component_union("CCBBCCACCC")
+        sets = closure_enumerate_hereditary_saturated(g)
+        assert len(sets) == 2**7 * 5**2 * 3
+        analyze = run_on(g, "analyze").splitlines()
+        head = [line for line in analyze if not line.startswith("hs-set ")]
+        assert len(analyze) == 9623 and analyze == head + hs_lines(sets)
 
 
 class TestNoVertexCap:

@@ -114,7 +114,8 @@ def test_decide_loads_no_ktheory(bare):
 def test_strata_loads_no_quotients():
     modules = loaded(CLI_PROBE, "strata", "--field", "F3", "--max-deg", "2", cpath("loop"))
     assert not {"leavitt.quotients", "leavitt.ktheory"} & modules
-    assert "leavitt.fields" in modules  # the --field header is parsed
+    # the --field header is parsed by scalars, which holds no polynomial code
+    assert "leavitt.scalars" in modules and "leavitt.fields" not in modules
 
 
 def test_lattice_library_call_loads_no_quotients():
