@@ -182,14 +182,10 @@ def _analyze(rep: Reporter, args, g):
                  record="cycle", arrows=list(ci.cycle.arrows),
                  hasExit=ci.has_exit, exclusive=ci.exclusive,
                  multiplicityOne=ci.multiplicity_one)
-    ids, lines = g.bits.ids, rep.fmt == "json-lines"
-    for m in dg.hereditary_saturated_masks(g, limit=args.limits["maxPairs"]):
+    ids = g.bits.ids
+    for m in dg.enumerate_hereditary_saturated(g, limit=args.limits["maxPairs"], masks=True):
         members = ids(m)  # sorted, as _set_label would sort them
-        text = "hs-set {" + ",".join(members) + "}"
-        if lines:
-            rep.emit(text, record="hs-set", vertices=members)
-        else:
-            rep.emit(text)
+        rep.emit("hs-set {" + ",".join(members) + "}", record="hs-set", vertices=members)
 
 
 def _closure(rep: Reporter, args, g):
@@ -283,21 +279,15 @@ def _strata(rep: Reporter, args, g):
     records = il.enumerate_strata(g, args.override, _positive_int(args.max_deg, "--max-deg"),
                                   limit=args.limits["maxPairs"],
                                   max_param_points=args.limits["maxParamPoints"])
-    # the records of one pair, and of one β, come together and share it
-    lines, pair, beta = rep.fmt == "json-lines", None, None
+    lines = rep.fmt == "json-lines"
     for r in records:
-        key = r.key
-        if key.pair is not pair:
-            pair = key.pair
-            pair_text = f"stratum pair={pair.label()} beta="
-        if key.beta is not beta:
-            beta = key.beta
-            beta_text = "[" + " ".join(c.label() for c in beta) + "] degrees=["
-        text = (f"{pair_text}{beta_text}{' '.join(map(str, key.degrees))}]: "
+        pair, beta, degrees = r.key.pair, r.key.beta, r.key.degrees
+        text = (f"stratum pair={pair.label()} beta=[{' '.join(c.label() for c in beta)}] "
+                f"degrees=[{' '.join(map(str, degrees))}]: "
                 f"parameters {r.parameter_count}, dlf {r.dlf_count}")
-        if lines:
+        if lines:  # the json-lines fields cost a sort and a list per record
             rep.emit(text, record="stratum", h=sorted(pair.h), s=sorted(pair.s),
-                     beta=[list(c.arrows) for c in beta], degrees=list(key.degrees),
+                     beta=[list(c.arrows) for c in beta], degrees=list(degrees),
                      parameters=r.parameter_count, dlf=r.dlf_count)
         else:
             rep.emit(text)

@@ -21,10 +21,9 @@ keeps (:attr:`Digraph.bits`): one bit per vertex, and per vertex the masks of
 its successors, its predecessors and the targets of its ω classes.  The
 hereditary saturated closure, the enumeration of closed sets and the
 breaking vertices B_H are then word operations on those masks; the public
-functions take and return ``frozenset``s of ids, except
-:func:`hereditary_saturated_masks`, which returns the masks.  ``bitindex``
-loads on the first use of the index, so a command that never needs it does
-not compile it.
+functions take and return ``frozenset``s of ids, or the masks themselves
+where they say so.  ``bitindex`` loads on the first use of the index, so a
+command that never needs it does not compile it.
 
 All values are immutable after construction and every analysis is a pure
 function, so everything here is safe to share across threads.
@@ -474,9 +473,10 @@ def is_saturated(g: Digraph, hs: frozenset[str] | set[str]) -> bool:
                    for v in g.vertices if v not in hs)
 
 
-def hereditary_saturated_masks(g: Digraph, limit: int = 10_000) -> list[int]:
-    """The hereditary saturated subsets as masks of :attr:`Digraph.bits`,
-    sorted by (size, members).
+def enumerate_hereditary_saturated(g: Digraph, limit: int = 10_000, *,
+                                   masks: bool = False) -> list[frozenset[str]] | list[int]:
+    """All hereditary saturated subsets, sorted by (size, members): as
+    ``frozenset``s of ids, or with ``masks`` as their masks on :attr:`Digraph.bits`.
 
     Branch and close from (H, excluded) = (∅, ∅): at the lowest bit v in
     neither, "v out" excludes v with all its ancestors (a hereditary set
@@ -510,14 +510,10 @@ def hereditary_saturated_masks(g: Digraph, limit: int = 10_000) -> list[int]:
     for bucket in by_size:
         bucket.sort(reverse=True)
         out += bucket
-    return out
-
-
-def enumerate_hereditary_saturated(g: Digraph, limit: int = 10_000) -> list[frozenset[str]]:
-    """All hereditary saturated subsets, sorted by (size, members): the sets
-    of :func:`hereditary_saturated_masks`, each read back as a ``frozenset``."""
-    members = g.bits.members
-    return [members(m) for m in hereditary_saturated_masks(g, limit)]
+    if masks:
+        return out
+    members = bits.members
+    return [members(m) for m in out]
 
 
 def breaking_vertices(g: Digraph, hs: Iterable[str]) -> frozenset[str]:

@@ -5,8 +5,8 @@ field and ``fractions.Fraction`` over the rationals (always in lowest terms
 with positive denominator).  A :class:`Field` value carries the choice of
 field and performs all scalar arithmetic, parsing and printing; it lives in
 :mod:`leavitt.scalars`, with the primality test of its characteristic, so
-that parsing a field header compiles no polynomial code, and is re-exported
-here.
+that parsing a field header compiles no polynomial code, and this module
+re-exports it.
 
 Polynomials are dense coefficient tuples, low degree first, with a nonzero
 trailing coefficient; the empty tuple is the zero polynomial.  Laurent
@@ -43,7 +43,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .records import record
-from .scalars import MILLER_RABIN_BOUND, Field, _is_prime  # re-exported
+from .scalars import Field  # re-exported
 
 if TYPE_CHECKING:
     from fractions import Fraction

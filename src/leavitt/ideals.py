@@ -27,7 +27,7 @@ from .digraph import (
     GeometricCycle,
     OMEGA,
     cycle_vertices,
-    hereditary_saturated_masks,
+    enumerate_hereditary_saturated,
     is_omega,
     no_exit_cycles,
 )
@@ -266,26 +266,6 @@ def _preorder_key(m: int) -> int:
     return m + (m & -m) - m.bit_count()
 
 
-def admissible_pair_masks(g: Digraph, limit: int = 10_000) -> list[tuple[int, int]]:
-    """The (H, S) masks on ``g.bits`` of every admissible pair, in the order
-    of :func:`enumerate_admissible_pairs`: each hereditary saturated H of
-    :func:`~leavitt.digraph.hereditary_saturated_masks` with every S ⊆ B_H,
-    both in :func:`_preorder_key` order, ∅ first."""
-    bits = g.bits
-    sets = hereditary_saturated_masks(g, limit)  # ∅, always closed, comes first
-    out: list[tuple[int, int]] = []
-    for h in sets[:1] + sorted(sets[1:], key=_preorder_key, reverse=True):
-        bb = s = bits.breaking(h)
-        if len(out) + (1 << bb.bit_count()) > limit:
-            raise ResourceLimitError(f"digraph {g.name} has more than {limit} admissible pairs")
-        subsets = []
-        while s:
-            subsets.append(s)
-            s = (s - 1) & bb
-        out += [(h, s) for s in [0] + sorted(subsets, key=_preorder_key, reverse=True)]
-    return out
-
-
 def _pairs(g: Digraph, masks: list[tuple[int, int]]) -> list[AdmissiblePair]:
     """The pairs of (H, S) masks on ``g.bits``; pairs with one H share its set."""
     members, out, last = g.bits.members, [], None
@@ -297,9 +277,26 @@ def _pairs(g: Digraph, masks: list[tuple[int, int]]) -> list[AdmissiblePair]:
     return out
 
 
-def enumerate_admissible_pairs(g: Digraph, limit: int = 10_000) -> list[AdmissiblePair]:
-    """Every admissible pair (H, S), sorted by :meth:`AdmissiblePair.sort_key`."""
-    return _pairs(g, admissible_pair_masks(g, limit))
+def enumerate_admissible_pairs(g: Digraph, limit: int = 10_000, *, masks: bool = False
+                               ) -> list[AdmissiblePair] | list[tuple[int, int]]:
+    """Every admissible pair (H, S), sorted by :meth:`AdmissiblePair.sort_key`;
+    with ``masks``, as the (H, S) masks on ``g.bits``.
+
+    Each hereditary saturated H with every S ⊆ B_H, both in
+    :func:`_preorder_key` order, ∅ first."""
+    bits = g.bits
+    sets = enumerate_hereditary_saturated(g, limit, masks=True)  # ∅, always closed, comes first
+    out: list[tuple[int, int]] = []
+    for h in sets[:1] + sorted(sets[1:], key=_preorder_key, reverse=True):
+        bb = s = bits.breaking(h)
+        if len(out) + (1 << bb.bit_count()) > limit:
+            raise ResourceLimitError(f"digraph {g.name} has more than {limit} admissible pairs")
+        subsets = []
+        while s:
+            subsets.append(s)
+            s = (s - 1) & bb
+        out += [(h, s) for s in [0] + sorted(subsets, key=_preorder_key, reverse=True)]
+    return out if masks else _pairs(g, out)
 
 
 class _CellTable(Mapping):
@@ -388,7 +385,7 @@ def pair_lattice(g: Digraph, limit: int = 10_000) -> PairLattice:
     is the top rank in both down-sets, the join the lowest rank in both
     up-sets, each accepted only if its own down-set (up-set) is that
     intersection, else MeetJoinFailureError.  Nothing of size n² is stored."""
-    masks = admissible_pair_masks(g, limit)
+    masks = enumerate_admissible_pairs(g, limit, masks=True)
     elements = tuple(_pairs(g, masks))
     n, vertices = len(masks), range(len(g.vertices))
     sizes = [(h.bit_count(), s.bit_count()) for h, s in masks]
@@ -472,7 +469,7 @@ def enumerate_strata(g: Digraph, field: Field, max_deg: int,
     rows: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
     bits = g.bits
     records: list[StratumRecord] = []
-    masks = admissible_pair_masks(g, limit)
+    masks = enumerate_admissible_pairs(g, limit, masks=True)
     for pair, (h, s) in zip(_pairs(g, masks), masks):
         # the pairs are admissible by construction: no ensure_admissible here
         primed = bits.members(bits.breaking(h) & ~s)

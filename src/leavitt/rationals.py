@@ -1,7 +1,7 @@
 """Arithmetic over ℚ: the rational half of :mod:`leavitt.fields`.
 
 Scalars over ℚ are ``fractions.Fraction`` values, always in lowest terms with
-a positive denominator.  :class:`~leavitt.fields.Field` and the root and
+a positive denominator.  :class:`~leavitt.scalars.Field` and the root and
 squarefree functions of ``fields`` import this module inside their ℚ branches
 only, so a computation over 𝔽p loads neither it nor ``fractions`` (and with
 it ``decimal`` and ``numbers``).
@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from . import fields
+from . import fields, scalars
 from .errors import FieldMismatchError, InternalConsistencyError
 
 ZERO = Fraction(0)
@@ -148,7 +148,7 @@ def _root_candidates(f: list[int]) -> list[Fraction]:
     if len(f) <= 2:
         return [Fraction(-f[0], f[1])] if len(f) == 2 else []
     a, g = f[-1], f
-    primes = (n for n in itertools.count(2) if fields._is_prime(n) and a % n)
+    primes = (n for n in itertools.count(2) if scalars._is_prime(n) and a % n)
     for tries, p in enumerate(primes):
         if tries == LIFTING_PRIME_TRIES:
             g = _squarefree(f)

@@ -6,7 +6,7 @@ a prime field, ``fractions.Fraction`` over the rationals.  A characteristic
 is accepted only if it is prime, which deterministic Miller–Rabin decides
 below :data:`MILLER_RABIN_BOUND`.  This module holds no polynomial code, so
 reading ``--field F<p>`` compiles none; :mod:`leavitt.fields` re-exports
-everything here, and the ℚ branches import :mod:`leavitt.rationals` only when
+:class:`Field`, and the ℚ branches import :mod:`leavitt.rationals` only when
 they run.
 """
 

@@ -35,7 +35,6 @@ from leavitt.digraph import (
     breaking_vertices,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
-    hereditary_saturated_masks,
     is_hereditary,
     is_saturated,
 )
@@ -225,11 +224,14 @@ class TestMasksAgainstOracles:
         bits = g.bits
         sets = closure_enumerate_hereditary_saturated(g)
         assert sweep_hereditary_saturated(g) == sets
-        assert [bits.members(m) for m in hereditary_saturated_masks(g)] == sets  # in order
+        assert [bits.members(m) for m in enumerate_hereditary_saturated(g, masks=True)] \
+            == sets  # in order
         for v in g.vertices:
             assert bits.ancestors[bits.bit[v].bit_length() - 1] == bits.mask(g.predecessors([v]))
         pairs = oracle_pairs(g)
         assert enumerate_admissible_pairs(g) == pairs  # in order
+        assert enumerate_admissible_pairs(g, masks=True) == \
+            [(bits.mask(p.h), bits.mask(p.s)) for p in pairs]
 
         analyze = run_on(g, "analyze").splitlines()
         head = [line for line in analyze if not line.startswith("hs-set ")]

@@ -18,11 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leavitt import fields, rationals
+from leavitt import fields, rationals, scalars
 from leavitt.cli import main
 from leavitt.errors import InternalConsistencyError, ProductMismatchError
 from leavitt.fields import (
-    MILLER_RABIN_BOUND,
     DlfVerdict,
     Field,
     Polynomial,
@@ -30,6 +29,7 @@ from leavitt.fields import (
     is_dlf,
     linear_factorization,
 )
+from leavitt.scalars import MILLER_RABIN_BOUND
 
 from helpers import divisor_roots, sweep_roots
 from test_io_cli import child_env
@@ -88,7 +88,7 @@ def _expected_verdict(f: Polynomial) -> DlfVerdict:
 
 class TestPrimality:
     def test_agrees_with_trial_division_below_1e5(self):
-        assert [n for n in range(10**5) if fields._is_prime(n)] == \
+        assert [n for n in range(10**5) if scalars._is_prime(n)] == \
             [n for n in range(10**5) if _trial_division(n)]
 
     @pytest.mark.parametrize(
@@ -97,12 +97,12 @@ class TestPrimality:
         # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7;
         # 318665857834031151167461 = 399165290221 · 798330580441 is one to
         # every base from 2 to 37, so only the base 41 rejects it
-        assert not fields._is_prime(n)
+        assert not scalars._is_prime(n)
 
     def test_large_primes(self):
         for p in [2**61 - 1, 2**89 - 1, 100000000000031, 1000000000000000003]:
-            assert fields._is_prime(p)
-        assert not fields._is_prime((2**31 - 1) * (2**61 - 1))
+            assert scalars._is_prime(p)
+        assert not scalars._is_prime((2**31 - 1) * (2**61 - 1))
 
     def test_fourteen_digit_header_is_quick(self):
         start = time.perf_counter()
@@ -334,7 +334,7 @@ class TestRationalRoots:
         assert rm == fields.RootMultiset(((Fraction(-q), 1),), 2)
 
     def test_degree_one_needs_no_prime(self, monkeypatch):
-        monkeypatch.setattr(fields, "_is_prime", None)
+        monkeypatch.setattr(scalars, "_is_prime", None)
         assert find_roots(Polynomial.of(Q, [Fraction(-10**60, 7), 3])).roots == \
             ((Fraction(10**60, 21), 1),)
 
