@@ -90,9 +90,12 @@ class Reporter:
 
 def _positive_int(text: str, what: str) -> int:
     """The one check for a count given as text: a limit flag, LPA_LIMITS, --max-deg."""
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
-        raise ParseError(f"{what} must be a positive integer")
-    return int(text)
+    try:  # int() raises ValueError past 4,300 digits: a bad count all the same
+        if text.isascii() and text.isdigit() and int(text) > 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise ParseError(f"{what} must be a positive integer")
 
 
 def _env_limits() -> dict:
@@ -215,14 +218,15 @@ def _decide(rep: Reporter, args, g, j):
 
 
 def _sever(rep: Reporter, args, g, j):
-    from . import ideals as il
     from . import quotients as qt
-    valid = il.validated_ideal(g, j)
-    decision = qt.decide_validated(valid)
-    if not decision.is_lpa and not args.force_degree_only:
+    if args.force_degree_only:  # severing reads only deg θ: no dlf verdicts
+        rep.quotient(qt.sever(g, j))
+        return
+    decision = qt.decide_lpa_quotient(g, j)
+    if not decision.is_lpa:
         raise qt.NotDlfError(f"{_failures(decision, j.field)} "
                              "(use --force-degree-only for the degree-only construction)")
-    rep.quotient(decision.severed if decision.is_lpa else qt.sever_validated(valid))
+    rep.quotient(decision.severed)
 
 
 def _certificate(rep: Reporter, args, g, j):

@@ -19,6 +19,7 @@ import itertools
 import math
 import operator
 from collections.abc import Mapping
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .digraph import (
@@ -39,7 +40,7 @@ from .errors import (
     ResourceLimitError,
     UnknownVertexError,
 )
-from .records import field as record_field, record
+from .records import record
 
 if TYPE_CHECKING:
     from .fields import Field, Polynomial
@@ -132,24 +133,26 @@ def _no_exit_quotient_cycles(g: Digraph, pair: AdmissiblePair, primed: frozenset
         if v not in pair.h and _quotient_out_degree(out[v], pair.h, primed) == 1}, limit=limit)
 
 
-@record(frozen=False)
+@record
 class IdealPresentation:
-    """The quadruple (H, S, β, θ); treat instances as immutable."""
+    """The quadruple (H, S, β, θ), frozen: ``theta`` and ``labels`` (``C1…`` by
+    default) are read-only views of fresh dicts, so a checked ideal stays checked."""
 
     field: Field
     pair: AdmissiblePair
     beta: tuple[GeometricCycle, ...] = ()
-    theta: Mapping[GeometricCycle, Polynomial] = record_field(default_factory=dict)
-    labels: Mapping[GeometricCycle, str] = record_field(default_factory=dict)
+    theta: Mapping[GeometricCycle, Polynomial] = ()
+    labels: Mapping[GeometricCycle, str] = ()
     name: str = "ideal"
 
     def __post_init__(self):
-        self.beta = tuple(self.beta)
-        self.theta = dict(self.theta)
+        beta = tuple(self.beta)
         labels = dict(self.labels)
-        for i, c in enumerate(self.beta, 1):
+        for i, c in enumerate(beta, 1):
             labels.setdefault(c, f"C{i}")
-        self.labels = labels
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "theta", MappingProxyType(dict(self.theta)))
+        object.__setattr__(self, "labels", MappingProxyType(labels))
 
     def label_of(self, cycle: GeometricCycle) -> str:
         return self.labels.get(cycle, cycle.label())

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 from .digraph import Digraph, GeometricCycle, OMEGA, is_omega
 from .errors import ParseError
+from .records import replace
 
 if TYPE_CHECKING:
     from .fields import Field
@@ -180,11 +181,9 @@ def parse_ideal(text: str, path: str | None = None,
 def cast_ideal(j: IdealPresentation, field: Field) -> IdealPresentation:
     """Reinterpret the presentation over another field (CLI --field override)."""
     from .fields import Polynomial
-    from .ideals import IdealPresentation
 
-    theta = {c: Polynomial.of(field, f.coeffs) for c, f in j.theta.items()}
-    return IdealPresentation(field=field, pair=j.pair, beta=j.beta,
-                             theta=theta, labels=dict(j.labels), name=j.name)
+    return replace(j, field=field,
+                   theta={c: Polynomial.of(field, f.coeffs) for c, f in j.theta.items()})
 
 
 def serialize_ideal(j: IdealPresentation) -> str:

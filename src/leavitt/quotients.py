@@ -18,9 +18,10 @@ Fresh-id scheme: primed ids append a prime character, split ids append
 ``.j`` (j from 1), so provenance stays readable and DOT output is stable.
 
 Contract: each public (digraph, ideal) entry point validates once, through
-:func:`~leavitt.ideals.validated_ideal`; the workers (``*_validated`` and the
-private builders) take that value and its cached B_H∖S, and build the graded
-quotient, the dlf verdicts and the severed digraph at most once per call.
+:func:`~leavitt.ideals.validated_ideal`, and builds the graded quotient, the
+dlf verdicts and the severed digraph at most once per call.  The one worker,
+:func:`sever_validated`, severs a validated ideal with its cached B_H∖S: the
+radical j′ unchecked, or from the graded quotient already built.
 """
 
 from __future__ import annotations
@@ -225,12 +226,7 @@ class DecideResult:
 
 def decide_lpa_quotient(g: Digraph, j: IdealPresentation) -> DecideResult:
     """Is the quotient by j again of path-algebra type?  Yes iff j is dlf."""
-    return decide_validated(validated_ideal(g, j))
-
-
-def decide_validated(valid: ValidatedIdeal) -> DecideResult:
-    """:func:`decide_lpa_quotient` for a presentation already validated."""
-    g, j = valid.graph, valid.ideal
+    valid = validated_ideal(g, j)
     reports = tuple(CycleDlfReport(j.label_of(c), c, is_dlf(j.theta[c])) for c in j.beta)
     if not all(r.verdict.is_dlf for r in reports):
         return DecideResult(False, reports, None)
@@ -265,7 +261,7 @@ class IsoCertificate:
 
 def iso_certificate(g: Digraph, j: IdealPresentation) -> IsoCertificate:
     # severing mints the ids the images name, and raises on a collision
-    decision = decide_validated(validated_ideal(g, j))
+    decision = decide_lpa_quotient(g, j)
     if not decision.is_lpa:
         bad = ", ".join(f"{r.label}: {r.verdict.describe(j.field)}" for r in decision.failing())
         raise NotDlfError(f"no certificate: {bad}")
@@ -330,9 +326,7 @@ def radical_quotient(g: Digraph, j: IdealPresentation) -> RadicalResult:
             violations.append(
                 f"{j.label_of(c)}: squarefree part is not split "
                 f"({verdict.describe(j.field)})")
-    j_prime = IdealPresentation(field=j.field, pair=j.pair, beta=j.beta,
-                                theta=new_theta, labels=dict(j.labels),
-                                name=j.name + ".rad")
+    j_prime = replace(j, theta=new_theta, name=j.name + ".rad")
     # j′ differs from j only in θ, each replaced by a squarefree part of
     # positive degree with constant term 1, so it is valid whenever j is
     severed = sever_validated(replace(valid, ideal=j_prime))

@@ -2,48 +2,47 @@
 
 Every value type of the package is a small record: annotated fields, an
 ``__init__`` that takes them in order, field-wise ``==``, a hash, a
-``QualName(a=…, b=…)`` repr, and (for all but one) no assignment after
-construction.  In Python 3.11, ``@dataclass`` builds each of those methods by
+``QualName(a=…, b=…)`` repr, and no assignment after construction.  In
+Python 3.11, ``@dataclass(frozen=True)`` builds each of those methods by
 ``exec`` of generated source, and importing it pulls in ``inspect`` and
 ``ast``: for the package's 34 dataclasses that was 201 generated methods and
 about 40 ms of every CLI process on a 2-vCPU virtual machine.  :func:`record`
 installs shared, pre-written methods instead, so a class costs a few
 dictionary writes and runs no ``exec``, ``eval`` or ``compile``.
 
-Covered, with the behaviour of the ``dataclasses`` equivalent:
+Covered, with the behaviour of the frozen ``dataclasses`` equivalent:
 
-* ``@record`` (frozen) and ``@record(frozen=False)``: fields are the class's
-  own annotations, in order, with plain defaults or
-  ``field(default_factory=…)``; a field without a default may not follow
-  one with a default;
+* ``@record``: fields are the class's own annotations, in order, with plain
+  (hashable) defaults; a field without a default may not follow one with a
+  default;
 * ``__init__`` by position or keyword, with the same ``TypeError`` texts for
   missing, surplus, repeated and unknown arguments, then ``__post_init__``
-  if the class defines one;
+  if the class defines one (it may normalise through ``object.__setattr__``);
 * ``__eq__`` between instances of the same class (else ``NotImplemented``),
   comparing the field tuples;
-* ``__hash__`` of the field tuple when frozen, ``None`` when mutable;
-* on frozen records, ``__setattr__``/``__delattr__`` raise
-  :class:`FrozenInstanceError` (an ``AttributeError``);
+* ``__hash__`` of the field tuple;
+* ``__setattr__``/``__delattr__`` raise :class:`FrozenInstanceError` (an
+  ``AttributeError``);
 * ``__repr__`` as ``QualName(a=…, b=…)`` unless the class defines its own;
 * :func:`replace`, which builds a new instance and so reruns
   ``__post_init__``.
 
 Not covered, and refused with a ``TypeError`` at class creation rather than
-silently treated differently: ``order``, ``slots`` (a ``__slots__`` in the
-body), ``kw_only`` and ``KW_ONLY``, ``ClassVar`` and ``InitVar`` annotations,
-inheritance between records (a record's bases must be just ``object``), a
-class that defines its own ``__init__``, ``__eq__``, ``__hash__``,
-``__setattr__`` or ``__delattr__``, and mutable defaults.  Neither are
-``fields()``, ``asdict()``, ``__match_args__`` or the recursion guard of the
-dataclass repr.  ``functools.cached_property`` works, since records keep an
-instance ``__dict__``.
+silently treated differently: any option (``order``, ``frozen=False``, …),
+``slots`` (a ``__slots__`` in the body), ``KW_ONLY``, ``ClassVar`` and
+``InitVar`` annotations, inheritance between records (a record's bases must
+be just ``object``), a class that defines its own ``__init__``, ``__eq__``,
+``__hash__``, ``__setattr__`` or ``__delattr__``, and (a ``ValueError``)
+mutable defaults.  Neither are ``field()``, ``fields()``, ``asdict()``,
+``__match_args__`` or the recursion guard of the dataclass repr.
+``functools.cached_property`` works, since records keep an instance ``__dict__``.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 
-__all__ = ["FrozenInstanceError", "field", "record", "replace"]
+__all__ = ["FrozenInstanceError", "record", "replace"]
 
 _MISSING = object()
 _UNSUPPORTED_ANNOTATIONS = ("ClassVar", "InitVar", "KW_ONLY")
@@ -55,36 +54,14 @@ class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of a frozen record."""
 
 
-class _Factory:
-    """The default of a field built per instance, from :func:`field`."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
-def field(*, default_factory) -> _Factory:
-    """A field default built by calling ``default_factory()`` per instance."""
-    return _Factory(default_factory)
-
-
-def record(cls=None, /, *, frozen: bool = True):
-    """Class decorator: make ``cls`` a record (see the module docstring)."""
-    if cls is None:
-        return lambda c: _make_record(c, frozen)
-    return _make_record(cls, frozen)
-
-
 class _Spec:
     """What :func:`record` read off a class, kept as its ``__record__``."""
 
-    __slots__ = ("names", "defaults", "frozen", "values")
+    __slots__ = ("names", "defaults", "values")
 
-    def __init__(self, names, defaults, frozen, values):
+    def __init__(self, names, defaults, values):
         self.names = names  # the fields, in order
-        self.defaults = defaults  # name -> default value or field() marker
-        self.frozen = frozen
+        self.defaults = defaults  # name -> default value
         self.values = values  # instance -> tuple of its field values
 
 
@@ -108,7 +85,8 @@ def _arg_list(names) -> str:
     return ", ".join(quoted[:-1]) + ", and " + quoted[-1]
 
 
-def _make_record(cls, frozen: bool):
+def record(cls, /):
+    """Class decorator: make ``cls`` a record (see the module docstring)."""
     qualname = cls.__qualname__
     if cls.__bases__ != (object,):
         raise TypeError(f"record {qualname}: inheritance is not supported")
@@ -120,7 +98,7 @@ def _make_record(cls, frozen: bool):
 
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
-    defaults = {}  # name -> default value or _Factory, for names[n_required:]
+    defaults = {}  # name -> default value, for names[n_required:]
     for name in names:
         if any(word in str(annotations[name]) for word in _UNSUPPORTED_ANNOTATIONS):
             raise TypeError(f"record {qualname}: field {name!r} has an unsupported "
@@ -134,12 +112,9 @@ def _make_record(cls, frozen: bool):
             raise ValueError(f"mutable default {type(default)} for field {name} "
                              "is not allowed: use default_factory")
         defaults[name] = default
-        if isinstance(default, _Factory):
-            delattr(cls, name)
     n_fields, n_required = len(names), len(names) - len(defaults)
     index = {name: i for i, name in enumerate(names)}
     slots = tuple(defaults.get(name, _MISSING) for name in names)  # default per position
-    factories = [i for i, default in enumerate(slots) if isinstance(default, _Factory)]
     post_init = cls.__dict__.get("__post_init__")
 
     if n_fields == 1:
@@ -173,9 +148,6 @@ def _make_record(cls, frozen: bool):
                 raise TypeError(f"{qualname}.__init__() missing {len(missing)} required "
                                 f"positional argument{'s' if len(missing) > 1 else ''}: "
                                 f"{_arg_list(missing)}")
-        for i in factories:
-            if bound[i] is slots[i]:
-                bound[i] = slots[i].make()
         return bound
 
     def __init__(self, *args, **kwargs):
@@ -210,14 +182,12 @@ def _make_record(cls, frozen: bool):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
         return f"{self.__class__.__qualname__}({fields})"
 
-    methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": None}
-    if frozen:
-        methods.update(__hash__=__hash__, __setattr__=__setattr__, __delattr__=__delattr__)
+    methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": __hash__,
+               "__setattr__": __setattr__, "__delattr__": __delattr__}
     if "__repr__" not in cls.__dict__:
         methods["__repr__"] = __repr__
     for method_name, method in methods.items():
-        if method is not None:
-            method.__qualname__ = f"{qualname}.{method_name}"
+        method.__qualname__ = f"{qualname}.{method_name}"
         setattr(cls, method_name, method)
-    cls.__record__ = _Spec(names, defaults, frozen, values)
+    cls.__record__ = _Spec(names, defaults, values)
     return cls

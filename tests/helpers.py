@@ -591,22 +591,15 @@ def record_classes() -> list[type]:
 
 def dataclass_twin(cls: type) -> type:
     """A ``dataclasses.dataclass`` with the record's name, annotations, defaults
-    and frozen flag, and every method the record's class body defines."""
+    and every method the record's class body defines, frozen."""
     spec = cls.__record__
-    specs = []
-    for name in spec.names:
-        default = spec.defaults.get(name, dataclasses.MISSING)
-        if isinstance(default, records._Factory):
-            default = dataclasses.field(default_factory=default.make)
-        elif default is not dataclasses.MISSING:
-            default = dataclasses.field(default=default)
-        specs.append((name, cls.__annotations__[name]) if default is dataclasses.MISSING
-                     else (name, cls.__annotations__[name], default))
+    specs = [(name, cls.__annotations__[name], spec.defaults[name]) if name in spec.defaults
+             else (name, cls.__annotations__[name]) for name in spec.names]
     installed = {"__init__", "__eq__", "__hash__", "__setattr__", "__delattr__", "__record__",
                  "__dict__", "__weakref__", "__annotations__", *spec.names}
     namespace = {k: v for k, v in vars(cls).items() if k not in installed
                  and getattr(v, "__module__", None) != records.__name__}
-    twin = dataclasses.make_dataclass(cls.__name__, specs, frozen=spec.frozen,
+    twin = dataclasses.make_dataclass(cls.__name__, specs, frozen=True,
                                       namespace=namespace)
     twin.__module__, twin.__qualname__ = cls.__module__, cls.__qualname__
     return twin

@@ -21,7 +21,15 @@ from leavitt.io import (
 )
 from leavitt.ktheory import CornerGen, VertexGen
 
-from conftest import CORPUS, corpus_graphs, corpus_ideal_pairs, corpus_path, load_graph
+from conftest import (
+    CORPUS,
+    GRAPH_NAMES,
+    IDEAL_NAMES,
+    corpus_graphs,
+    corpus_ideal_pairs,
+    corpus_path,
+    load_graph,
+)
 
 
 class TestDigraphFormat:
@@ -228,6 +236,24 @@ class TestCliBehavior:
                             cpath("sq5"), cpath("ch2-ideal-F2"))
         assert code == 0 and "vertex v2.1" in out
 
+    def test_forced_sever_matches_sever_where_decide_accepts(self):
+        # severing reads only deg θ, so forcing it changes no byte on a dlf ideal
+        accepted = []
+        for graph in GRAPH_NAMES:
+            for ideal in IDEAL_NAMES:
+                for field in ((), ("--field", "F2"), ("--field", "F5"), ("--field", "Q")):
+                    operands = (*field, cpath(graph), cpath(ideal))
+                    code, out = run_cli("decide", *operands)
+                    if code != 0 or not out.startswith("isLPA"):
+                        continue
+                    accepted.append((graph, ideal, *field))
+                    for fmt in ("text", "json-lines"):
+                        severed = run_cli("--format", fmt, "sever", *operands)
+                        assert severed[0] == 0, (graph, ideal, field, fmt)
+                        assert run_cli("--format", fmt, "sever", "--force-degree-only",
+                                       *operands) == severed, (graph, ideal, field, fmt)
+        assert len(accepted) == 22, accepted
+
     def test_resource_limit_exit_4(self):
         code, _ = run_cli("analyze", "--max-cycles", "1", cpath("sq3"))
         assert code == 4
@@ -363,6 +389,16 @@ class TestCliBehavior:
 
     def test_max_deg_must_be_positive(self):
         assert run_cli("strata", "--field", "F3", "--max-deg", "0", cpath("loop")) == (2, "")
+
+    @pytest.mark.parametrize("args,env", [
+        (("--max-deg", "2", "--max-param-points", "9" * 5000), {}),
+        (("--max-deg", "2"), {"LPA_LIMITS": "maxParamPoints=" + "9" * 5000}),
+        (("--max-deg", "9" * 5000), {}),
+    ], ids=["flag", "LPA_LIMITS", "max-deg"])
+    def test_overlong_count_is_a_usage_error(self, capsys, args, env):
+        # int() refuses more than 4,300 digits; that is still a bad count
+        assert run_cli("strata", "--field", "F3", *args, cpath("loop"), env_extra=env) == (2, "")
+        assert "must be a positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ideal,extra,message", [
         ("ideal j\nfield F²\n", (), "unrecognized field header"),

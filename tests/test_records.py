@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 
 from helpers import dataclass_twin, record_classes
 from leavitt import records
-from leavitt.fields import Field
-from leavitt.ideals import AdmissiblePair, IdealPresentation, pair_lattice
-from leavitt.records import FrozenInstanceError, field, record
+from leavitt.digraph import GeometricCycle
+from leavitt.fields import Field, Polynomial
+from leavitt.ideals import AdmissiblePair, IdealPresentation, pair_lattice, validated_ideal
+from leavitt.io import cast_ideal
+from leavitt.quotients import radical_quotient
+from leavitt.records import FrozenInstanceError, record
 
 from conftest import load_graph
 from test_io_cli import child_env
@@ -89,8 +92,11 @@ def build(cls, data):
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 35
-    assert [c for c in RECORDS if not c.__record__.frozen] == [IdealPresentation]
+    assert len(RECORDS) == 35 and IdealPresentation in RECORDS
+    # every one frozen: the record's refusing __setattr__/__delattr__, and a hash
+    for cls in RECORDS:
+        for method in ("__setattr__", "__delattr__", "__hash__"):
+            assert vars(cls)[method].__module__ == records.__name__, (cls, method)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -132,7 +138,7 @@ def test_assignment_and_deletion_match_dataclass(cls, data):
     for name in cls.__record__.names + ("extra",):
         ours = outcome(lambda: setattr(mine, name, value))
         same_outcome(ours, outcome(lambda: setattr(twin, name, value)))
-        assert (ours[0] == "raised") == cls.__record__.frozen
+        assert ours[0] == "raised"
         same_outcome(outcome(lambda: delattr(mine, name)),
                      outcome(lambda: delattr(twin, name)))
     same_outcome(("ok", mine), ("ok", twin))
@@ -150,19 +156,31 @@ def test_missing_and_extra_arguments_are_type_errors():
             assert str(ours.value) == str(theirs.value)
 
 
-def test_default_factory_and_post_init():
-    pair = AdmissiblePair(frozenset())
-    a = IdealPresentation(Field.rationals(), pair)
-    b = IdealPresentation(Field.rationals(), pair)
-    assert a.theta == {} and a.theta is not b.theta and a.labels is not b.labels
-    assert "theta" not in vars(IdealPresentation)  # as dataclasses leave it
-    assert a == b and IdealPresentation.__hash__ is None
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(a)
-    c = IdealPresentation(Field.rationals(), pair, beta=["x"], theta=(("x", 1),))
-    assert c.beta == ("x",) and c.theta == {"x": 1} and c.labels == {"x": "C1"}
-    d = records.replace(c, name="again")  # reruns __post_init__ on the copy
-    assert d.labels == {"x": "C1"} and d.labels is not c.labels and d.name == "again"
+def test_validated_ideal_is_read_only():
+    g, q = load_graph("loop"), Field.rationals()
+    c = GeometricCycle.of(["e"])
+    theta = {c: Polynomial.of(q, [1, -2, 1])}
+    j = IdealPresentation(q, AdmissiblePair(frozenset()), beta=[c], theta=theta)
+    theta[c] = Polynomial.of(q, [1, -1])  # j holds its own copy
+    v = validated_ideal(g, j)
+    assert v.ideal.beta == (c,) and v.ideal.labels == {c: "C1"}
+    assert v.ideal.theta == {c: Polynomial.of(q, [1, -2, 1])}
+    with pytest.raises(TypeError):
+        v.ideal.theta[c] = Polynomial.of(q, [1, -1])
+    with pytest.raises(TypeError):
+        v.ideal.labels[c] = "D"
+    with pytest.raises(FrozenInstanceError):
+        v.ideal.name = "other"
+    with pytest.raises(TypeError, match="unhashable"):  # as a frozen dataclass would
+        hash(v)
+    # derived ideals are new values that keep the C1… labels
+    d = records.replace(j, name="again")
+    assert d.labels == {c: "C1"} and d.labels is not j.labels and d.name == "again"
+    assert cast_ideal(j, Field.gf(5)).labels == {c: "C1"}
+    assert radical_quotient(g, j).j_prime.labels == {c: "C1"}
+    empty = IdealPresentation(q, AdmissiblePair(frozenset()))
+    assert empty.theta == {} and empty.labels == {} and empty.beta == ()
+    assert empty == IdealPresentation(q, AdmissiblePair(frozenset()))
 
 
 def test_cached_property_on_a_frozen_record():
@@ -194,8 +212,9 @@ def test_unsupported_features_fail_loudly(body, message):
 
 
 def test_unsupported_options_and_mutable_defaults_fail_loudly():
-    with pytest.raises(TypeError):
-        record(order=True)
+    for option in ({"order": True}, {"frozen": False}):
+        with pytest.raises(TypeError):
+            record(**option)
 
     class WithList:
         xs: list = []
@@ -204,12 +223,6 @@ def test_unsupported_options_and_mutable_defaults_fail_loudly():
         record(WithList)
     with pytest.raises(TypeError, match="record instances"):
         records.replace(object())
-
-    @record
-    class WithFactory:
-        xs: list = field(default_factory=list)
-
-    assert WithFactory().xs == [] and WithFactory().xs is not WithFactory().xs
 
 
 #: Run in a fresh interpreter: record every compile/exec of generated source

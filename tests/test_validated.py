@@ -145,6 +145,20 @@ def test_cli_command_validates_once(monkeypatch, tmp_path, name):
     assert large == small
 
 
+@pytest.mark.parametrize("dlf", [True, False], ids=["dlf", "non-dlf"])
+def test_forced_sever_finds_no_roots(monkeypatch, tmp_path, dlf):
+    # severing reads only deg θ, so the forced construction runs no dlf test
+    g, j = cycle_case(3, dlf)
+    graph, ideal = tmp_path / "g.graph", tmp_path / "j.ideal"
+    graph.write_text(serialize_digraph(g))
+    ideal.write_text(serialize_ideal(j))
+    counts = count_calls(monkeypatch)
+    code, _ = run_cli("sever", "--force-degree-only", str(graph), str(ideal))
+    monkeypatch.undo()
+    assert code == 0
+    assert counts["validate_ideal"] == 1 and counts["find_roots"] == 0
+
+
 def test_validated_ideal_caches_primed_breaking_vertices():
     g, j = cycle_case(3)
     valid = validated_ideal(g, j)
