@@ -44,13 +44,8 @@ if TYPE_CHECKING:
     from . import quotients as qt
     from .scalars import Field
 
-DEFAULT_LIMITS = {
-    "maxCycles": 10_000,
-    "maxPairs": 10_000,
-    "maxParamPoints": 1_000_000,
-}
-LIMIT_FLAGS = {"maxCycles": "--max-cycles", "maxPairs": "--max-pairs",
-               "maxParamPoints": "--max-param-points"}
+DEFAULT_LIMITS = {"maxCycles": 10_000, "maxPairs": 10_000}
+LIMIT_FLAGS = {"maxCycles": "--max-cycles", "maxPairs": "--max-pairs"}
 
 
 class Reporter:
@@ -281,8 +276,7 @@ def _strata(rep: Reporter, args, g):
     if args.override is None or not args.override.is_prime_field:
         raise ParseError("strata requires --field F<p>")
     records = il.enumerate_strata(g, args.override, _positive_int(args.max_deg, "--max-deg"),
-                                  limit=args.limits["maxPairs"],
-                                  max_param_points=args.limits["maxParamPoints"])
+                                  limit=args.limits["maxPairs"])
     lines = rep.fmt == "json-lines"
     for r in records:
         pair, beta, degrees = r.key.pair, r.key.beta, r.key.degrees

@@ -3,7 +3,7 @@
 Every failure mode has its own class so callers (and the CLI exit-code
 mapping) can dispatch on type.  ``LeavittError`` is the common base;
 ``ParseError`` carries a file path and line number; ``ResourceLimitError``
-signals that a configured bound was exceeded rather than a wrong input.
+signals that a configured or fixed bound was passed, not a wrong input.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class ParseError(LeavittError):
 
 
 class ResourceLimitError(LeavittError):
-    """A configured enumeration or size bound was exceeded."""
+    """A configured or fixed enumeration or size bound was exceeded."""
 
 
 class InternalConsistencyError(LeavittError):

@@ -450,26 +450,25 @@ def _degree_census(field: Field, degree: int) -> tuple[int, int]:
     return (p - 1) * p ** (degree - 1), math.comb(p - 1, degree)
 
 
+MAX_COUNT_DIGITS = 4300  # CPython's default int→str limit: every count can be printed
+_COUNT_BOUND = 10 ** MAX_COUNT_DIGITS
+
+
 def enumerate_strata(g: Digraph, field: Field, max_deg: int,
-                     limit: int = 10_000,
-                     max_param_points: int = 1_000_000) -> list[StratumRecord]:
-    """Every stratum (pair, β, d) with exhaustive parameter and dlf counts.
+                     limit: int = 10_000) -> list[StratumRecord]:
+    """Every stratum (pair, β, d) with its parameter and dlf counts in closed form.
 
     The empty β is included: it is the singleton stratum of the graded ideal
-    itself, with one (vacuously dlf) parameter point.
+    itself, with one (vacuously dlf) parameter point.  Two bounds raise ResourceLimitError:
+    ``limit`` strata, so ``max_deg ≤ limit`` once β ≠ ∅, and MAX_COUNT_DIGITS per count.
     """
     if not field.is_prime_field:
         raise FieldMismatchError("stratum counting enumerates parameters over a prime field")
     if max_deg < 1:
         raise ValueError("max_deg must be positive")
-    sums = itertools.accumulate(field.p ** d for d in range(1, max_deg + 1))
-    if any(points > max_param_points for points in sums):
-        raise ResourceLimitError(
-            f"parameter sweep over {field.header()} up to degree {max_deg} exceeds "
-            f"{max_param_points} points")
-    census = {d: _degree_census(field, d) for d in range(1, max_deg + 1)}
+    p, census = field.p, functools.cache(functools.partial(_degree_census, field))
     # by |β|: each degree tuple with its parameter and dlf counts, built once
-    rows: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
+    rows: dict[int, list[tuple[tuple[int, ...], int, int]]] = {0: [((), 1, 1)]}
     bits = g.bits
     records: list[StratumRecord] = []
     masks = enumerate_admissible_pairs(g, limit, masks=True)
@@ -485,8 +484,14 @@ def enumerate_strata(g: Digraph, field: Field, max_deg: int,
                     raise ResourceLimitError(
                         f"more than {limit} strata for {g.name} over {field.header()}")
                 if r not in rows:
-                    rows[r] = [(degrees, math.prod(census[d][0] for d in degrees),
-                                math.prod(census[d][1] for d in degrees))
+                    # 2^low ≤ census(max_deg)ʳ, the largest count: build it only when low fits
+                    low = r * ((max_deg - 1) * (p.bit_length() - 1) + (p - 1).bit_length() - 1)
+                    if low >= _COUNT_BOUND.bit_length() or census(max_deg)[0] ** r >= _COUNT_BOUND:
+                        raise ResourceLimitError(
+                            f"a count over {field.header()} up to degree {max_deg} passes "
+                            f"the fixed bound of {MAX_COUNT_DIGITS} decimal digits")
+                    rows[r] = [(degrees, math.prod(census(d)[0] for d in degrees),
+                                math.prod(census(d)[1] for d in degrees))
                                for degrees in itertools.product(range(1, max_deg + 1), repeat=r)]
                 records += [StratumRecord(StratumKey(pair, beta, degrees), parameters, dlf)
                             for degrees, parameters, dlf in rows[r]]

@@ -109,8 +109,8 @@ def record(cls, /):
                 raise TypeError(f"non-default argument {name!r} follows default argument")
             continue
         if type(default).__hash__ is None:
-            raise ValueError(f"mutable default {type(default)} for field {name} "
-                             "is not allowed: use default_factory")
+            raise ValueError(f"mutable default {type(default)} for field {name}: use a "
+                             "hashable default such as a tuple, or normalise in __post_init__")
         defaults[name] = default
     n_fields, n_required = len(names), len(names) - len(defaults)
     index = {name: i for i, name in enumerate(names)}

@@ -21,7 +21,7 @@ from leavitt import cli
 from helpers import build_parser
 from test_io_cli import GOLDEN, SAMPLE_ARGS, cpath, run_cli
 
-FLAGS = ["--help", "--format", "--field", "--max-cycles", "--max-pairs", "--max-param-points",
+FLAGS = ["--help", "--format", "--field", "--max-cycles", "--max-pairs",
          "--set", "--force-degree-only", "--max-deg"]
 #: Every long flag in full and by every prefix, unique or ambiguous, and -h.
 SPELLINGS = sorted({flag[:n] for flag in FLAGS for n in range(3, len(flag) + 1)}) + \
@@ -108,14 +108,14 @@ def near_valid_command_lines(draw) -> list[str]:
     count = max(0, len(command.operands) + draw(st.sampled_from([0, 0, 0, -1, 1])))
     words = draw(st.lists(st.sampled_from(OPERANDS + ["--", "-1"]),
                           min_size=count, max_size=count))
-    flags = FLAGS[:6] + [flag for flag, *_ in command.options]
+    flags = FLAGS[:5] + [flag for flag, *_ in command.options]
     for piece in draw(st.lists(option_words(flags), max_size=3)):
         at = draw(st.integers(0, len(words)))
         words[at:at] = piece
     if draw(st.booleans()):
         at = draw(st.integers(len(words) - count, len(words)))
         words.insert(at, "--")
-    before = draw(st.lists(option_words(FLAGS[1:6]), max_size=2))
+    before = draw(st.lists(option_words(FLAGS[1:5]), max_size=2))
     return [*(w for piece in before for w in piece), name, *words]
 
 
@@ -181,7 +181,25 @@ def test_help_lists_the_table(capsys):
     assert out.startswith("usage: leavitt") and all(name in out for name in cli.COMMANDS)
     assert cli.main(["strata", "-h"]) == 0
     out = capsys.readouterr().out
-    assert "--max-deg MAX-DEG" in out.splitlines()[0] and "--max-param-points" in out
+    assert "--max-deg MAX-DEG" in out.splitlines()[0] and "--max-pairs" in out
+    assert "param" not in out
+
+
+def test_max_p_is_a_unique_prefix_of_max_pairs():
+    args = parsed(["--max-p", "5", "strata", "--max-deg", "2", "g"])
+    assert args["maxPairs"] == "5" and "maxParamPoints" not in args
+    check(["--max-p", "5", "strata", "--max-deg", "2", "g"])
+    check(["strata", "--max-p=5", "--max-deg", "2", "g"])
+
+
+def test_the_param_points_bound_is_no_option(capsys):
+    loop = cpath("loop")
+    assert run_cli("strata", "--field", "F3", "--max-deg", "1", "--max-param-points", "5",
+                   loop) == (2, "")
+    assert "unrecognized arguments: --max-param-points" in capsys.readouterr().err
+    assert run_cli("strata", "--field", "F3", "--max-deg", "1", loop,
+                   env_extra={"LPA_LIMITS": "maxParamPoints=5"}) == (2, "")
+    assert "unknown LPA_LIMITS key 'maxParamPoints'" in capsys.readouterr().err
 
 
 def test_usage_error_goes_to_stderr(capsys):

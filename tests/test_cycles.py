@@ -148,15 +148,19 @@ def test_fgip_and_strata_limit_the_cycles_they_list(tmp_path):
     assert run_cli("--max-cycles", "5", "analyze", str(graph))[0] == 4
 
 
-def test_strata_parameter_guard_is_bounded(tmp_path):
+@pytest.mark.parametrize("limits,message", [
+    ((), "more than 10000 strata"),
+    (("--max-pairs", "200000"), "fixed bound of 4300 decimal digits"),
+], ids=["strata", "digits"])
+def test_strata_max_deg_is_bounded(tmp_path, limits, message):
     graph = tmp_path / "loop.graph"
     graph.write_text("digraph loop\nvertex v\narrow c v v\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "leavitt.cli", "strata", "--field", "F3",
+        [sys.executable, "-m", "leavitt.cli", *limits, "strata", "--field", "F3",
          "--max-deg", "100000", str(graph)],
         capture_output=True, text=True, env=child_env(), timeout=10)
     assert proc.returncode == 4
-    assert "exceeds 1000000 points" in proc.stderr
+    assert message in proc.stderr
 
 
 def test_cli_import_leaves_networkx_out():

@@ -1,5 +1,6 @@
 import pytest
 
+from leavitt import ideals
 from leavitt.digraph import Digraph, GeometricCycle, enumerate_hereditary_saturated
 from leavitt.errors import (
     FieldMismatchError,
@@ -269,6 +270,10 @@ class TestStrata:
         assert ("({}, {})", ("(c2)",)) in keys
         assert ("({}, {})", ("(c1)",)) not in keys
 
-    def test_resource_limit(self, loop):
-        with pytest.raises(ResourceLimitError):
-            enumerate_strata(loop, F5, 4, max_param_points=10)
+    def test_resource_limit(self, loop, monkeypatch):
+        # (p − 1)·p^2999 over 𝔽(2⁶¹ − 1) has some 55,000 digits: refused unbuilt
+        calls = []
+        monkeypatch.setattr(ideals, "_degree_census", lambda *a: calls.append(a))
+        with pytest.raises(ResourceLimitError, match="fixed bound of 4300 decimal digits"):
+            enumerate_strata(loop, Field.gf(2**61 - 1), 3000)
+        assert calls == []

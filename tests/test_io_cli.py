@@ -390,9 +390,29 @@ class TestCliBehavior:
     def test_max_deg_must_be_positive(self):
         assert run_cli("strata", "--field", "F3", "--max-deg", "0", cpath("loop")) == (2, "")
 
+    def test_strata_counts_are_closed_forms(self):
+        code, out = run_cli("strata", "--field", "F13", "--max-deg", "6", cpath("loop"))
+        assert code == 0 and len(out.splitlines()) == 8
+        assert "beta=[(e)] degrees=[6]: parameters 4455516, dlf 924\n" in out
+
+    @pytest.mark.parametrize("max_deg", ["50", "9" * 4000], ids=["50", "4000-digits"])
+    def test_strata_without_cycles_ignores_max_deg(self, max_deg):
+        code, out = run_cli("strata", "--field", "F3", "--max-deg", max_deg, cpath("path2"))
+        assert (code, out) == (0, "stratum pair=({}, {}) beta=[] degrees=[]: parameters 1, dlf 1\n"
+                               "stratum pair=({a,b}, {}) beta=[] degrees=[]: parameters 1, dlf 1\n")
+
+    def test_strata_count_digits_are_a_fixed_bound(self, capsys):
+        code, out = run_cli("strata", "--field", "F3", "--max-deg", "9012", cpath("loop"))
+        last = out.splitlines()[9012]
+        assert code == 0 and "degrees=[9012]" in last
+        assert len(last.split("parameters ")[1].split(",")[0]) == 4300
+        capsys.readouterr()
+        assert run_cli("strata", "--field", "F3", "--max-deg", "9013", cpath("loop")) == (4, "")
+        assert "fixed bound of 4300 decimal digits" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args,env", [
-        (("--max-deg", "2", "--max-param-points", "9" * 5000), {}),
-        (("--max-deg", "2"), {"LPA_LIMITS": "maxParamPoints=" + "9" * 5000}),
+        (("--max-deg", "2", "--max-pairs", "9" * 5000), {}),
+        (("--max-deg", "2"), {"LPA_LIMITS": "maxPairs=" + "9" * 5000}),
         (("--max-deg", "9" * 5000), {}),
     ], ids=["flag", "LPA_LIMITS", "max-deg"])
     def test_overlong_count_is_a_usage_error(self, capsys, args, env):

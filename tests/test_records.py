@@ -219,7 +219,7 @@ def test_unsupported_options_and_mutable_defaults_fail_loudly():
     class WithList:
         xs: list = []
 
-    with pytest.raises(ValueError, match="default_factory"):
+    with pytest.raises(ValueError, match="hashable default such as a tuple"):
         record(WithList)
     with pytest.raises(TypeError, match="record instances"):
         records.replace(object())
