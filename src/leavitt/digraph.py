@@ -13,7 +13,9 @@ from Johnson's circuit search (1975) inside each strongly connected
 component found by Tarjan's algorithm (1972), both iterative and lazy.
 The cycles without exits need no enumeration: every vertex on one emits
 exactly one arrow, so they are vertex-disjoint and one walk along the map
-"vertex -> its only arrow" finds them all in linear time.
+"vertex -> its only arrow" finds them all in linear time.  That walk,
+:func:`out_one_walk`, also records where each vertex's run stops (a line point's
+at a sink); line points, simple projectives and no-exit cycles all read it.
 
 Vertex sets inside the structural analyses are int masks over a
 :class:`~leavitt.bitindex.BitIndex`, which a digraph builds on first use and
@@ -193,35 +195,49 @@ class VertexInfo:
     leak: bool = False  # provably False on every finite digraph
 
 
-def _is_line_point(g: Digraph, v: str) -> bool:
-    # successor subgraph must be a simple path ending at a sink
-    seen = {v}
-    cur = v
-    while True:
-        deg = g.out_degree(cur)
-        if deg == 0:
-            return True
-        if deg != 1:
-            return False
-        nxt = g._out[cur][0].target
-        if nxt in seen:
-            return False
-        seen.add(nxt)
-        cur = nxt
+def out_one_walk(g: Digraph, only_arrow: Mapping[str, ArrowClass] | None = None
+                 ) -> tuple[dict[str, str | None], list[list[str]]]:
+    """One walk along the map "vertex -> target of its only arrow".
+
+    ``only_arrow`` maps each vertex that emits exactly one arrow to that arrow
+    (by default, in g).  Returns, per vertex of g, where its run stops: the
+    first vertex off the map (itself when it is off the map), or None when the
+    run ends on a cycle of the map; and those cycles, as lists of arrow ids.
+    Each vertex is stepped from once, so the walk is linear and iterative.
+    """
+    if only_arrow is None:
+        only_arrow = {v: out[0] for v, out in g._out.items()
+                      if len(out) == 1 and out[0].multiplicity == 1}
+    stop: dict[str, str | None] = {}
+    cycles: list[list[str]] = []
+    for v in g.vertices:
+        run: dict[str, str] = {}  # this run's vertices and their arrows' ids, in order
+        while v in only_arrow and v not in stop and v not in run:
+            run[v] = only_arrow[v].id
+            v = only_arrow[v].target
+        if v in run:  # the run closed up on itself
+            cycles.append(list(run.values())[list(run).index(v):])
+            end = None
+        else:
+            end = stop.setdefault(v, v)
+        stop.update(dict.fromkeys(run, end))
+    return stop, cycles
 
 
 def classify_vertices(g: Digraph) -> dict[str, VertexInfo]:
+    """Each vertex's kind; v is a line point when its run along the only
+    arrows stops at a sink (:func:`out_one_walk`)."""
+    stop, _ = out_one_walk(g)
     out = {}
-    for v in g.vertices:
-        deg = g.out_degree(v)
+    for v, arrows in g._out.items():
+        deg = sum(a.multiplicity for a in arrows)
         out[v] = VertexInfo(
             sink=deg == 0,
             source=not g._in[v],
             branch_vertex=deg >= 2,
             infinite_emitter=is_omega(deg),
             regular=0 < deg < OMEGA,
-            line_point=_is_line_point(g, v),
-            leak=False,
+            line_point=stop[v] is not None and not g._out[stop[v]],
         )
     return out
 
@@ -357,26 +373,12 @@ def _vertex_cycles(g: Digraph) -> Iterator[list[str]]:
 def no_exit_cycles(g: Digraph, only_arrow: Mapping[str, ArrowClass] | None = None,
                    limit: int | None = None) -> list[GeometricCycle]:
     """Cycles along which every vertex emits only the cycle's arrow, in the
-    order of :func:`enumerate_cycles`.
-
-    ``only_arrow`` maps each vertex that emits exactly one arrow to that arrow
-    (by default, in g).  Such cycles are vertex-disjoint: one walk finds them all.
-    """
-    if only_arrow is None:
-        only_arrow = {v: g._out[v][0] for v in g.vertices if g.out_degree(v) == 1}
-    walk_of: dict[str, str] = {}
-    found = []
-    for start in only_arrow:
-        path, v = [], start
-        while v in only_arrow and v not in walk_of:
-            walk_of[v] = start
-            path.append(v)
-            v = only_arrow[v].target
-        if walk_of.get(v) == start:  # this walk closed up on itself
-            found.append(GeometricCycle.of([only_arrow[u].id for u in path[path.index(v):]]))
-            if limit is not None and len(found) > limit:
-                raise ResourceLimitError(f"digraph {g.name} has more than {limit} cycles")
-    return sorted(found, key=lambda c: (len(c.arrows), c.arrows))
+    order of :func:`enumerate_cycles`: the cycles of :func:`out_one_walk`,
+    over ``only_arrow`` (by default, g's vertices of out-degree one)."""
+    _, cycles = out_one_walk(g, only_arrow)
+    if limit is not None and len(cycles) > limit:
+        raise ResourceLimitError(f"digraph {g.name} has more than {limit} cycles")
+    return sorted(map(GeometricCycle.of, cycles), key=lambda c: (len(c.arrows), c.arrows))
 
 
 def enumerate_cycles(g: Digraph, limit: int = 10_000) -> list[CycleInfo]:
@@ -585,11 +587,14 @@ def check_admissible_morphism(m: DigraphMorphism) -> MorphismReport:
 
     violations = []
     dst_info = classify_vertices(dst)
-    for b in dst.arrows:
-        fiber = sorted(e for e, f_ in m.arrow_map.items() if f_ == b.id)
-        targets = [src.arrow(e).target for e in fiber]
-        vertex_fiber = sorted(v for v, w in m.vertex_map.items() if w == b.target)
-        if sorted(targets) != vertex_fiber or len(set(targets)) != len(targets):
+    vertex_fiber: dict[str, list[str]] = {w: [] for w in dst.vertices}  # each sorted
+    for v in sorted(m.vertex_map):
+        vertex_fiber[m.vertex_map[v]].append(v)
+    targets_of: dict[str, list[str]] = {b.id: [] for b in dst.arrows}  # over each arrow fiber
+    for e, f_ in m.arrow_map.items():
+        targets_of[f_].append(src.arrow(e).target)
+    for b in dst.arrows:  # a fiber's targets are distinct once they equal a vertex fiber
+        if sorted(targets_of[b.id]) != vertex_fiber[b.target]:
             violations.append(
                 f"arrow {b.id}: target map on its fiber is not a bijection")
     for v in src.vertices:

@@ -122,7 +122,7 @@ def parse_ideal(text: str, path: str | None = None,
     field: Field | None = None
     h: list[str] = []
     s: list[str] = []
-    cycles: list[tuple[str, GeometricCycle]] = []
+    by_label: dict[str, GeometricCycle] = {}
     raw_polys: list[tuple[int, str, list[str]]] = []
     for no, line in _lines(text):
         parts = line.split()
@@ -146,9 +146,9 @@ def parse_ideal(text: str, path: str | None = None,
             if len(parts) < 3 or not parts[1].endswith(":"):
                 raise ParseError("expected: cycle <cid>: <arrow ids>", no, path)
             cid = parts[1][:-1]
-            if any(c == cid for c, _ in cycles):
+            if cid in by_label:
                 raise ParseError(f"duplicate cycle label {cid!r}", no, path)
-            cycles.append((cid, GeometricCycle.of(parts[2:])))
+            by_label[cid] = GeometricCycle.of(parts[2:])
         elif kw == "poly":
             if len(parts) < 3 or not parts[1].endswith(":"):
                 raise ParseError("expected: poly <cid>: <c0> <c1> ...", no, path)
@@ -159,8 +159,7 @@ def parse_ideal(text: str, path: str | None = None,
         raise ParseError("missing ideal header", None, path)
     if field is None:
         raise ParseError("missing field header", None, path)
-    labels = {cyc: cid for cid, cyc in cycles}
-    by_label = {cid: cyc for cid, cyc in cycles}
+    labels = {cyc: cid for cid, cyc in by_label.items()}
     theta = {}
     for no, cid, tokens in raw_polys:
         if cid not in by_label:
@@ -171,7 +170,7 @@ def parse_ideal(text: str, path: str | None = None,
             raise ParseError(str(exc), no, path) from None
         theta[by_label[cid]] = Polynomial.of(field, coeffs)
     j = IdealPresentation(field=field, pair=AdmissiblePair.of(h, s),
-                          beta=tuple(cyc for _, cyc in cycles),
+                          beta=tuple(by_label.values()),
                           theta=theta, labels=labels, name=name)
     if field_override is not None and field_override != field:
         j = cast_ideal(j, field_override)

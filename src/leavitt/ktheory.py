@@ -7,7 +7,9 @@ maps translate to and from generator items.  A bounded bidirectional
 rewrite search is provided as an oracle for congruence questions.
 
 Projective presentations are finite multisets of Vertex(v) and Corner(v, Z)
-items, Z a set of (arrow class, instance index) pairs leaving v.  Only
+items, Z a set of (arrow class, instance index) pairs leaving v.  The simple
+projectives read the linear walk :func:`~leavitt.digraph.out_one_walk`, and
+End(P) the iterative path counts of ``quotients``.  Only
 :func:`end_finite_dim` and :func:`acyclic_decomposition` need ``quotients``,
 and they import it themselves, so the Galois maps load no quotient code.
 """
@@ -23,12 +25,12 @@ from .digraph import (
     Digraph,
     GeometricCycle,
     OMEGA,
-    classify_vertices,
     cycle_vertices,
     find_any_cycle,
     instances_escaping,
     is_omega,
     no_exit_cycles,
+    out_one_walk,
 )
 from .errors import (
     MalformedGeneratorsError,
@@ -274,19 +276,13 @@ class SimpleClass:
 
 def classify_simple_projectives(g: Digraph) -> tuple[SimpleClass, ...]:
     """One isomorphism class of simple projectives per sink; members are the
-    line points whose path terminates there."""
-    info = classify_vertices(g)
-    terminal: dict[str, list[str]] = {v: [] for v in g.vertices if info[v].sink}
+    line points whose run along the only arrows stops there (:func:`out_one_walk`)."""
+    stop, _ = out_one_walk(g)
+    terminal: dict[str, list[str]] = {v: [] for v, out in g._out.items() if not out}
     for v in g.vertices:
-        if not info[v].line_point:
-            continue
-        cur = v
-        while g.out_arrows(cur):
-            cur = g.out_arrows(cur)[0].target
-        terminal[cur].append(v)
-    order = {v: i for i, v in enumerate(g.vertices)}
-    return tuple(SimpleClass(sink, tuple(sorted(members, key=order.__getitem__)))
-                 for sink, members in terminal.items())
+        if stop[v] in terminal:
+            terminal[stop[v]].append(v)
+    return tuple(SimpleClass(sink, tuple(members)) for sink, members in terminal.items())
 
 
 @record
@@ -327,33 +323,14 @@ class EndVerdict:
     witness: str | None = None
 
 
-def _sink_multiset(g: Digraph, v: str, memo: dict) -> Counter:
-    """Multiset of sinks that vL decomposes into over an acyclic row-finite region."""
-    if v in memo:
-        return memo[v]
-    arrows = g.out_arrows(v)
-    if not arrows:
-        out = Counter({v: 1})
-    else:
-        out = Counter()
-        for a in arrows:
-            sub = _sink_multiset(g, a.target, memo)
-            for w, k in sub.items():
-                out[w] += a.multiplicity * k
-    memo[v] = out
-    return out
-
-
 def end_finite_dim(g: Digraph, p: ProjectivePresentation) -> EndVerdict:
     """Finite-dimensionality of End(P) with either the block decomposition or a witness."""
-    from .quotients import MatrixDecomposition
+    from .quotients import MatrixDecomposition, _paths_ending_at
 
     validate_presentation(g, p)
     for item in p.items:
         if isinstance(item, CornerGen):
             return EndVerdict(False, witness=f"corner item at {item.vertex}")
-    memo: dict = {}
-    totals: Counter[str] = Counter()
     for item in p.items:
         reach = g.successors({item.vertex})
         omega = next((a for w in sorted(reach) for a in g.out_arrows(w)
@@ -365,8 +342,12 @@ def end_finite_dim(g: Digraph, p: ProjectivePresentation) -> EndVerdict:
         if cyc is not None:
             return EndVerdict(
                 False, witness=f"cycle {cyc.label()} reachable from {item.vertex}")
-        totals += _sink_multiset(g, item.vertex, memo)
-    return EndVerdict(True, decomposition=MatrixDecomposition.of(totals.values()))
+    # each sink w reached gives M_n, n the paths from the items to w inside their reach
+    reach = g.successors(item.vertex for item in p.items)
+    sinks = [w for w in reach if not g._out[w]]
+    outside = frozenset(a.id for w in reach for a in g._in[w] if a.source not in reach)
+    counts = _paths_ending_at(g, sinks, Counter(item.vertex for item in p.items), outside)
+    return EndVerdict(True, decomposition=MatrixDecomposition.of(counts[w] for w in sinks))
 
 
 def acyclic_decomposition(g: Digraph) -> MatrixDecomposition:

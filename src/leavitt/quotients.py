@@ -14,6 +14,10 @@ a path algebra quotient of the same kind exactly when every θ(C) factors
 into distinct linear factors; the decision procedure reports a witness per
 cycle and, on success, an explicit generator-image certificate.
 
+Dimensions, and End(P) in ``ktheory``, come from path counts: one iterative
+depth-first pass against the arrows with one memo per call, so
+:func:`dimension_blocks` counts the paths into all sinks in linear time.
+
 Fresh-id scheme: primed ids append a prime character, split ids append
 ``.j`` (j from 1), so provenance stays readable and DOT output is stable.
 
@@ -337,31 +341,37 @@ def radical_quotient(g: Digraph, j: IdealPresentation) -> RadicalResult:
 
 # -- dimensions ----------------------------------------------------------------
 
-def _paths_ending_at(g: Digraph, v: str, skip_arrows: frozenset[str],
-                     memo: dict, active: set[str]) -> int:
-    """Count of paths ending at v (trivial path included), multiplicities expanded."""
-    key = (v, skip_arrows)
-    if key in memo:
-        return memo[key]
-    if v in active:
-        raise UnsupportedShapeError(
-            f"a cycle feeds {v} in {g.name}; path counts are infinite")
-    active.add(v)
-    total = 1
-    for a in g.in_arrows(v):
-        if a.id in skip_arrows:
-            continue
-        if is_omega(a.multiplicity):
-            raise UnsupportedShapeError(f"ω class {a.id} makes path counts infinite")
-        total += a.multiplicity * _paths_ending_at(g, a.source, skip_arrows, memo, active)
-    active.discard(v)
-    memo[key] = total
-    return total
-
-
-def path_count_to(g: Digraph, v: str) -> int:
-    """Number of paths ending at v, including the trivial path."""
-    return _paths_ending_at(g, v, frozenset(), {}, set())
+def _paths_ending_at(g: Digraph, roots: Iterable[str], starts: Counter,
+                     skip_arrows: frozenset[str] = frozenset()) -> dict[str, int]:
+    """Count of paths ending at each vertex the roots are reached from against
+    the arrows, each path counted ``starts[its source]`` times (multiplicities
+    expanded, ``skip_arrows`` left out): one iterative depth-first pass, one memo."""
+    memo: dict[str, int] = {}
+    for root in roots:
+        # the vertices on the current path, last on top, each with its in-arrows
+        # still to read, its count so far and the multiplicity it was entered by
+        path = {} if root in memo else {root: [iter(g.in_arrows(root)), starts[root], 1]}
+        while path:
+            frame = path[next(reversed(path))]
+            for a in frame[0]:
+                if a.id in skip_arrows:
+                    continue
+                if is_omega(a.multiplicity):
+                    raise UnsupportedShapeError(f"ω class {a.id} makes path counts infinite")
+                u = a.source
+                if u in path:
+                    raise UnsupportedShapeError(
+                        f"a cycle feeds {u} in {g.name}; path counts are infinite")
+                if u not in memo:
+                    path[u] = [iter(g.in_arrows(u)), starts[u], a.multiplicity]
+                    break
+                frame[1] += a.multiplicity * memo[u]
+            else:
+                v, (_, total, multiplicity) = path.popitem()
+                memo[v] = total
+                if path:
+                    path[next(reversed(path))][1] += multiplicity * total
+    return memo
 
 
 def partial_cycle_path_count(g: Digraph, cycle: GeometricCycle) -> int:
@@ -371,10 +381,9 @@ def partial_cycle_path_count(g: Digraph, cycle: GeometricCycle) -> int:
     the unique partial run to the base, so the count is the sum over cycle
     vertices of the off-cycle path counts into them.
     """
-    skip = frozenset(cycle.arrows)
-    memo: dict = {}
-    return sum(_paths_ending_at(g, w, skip, memo, set())
-               for w in cycle_vertices(g, cycle))
+    vertices = cycle_vertices(g, cycle)
+    counts = _paths_ending_at(g, vertices, Counter(g.vertices), frozenset(cycle.arrows))
+    return sum(counts[w] for w in vertices)
 
 
 @record
@@ -416,9 +425,14 @@ def dimension_blocks(g: Digraph, j: IdealPresentation | None = None,
     stray = sorted(c.label() for c in cycles - set(beta))
     if stray:
         raise UnsupportedShapeError(f"unsevered cycle(s) {', '.join(stray)} in {work.name}")
-    sizes = [path_count_to(work, v) for v in work.sinks()]
-    for c in beta:
-        sizes += [partial_cycle_path_count(work, c)] * j.theta[c].degree
+    # β cycles have no exit, so no path into a sink or into another cycle uses
+    # a β arrow: one pass without them counts every n(v) and |P_C| at once
+    sinks, on_cycles = work.sinks(), [cycle_vertices(work, c) for c in beta]
+    counts = _paths_ending_at(work, [*sinks, *(w for vs in on_cycles for w in vs)],
+                              Counter(work.vertices), frozenset(a for c in beta for a in c.arrows))
+    sizes = [counts[v] for v in sinks]
+    for c, vs in zip(beta, on_cycles):
+        sizes += [sum(counts[w] for w in vs)] * j.theta[c].degree
     return MatrixDecomposition.of(sizes)
 
 

@@ -8,13 +8,19 @@ import functools
 import itertools
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from leavitt import cli, digraph, fields, ideals, ktheory, quotients, records, scalars
 from leavitt.digraph import OMEGA, Digraph, is_hereditary, is_omega, is_saturated
-from leavitt.errors import FieldMismatchError, MeetJoinFailureError, ResourceLimitError
+from leavitt.errors import (
+    FieldMismatchError,
+    MeetJoinFailureError,
+    ResourceLimitError,
+    UnsupportedShapeError,
+)
 from leavitt.fields import Field, Polynomial, RootMultiset
 
 
@@ -124,6 +130,96 @@ def paths_into(g: Digraph, v: str):
             for p in paths_into(g, a.source):
                 out.append(p + ((a.id, i),))
     return out
+
+
+# -- the per-vertex walks and recursive counts that the linear passes replaced ------
+
+def walk_is_line_point(g: Digraph, v: str) -> bool:
+    """v is a line point: follow v's only arrow until a sink (True), a vertex
+    of another out-degree or a revisit (False).  One walk per vertex: O(V²)."""
+    seen = {v}
+    cur = v
+    while True:
+        deg = g.out_degree(cur)
+        if deg == 0:
+            return True
+        if deg != 1:
+            return False
+        nxt = g._out[cur][0].target
+        if nxt in seen:
+            return False
+        seen.add(nxt)
+        cur = nxt
+
+
+def walk_simple_classes(g: Digraph) -> tuple:
+    """(sink, line points draining into it) per sink, each line point walked
+    to its sink again."""
+    terminal: dict[str, list[str]] = {v: [] for v in g.vertices if g.out_degree(v) == 0}
+    for v in g.vertices:
+        if not walk_is_line_point(g, v):
+            continue
+        cur = v
+        while g.out_arrows(cur):
+            cur = g.out_arrows(cur)[0].target
+        terminal[cur].append(v)
+    return tuple(ktheory.SimpleClass(sink, tuple(members))
+                 for sink, members in terminal.items())
+
+
+def recursive_paths_ending_at(g: Digraph, v: str, skip_arrows: frozenset[str],
+                              memo: dict, active: set[str]) -> int:
+    """Count of paths ending at v (trivial path included), multiplicities
+    expanded, by recursion over the arrows into v; raises on an ω class or a
+    cycle met on the way."""
+    key = (v, skip_arrows)
+    if key in memo:
+        return memo[key]
+    if v in active:
+        raise UnsupportedShapeError(
+            f"a cycle feeds {v} in {g.name}; path counts are infinite")
+    active.add(v)
+    total = 1
+    for a in g.in_arrows(v):
+        if a.id in skip_arrows:
+            continue
+        if is_omega(a.multiplicity):
+            raise UnsupportedShapeError(f"ω class {a.id} makes path counts infinite")
+        total += a.multiplicity * recursive_paths_ending_at(g, a.source, skip_arrows,
+                                                            memo, active)
+    active.discard(v)
+    memo[key] = total
+    return total
+
+
+def recursive_sink_multiset(g: Digraph, v: str, memo: dict) -> Counter:
+    """Multiset of sinks that vL decomposes into over an acyclic row-finite
+    region, by recursion over the arrows out of v."""
+    if v in memo:
+        return memo[v]
+    arrows = g.out_arrows(v)
+    if not arrows:
+        out = Counter({v: 1})
+    else:
+        out = Counter()
+        for a in arrows:
+            for w, k in recursive_sink_multiset(g, a.target, memo).items():
+                out[w] += a.multiplicity * k
+    memo[v] = out
+    return out
+
+
+def rescan_fiber_violations(m: digraph.DigraphMorphism) -> list[str]:
+    """The bijection violations of an admissible-morphism check, rescanning
+    both maps for every target arrow: O(E·(V + E))."""
+    violations = []
+    for b in m.target.arrows:
+        fiber = sorted(e for e, f_ in m.arrow_map.items() if f_ == b.id)
+        targets = [m.source.arrow(e).target for e in fiber]
+        vertex_fiber = sorted(v for v, w in m.vertex_map.items() if w == b.target)
+        if sorted(targets) != vertex_fiber or len(set(targets)) != len(targets):
+            violations.append(f"arrow {b.id}: target map on its fiber is not a bijection")
+    return violations
 
 
 # -- exact rank over Q ----------------------------------------------------------

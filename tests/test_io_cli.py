@@ -88,6 +88,12 @@ class TestIdealFormat:
             parse_ideal("ideal j\nfield F5\ncycle C: e\npoly C: 1 7\n")
         assert err.value.line == 4
 
+    def test_duplicate_cycle_label_names_its_line(self):
+        text = "ideal j\nfield F5\ncycle C1: a\ncycle C2: b\ncycle C1: c\n"
+        with pytest.raises(ParseError, match="duplicate cycle label 'C1'") as err:
+            parse_ideal(text, path="j.ideal")
+        assert err.value.line == 5 and err.value.path == "j.ideal"
+
     def test_poly_for_unknown_cycle(self):
         with pytest.raises(ParseError):
             parse_ideal("ideal j\nfield Q\npoly C: 1 1\n")
