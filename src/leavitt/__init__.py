@@ -33,8 +33,8 @@ _EXPORTS = {
     "ktheory": (
         "ClosedSubmonoid", "CornerGen", "ProjectivePresentation", "VertexGen",
         "acyclic_decomposition", "classify_fgips", "classify_simple_projectives",
-        "corner_classify", "end_finite_dim", "galois_phi", "galois_psi", "is_orthogonal",
-        "monoid_congruent", "monoid_presentation",
+        "end_finite_dim", "galois_phi", "galois_psi", "is_orthogonal", "monoid_congruent",
+        "monoid_presentation",
     ),
     "quotients": (
         "IsoCertificate", "MatrixDecomposition", "QuotientResult", "cycle_to_loop",

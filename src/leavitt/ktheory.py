@@ -7,16 +7,19 @@ maps translate to and from generator items.  A bounded bidirectional
 rewrite search is provided as an oracle for congruence questions.
 
 Projective presentations are finite multisets of Vertex(v) and Corner(v, Z)
-items, Z a set of (arrow class, instance index) pairs leaving v.  The simple
-projectives read the linear walk :func:`~leavitt.digraph.out_one_walk`, and
-End(P) the iterative path counts of ``quotients``.  Only
-:func:`end_finite_dim` and :func:`acyclic_decomposition` need ``quotients``,
-and they import it themselves, so the Galois maps load no quotient code.
+items, Z a set of (arrow class, instance index) pairs leaving v.  Corner(v, Z)
+is the projective of v − Σ_{e∈Z} ee* (Tomforde's v^H at an infinite emitter, Z
+its instances escaping H).  :func:`validate_presentation` rewrites a corner at
+a regular vertex by (CK2) into one Vertex(r(e)) per instance e outside Z, and
+every consumer works on what it returns.  The simple projectives read the
+linear walk :func:`~leavitt.digraph.out_one_walk`, and End(P) the iterative
+path counts of ``quotients``.  Only :func:`end_finite_dim` and
+:func:`acyclic_decomposition` need ``quotients``, and they import it
+themselves, so the Galois maps load no quotient code.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
@@ -32,13 +35,14 @@ from .digraph import (
     no_exit_cycles,
     out_one_walk,
 )
-from .errors import (
-    MalformedGeneratorsError,
-    NotAcyclicError,
-    NotRowFiniteError,
-    UnknownArrowError,
+from .errors import MalformedGeneratorsError, NotAcyclicError, NotRowFiniteError
+from .ideals import (
+    AdmissiblePair,
+    IdealPresentation,
+    ensure_admissible,
+    pair_order,
+    validated_ideal,
 )
-from .ideals import AdmissiblePair, IdealPresentation, ensure_admissible, validated_ideal
 from .records import record
 
 if TYPE_CHECKING:
@@ -147,6 +151,8 @@ class VertexGen:
 
 @record
 class CornerGen:
+    """Corner(v, Z) = v − Σ_{e∈Z} ee*; at a regular v validation rewrites it by (CK2)."""
+
     vertex: str
     z: frozenset[tuple[str, int]]  # (arrow class id, instance index)
 
@@ -169,7 +175,11 @@ class ProjectivePresentation:
         return cls(tuple(items))
 
 
-def validate_presentation(g: Digraph, p: ProjectivePresentation):
+def validate_presentation(g: Digraph, p: ProjectivePresentation) -> ProjectivePresentation:
+    """Check p on g and return its (CK2) normal form: each corner at a regular
+    vertex v becomes one Vertex(r(e)) per instance e outside Z, in the order of
+    v's arrows, where the corner stood.  p itself when it has no such corner."""
+    regular = False
     for item in p.items:
         g.check_vertices([item.vertex])
         if isinstance(item, VertexGen):
@@ -188,6 +198,17 @@ def validate_presentation(g: Digraph, p: ProjectivePresentation):
         if not is_omega(degree) and degree <= len(item.z):
             raise MalformedGeneratorsError(
                 f"corner at {item.vertex}: Z must omit at least one arrow instance")
+        regular |= not is_omega(degree)
+    if not regular:
+        return p
+    normal: list[Generator] = []
+    for item in p.items:
+        if isinstance(item, CornerGen) and not is_omega(g.out_degree(item.vertex)):
+            normal += [VertexGen(a.target) for a in g._out[item.vertex]
+                       for i in range(a.multiplicity) if (a.id, i) not in item.z]
+        else:
+            normal.append(item)
+    return ProjectivePresentation(tuple(normal))
 
 
 # -- Galois correspondence ------------------------------------------------------------
@@ -216,14 +237,14 @@ def galois_phi(g: Digraph, pair: AdmissiblePair) -> ClosedSubmonoid:
 def galois_psi(g: Digraph, x: ProjectivePresentation | Iterable[Generator]) -> AdmissiblePair:
     """Recover the admissible pair generating the closed submonoid around x.
 
+    Read off the normal form of x, whose corners sit at infinite emitters.
     Vertex items seed H.  A corner at u forces the target of every instance
-    outside Z into H; once all of u's targets lie in H the vertex itself
-    joins H, otherwise an infinite emitter u joins S.  Iterated to a fixpoint
-    together with the hereditary saturated closure.
+    outside Z, each ω class among them, into H; once all of u's targets lie
+    in H the vertex itself joins H, otherwise u joins S if it breaks H.
+    Iterated to a fixpoint together with the hereditary saturated closure.
     """
-    items = tuple(x.items) if isinstance(x, ProjectivePresentation) else tuple(x)
-    p = ProjectivePresentation.of(items)
-    validate_presentation(g, p)
+    p = x if isinstance(x, ProjectivePresentation) else ProjectivePresentation.of(x)
+    items = validate_presentation(g, p).items
     # p names only vertices of g now; H is a closed mask of g.bits from here on
     bits = g.bits
     h = bits.close(0, bits.mask({it.vertex for it in items if isinstance(it, VertexGen)}))
@@ -247,23 +268,10 @@ def galois_psi(g: Digraph, x: ProjectivePresentation | Iterable[Generator]) -> A
 
 
 def is_orthogonal(g: Digraph, p: ProjectivePresentation, j: IdealPresentation) -> bool:
-    """Hom(P, L/J) = 0, read off the generator items and the pair of J."""
-    validate_presentation(g, p)
+    """Hom(P, L/J) = 0: P ⊥ J ⇔ trace(P) ⊆ J ⇔ ψ(P) ≼ (H, S), as trace(P) is graded."""
+    p = validate_presentation(g, p)
     validated_ideal(g, j)
-    h, s = j.pair.h, j.pair.s
-    for item in p.items:
-        if isinstance(item, VertexGen):
-            if item.vertex not in h:
-                return False
-            continue
-        if item.vertex in h:
-            continue
-        if item.vertex not in s:
-            return False
-        escaping = instances_escaping(g, item.vertex, h)
-        if not escaping <= item.z:
-            return False
-    return True
+    return pair_order(g, galois_psi(g, p), j.pair)
 
 
 # -- module classifications --------------------------------------------------------------
@@ -298,22 +306,6 @@ def classify_fgips(g: Digraph, limit: int = 10_000) -> tuple[FgipClass, ...]:
                  for c in no_exit_cycles(g, limit=limit))
 
 
-class CornerKind(Enum):
-    FIELD = "Field"
-    LAURENT_RING = "LaurentRing"
-    OTHER = "Other"
-
-
-def corner_classify(g: Digraph, v: str) -> CornerKind:
-    """vLv up to isomorphism: 𝔽 at sinks, 𝔽[x,x⁻¹] on no-exit cycles, rest opaque."""
-    g.check_vertices([v])
-    if not g.out_arrows(v):
-        return CornerKind.FIELD
-    if any(v in cycle_vertices(g, c) for c in no_exit_cycles(g)):
-        return CornerKind.LAURENT_RING
-    return CornerKind.OTHER
-
-
 # -- endomorphism algebras ------------------------------------------------------------------
 
 @record
@@ -324,29 +316,36 @@ class EndVerdict:
 
 
 def end_finite_dim(g: Digraph, p: ProjectivePresentation) -> EndVerdict:
-    """Finite-dimensionality of End(P) with either the block decomposition or a witness."""
+    """Finite-dimensionality of End(P) with either the block decomposition or a witness.
+
+    The items' reach is peeled from its sinks once; what stays reaches an ω class
+    or a cycle, and only the first item that stays is walked for its witness."""
     from .quotients import MatrixDecomposition, _paths_ending_at
 
-    validate_presentation(g, p)
-    for item in p.items:
-        if isinstance(item, CornerGen):
-            return EndVerdict(False, witness=f"corner item at {item.vertex}")
-    for item in p.items:
-        reach = g.successors({item.vertex})
-        omega = next((a for w in sorted(reach) for a in g.out_arrows(w)
-                      if is_omega(a.multiplicity)), None)
-        if omega is not None:
-            return EndVerdict(False, witness=f"ω class {omega.id} reachable from {item.vertex}")
-        sub = g.full_subgraph(reach)
-        cyc = find_any_cycle(sub)
-        if cyc is not None:
-            return EndVerdict(
-                False, witness=f"cycle {cyc.label()} reachable from {item.vertex}")
+    items = validate_presentation(g, p).items
+    corner = next((item for item in items if isinstance(item, CornerGen)), None)
+    if corner is not None:
+        return EndVerdict(False, witness=f"corner item at {corner.vertex}")
+    reach = g.successors(item.vertex for item in items)
+    # w's arrow classes not peeled yet; ω if one is an ω class, so w never peels
+    waiting = {w: sum(OMEGA if is_omega(a.multiplicity) else 1 for a in g._out[w]) for w in reach}
+    peeled = [w for w, k in waiting.items() if not k]
+    for w in peeled:
+        for u in (a.source for a in g._in[w] if a.source in waiting):
+            waiting[u] -= 1
+            if not waiting[u]:
+                peeled.append(u)
+    stuck = next((item.vertex for item in items if waiting[item.vertex]), None)
+    if stuck is not None:
+        own = g.successors({stuck})
+        what = next((f"ω class {a.id}" for w in sorted(own) for a in g._out[w]
+                     if is_omega(a.multiplicity)), None)
+        what = what or f"cycle {find_any_cycle(g.full_subgraph(own)).label()}"
+        return EndVerdict(False, witness=f"{what} reachable from {stuck}")
     # each sink w reached gives M_n, n the paths from the items to w inside their reach
-    reach = g.successors(item.vertex for item in p.items)
     sinks = [w for w in reach if not g._out[w]]
     outside = frozenset(a.id for w in reach for a in g._in[w] if a.source not in reach)
-    counts = _paths_ending_at(g, sinks, Counter(item.vertex for item in p.items), outside)
+    counts = _paths_ending_at(g, sinks, Counter(item.vertex for item in items), outside)
     return EndVerdict(True, decomposition=MatrixDecomposition.of(counts[w] for w in sinks))
 
 

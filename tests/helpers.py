@@ -222,6 +222,59 @@ def rescan_fiber_violations(m: digraph.DigraphMorphism) -> list[str]:
     return violations
 
 
+# -- the per-item orthogonality rule and End walks that the Galois order and the
+#    one peel replaced -----------------------------------------------------------
+
+def item_orthogonal(g: Digraph, p: ktheory.ProjectivePresentation,
+                    j: ideals.IdealPresentation) -> bool:
+    """Hom(P, L/J) = 0 by a rule per generator item: Vertex(v) needs v ∈ H, and
+    Corner(u, Z) needs u ∈ H, or u ∈ S with Z holding every instance escaping H.
+    Right where every corner sits at an infinite emitter; it misreads a corner
+    at a regular vertex, whose instances outside Z may all end in H."""
+    ktheory.validate_presentation(g, p)
+    ideals.validated_ideal(g, j)
+    h, s = j.pair.h, j.pair.s
+    for item in p.items:
+        if isinstance(item, ktheory.VertexGen):
+            if item.vertex not in h:
+                return False
+            continue
+        if item.vertex in h:
+            continue
+        if item.vertex not in s:
+            return False
+        if not digraph.instances_escaping(g, item.vertex, h) <= item.z:
+            return False
+    return True
+
+
+def per_item_end(g: Digraph, p: ktheory.ProjectivePresentation) -> ktheory.EndVerdict:
+    """End(P) with each item's own reach scanned for an ω class and searched
+    for a cycle in turn: O(items·(V + E))."""
+    items = ktheory.validate_presentation(g, p).items
+    for item in items:
+        if isinstance(item, ktheory.CornerGen):
+            return ktheory.EndVerdict(False, witness=f"corner item at {item.vertex}")
+    for item in items:
+        reach = g.successors({item.vertex})
+        omega = next((a for w in sorted(reach) for a in g.out_arrows(w)
+                      if is_omega(a.multiplicity)), None)
+        if omega is not None:
+            return ktheory.EndVerdict(
+                False, witness=f"ω class {omega.id} reachable from {item.vertex}")
+        cyc = digraph.find_any_cycle(g.full_subgraph(reach))
+        if cyc is not None:
+            return ktheory.EndVerdict(
+                False, witness=f"cycle {cyc.label()} reachable from {item.vertex}")
+    reach = g.successors(item.vertex for item in items)
+    sinks = [w for w in reach if not g.out_arrows(w)]
+    outside = frozenset(a.id for w in reach for a in g.in_arrows(w) if a.source not in reach)
+    counts = quotients._paths_ending_at(g, sinks, Counter(item.vertex for item in items),
+                                        outside)
+    return ktheory.EndVerdict(
+        True, decomposition=quotients.MatrixDecomposition.of(counts[w] for w in sinks))
+
+
 # -- exact rank over Q ----------------------------------------------------------
 
 def exact_rank(rows) -> int:

@@ -8,6 +8,7 @@ from leavitt.digraph import (
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
     instances_escaping,
+    no_exit_cycles,
 )
 from leavitt.errors import (
     InvalidIdealError,
@@ -20,13 +21,11 @@ from leavitt.ideals import AdmissiblePair, IdealPresentation, enumerate_admissib
 from leavitt.ktheory import (
     CongruenceVerdict,
     CornerGen,
-    CornerKind,
     ProjectivePresentation,
     VertexGen,
     acyclic_decomposition,
     classify_fgips,
     classify_simple_projectives,
-    corner_classify,
     end_finite_dim,
     galois_phi,
     galois_psi,
@@ -253,17 +252,9 @@ class TestFgips:
         assert cls.support == {"v1", "v2", "v3", "v4"}
 
     def test_empty_iff_no_laurent_corner(self):
+        # vLv is a Laurent ring exactly when v lies on a no-exit cycle
         for g in corpus_graphs().values():
-            has_laurent = any(corner_classify(g, v) == CornerKind.LAURENT_RING
-                              for v in g.vertices)
-            assert bool(classify_fgips(g)) == has_laurent, g.name
-
-
-class TestCornerClassify:
-    def test_cases(self, sq3, sq2):
-        assert corner_classify(sq3, "v2") == CornerKind.LAURENT_RING
-        assert corner_classify(sq2, "w1") == CornerKind.FIELD
-        assert corner_classify(sq2, "u") == CornerKind.OTHER
+            assert bool(classify_fgips(g)) == bool(no_exit_cycles(g)), g.name
 
 
 class TestEndFiniteDim:
@@ -361,6 +352,18 @@ class TestPresentationValidation:
     def test_omega_indices_unbounded(self, breaking):
         validate_presentation(breaking, ProjectivePresentation.of(
             [CornerGen("v", frozenset({("om", 123)}))]))
+
+    def test_regular_corner_normal_form(self):
+        # a is regular: corner a {e#1} is a − e₁e₁* = e₀e₀*, the projective bL
+        g = load_graph("doublearrow")
+        p = ProjectivePresentation.of([VertexGen("a"), CornerGen("a", frozenset({("e", 1)})),
+                                       VertexGen("b")])
+        assert validate_presentation(g, p) == ProjectivePresentation.of(
+            [VertexGen("a"), VertexGen("b"), VertexGen("b")])
+
+    def test_corners_at_infinite_emitters_stay(self, breaking):
+        p = ProjectivePresentation.of([VertexGen("h"), CornerGen("v", frozenset({("a", 0)}))])
+        assert validate_presentation(breaking, p) is p
 
     def test_wrong_source(self, sq2):
         with pytest.raises(MalformedGeneratorsError):

@@ -25,7 +25,7 @@ EXPORTED = {
              "validate_ideal"),
     ktheory: ("ClosedSubmonoid", "CornerGen", "ProjectivePresentation", "VertexGen",
               "acyclic_decomposition", "classify_fgips", "classify_simple_projectives",
-              "corner_classify", "end_finite_dim", "galois_phi", "galois_psi",
+              "end_finite_dim", "galois_phi", "galois_psi",
               "is_orthogonal", "monoid_congruent", "monoid_presentation"),
     quotients: ("IsoCertificate", "MatrixDecomposition", "QuotientResult", "cycle_to_loop",
                 "decide_lpa_quotient", "dimension_blocks", "graded_quotient",

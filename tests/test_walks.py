@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     digraphs,
+    per_item_end,
     recursive_paths_ending_at,
     recursive_sink_multiset,
     rescan_fiber_violations,
@@ -17,6 +18,7 @@ from helpers import (
     walk_simple_classes,
 )
 from leavitt.digraph import (
+    OMEGA,
     Digraph,
     DigraphMorphism,
     check_admissible_morphism,
@@ -167,6 +169,7 @@ def test_end_blocks_equal_the_recursion(data):
     p = ProjectivePresentation.of(VertexGen(v) for v in items)
     for h in (g, acyclic_part(g)):
         verdict = end_finite_dim(h, p)
+        assert verdict == per_item_end(h, p)  # the same witness, or the same blocks
         if verdict.finite:
             memo: dict = {}
             totals = sum((recursive_sink_multiset(h, v, memo) for v in items), Counter())
@@ -234,3 +237,20 @@ def test_a_path_reads_linearly_many_adjacency_lists(classify):
     count_list_reads(g, counts)
     classify(g)
     assert 0 < counts["lists"] <= 4 * n  # a walk per vertex reads about n²/2
+
+
+@pytest.mark.parametrize("tail", ["sink", "loop", "omega"])
+def test_end_with_every_vertex_an_item_reads_linearly_many_adjacency_lists(tail):
+    # the path ends at a sink, or at a vertex with a loop or an ω class
+    n = 2000
+    g = path_graph(n)
+    last = g.vertices[-1]
+    if tail != "sink":
+        g = Digraph(g.name, g.vertices,
+                    [*g.arrows, ("x", last, last, OMEGA if tail == "omega" else 1)])
+    counts: Counter = Counter()
+    count_list_reads(g, counts)
+    verdict = end_finite_dim(g, ProjectivePresentation.of(VertexGen(v) for v in g.vertices))
+    assert verdict.witness == {"sink": None, "loop": "cycle (x) reachable from v0",
+                               "omega": "ω class x reachable from v0"}[tail]
+    assert 0 < counts["lists"] <= 8 * n  # a reach per item reads about n²/2
