@@ -10,12 +10,12 @@ Projective presentations are finite multisets of Vertex(v) and Corner(v, Z)
 items, Z a set of (arrow class, instance index) pairs leaving v.  Corner(v, Z)
 is the projective of v − Σ_{e∈Z} ee* (Tomforde's v^H at an infinite emitter, Z
 its instances escaping H).  :func:`validate_presentation` rewrites a corner at
-a regular vertex by (CK2) into one Vertex(r(e)) per instance e outside Z, and
-every consumer works on what it returns.  The simple projectives read the
-linear walk :func:`~leavitt.digraph.out_one_walk`, and End(P) the iterative
-path counts of ``quotients``.  Only :func:`end_finite_dim` and
-:func:`acyclic_decomposition` need ``quotients``, and they import it
-themselves, so the Galois maps load no quotient code.
+a regular vertex by (CK2) into Vertex(r(a)) items, one per arrow class a, with
+one copy per instance of a outside Z; every consumer works on what it returns.
+The simple projectives read the linear walk :func:`~leavitt.digraph.out_one_walk`
+and End(P) the iterative path counts of ``quotients``, which only
+:func:`end_finite_dim` and :func:`acyclic_decomposition` import, so the Galois
+maps load no quotient code.
 """
 
 from __future__ import annotations
@@ -144,9 +144,10 @@ def monoid_congruent(g: Digraph, a: Element, b: Element,
 @record
 class VertexGen:
     vertex: str
+    copies: int = 1  # of vL; a (CK2) rewrite gathers an arrow class's instances in one item
 
     def label(self) -> str:
-        return self.vertex
+        return self.vertex if self.copies == 1 else f"{self.copies} × {self.vertex}"
 
 
 @record
@@ -177,12 +178,15 @@ class ProjectivePresentation:
 
 def validate_presentation(g: Digraph, p: ProjectivePresentation) -> ProjectivePresentation:
     """Check p on g and return its (CK2) normal form: each corner at a regular
-    vertex v becomes one Vertex(r(e)) per instance e outside Z, in the order of
-    v's arrows, where the corner stood.  p itself when it has no such corner."""
+    vertex v becomes, for each of v's arrow classes a in order, Vertex(r(a))
+    with one copy per instance of a outside Z, where the corner stood.  p itself
+    when it has no such corner."""
     regular = False
     for item in p.items:
         g.check_vertices([item.vertex])
         if isinstance(item, VertexGen):
+            if not (isinstance(item.copies, int) and item.copies >= 1):
+                raise MalformedGeneratorsError(f"{item.copies} copies of {item.vertex}")
             continue
         if not item.z:
             raise MalformedGeneratorsError(f"corner at {item.vertex} has empty Z")
@@ -204,8 +208,9 @@ def validate_presentation(g: Digraph, p: ProjectivePresentation) -> ProjectivePr
     normal: list[Generator] = []
     for item in p.items:
         if isinstance(item, CornerGen) and not is_omega(g.out_degree(item.vertex)):
-            normal += [VertexGen(a.target) for a in g._out[item.vertex]
-                       for i in range(a.multiplicity) if (a.id, i) not in item.z]
+            in_z = Counter(aid for aid, _ in item.z)
+            normal += [VertexGen(a.target, a.multiplicity - in_z[a.id])
+                       for a in g._out[item.vertex] if a.multiplicity > in_z[a.id]]
         else:
             normal.append(item)
     return ProjectivePresentation(tuple(normal))
@@ -345,7 +350,10 @@ def end_finite_dim(g: Digraph, p: ProjectivePresentation) -> EndVerdict:
     # each sink w reached gives M_n, n the paths from the items to w inside their reach
     sinks = [w for w in reach if not g._out[w]]
     outside = frozenset(a.id for w in reach for a in g._in[w] if a.source not in reach)
-    counts = _paths_ending_at(g, sinks, Counter(item.vertex for item in items), outside)
+    starts: Counter[str] = Counter()
+    for item in items:
+        starts[item.vertex] += item.copies
+    counts = _paths_ending_at(g, sinks, starts, outside)
     return EndVerdict(True, decomposition=MatrixDecomposition.of(counts[w] for w in sinks))
 
 

@@ -269,8 +269,8 @@ def per_item_end(g: Digraph, p: ktheory.ProjectivePresentation) -> ktheory.EndVe
     reach = g.successors(item.vertex for item in items)
     sinks = [w for w in reach if not g.out_arrows(w)]
     outside = frozenset(a.id for w in reach for a in g.in_arrows(w) if a.source not in reach)
-    counts = quotients._paths_ending_at(g, sinks, Counter(item.vertex for item in items),
-                                        outside)
+    starts = sum((Counter({item.vertex: item.copies}) for item in items), Counter())
+    counts = quotients._paths_ending_at(g, sinks, starts, outside)
     return ktheory.EndVerdict(
         True, decomposition=quotients.MatrixDecomposition.of(counts[w] for w in sinks))
 

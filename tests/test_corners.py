@@ -17,13 +17,14 @@ from leavitt.cli import main
 from leavitt.digraph import OMEGA, Digraph, instances_escaping, is_omega
 from leavitt.fields import Field
 from leavitt.ideals import IdealPresentation, enumerate_admissible_pairs
-from leavitt.io import parse_presentation, serialize_digraph, serialize_ideal
+from leavitt.io import parse_digraph, parse_presentation, serialize_digraph, serialize_ideal
 from leavitt.ktheory import (
     CornerGen,
     ProjectivePresentation,
     VertexGen,
     galois_psi,
     is_orthogonal,
+    validate_presentation,
 )
 
 from conftest import corpus_path
@@ -147,3 +148,23 @@ def test_fork_corner_is_the_projective_of_the_other_arrow(tmp_path):
         pres.write_text(line + "\n")
         assert run("orth", graph, ideal, pres) == (0, "orthogonal: true\n", "")
         assert run("end", graph, pres) == (0, "finite: 1 × M_1\n", "")
+
+
+def test_a_rewrite_grows_with_the_classes_not_their_multiplicities(tmp_path):
+    # v − a₀a₀* − b₀b₀* is m − 1 copies of wL, gathered in one item; m = 10⁶
+    # first, so that a rewrite by instances fails there and never tries 10⁹
+    graph, ideal, pres = (tmp_path / name for name in ("wide.graph", "w.ideal", "p.pres"))
+    ideal.write_text("ideal w\nfield Q\nH w\n")
+    for m in (10**6, 10**9):
+        graph.write_text(f"digraph wide\nvertex v\nvertex w\nvertex u\narrow a v w {m}\n"
+                         "arrow b v u\n")
+        p = parse_presentation("corner v {a#0, b#0}\n")
+        assert validate_presentation(parse_digraph(graph.read_text()), p).items == (
+            VertexGen("w", m - 1),)
+        for line in ("corner v {a#0, b#0}", "P: w"):
+            pres.write_text(line + "\n")
+            assert run("orth", graph, ideal, pres) == (0, "orthogonal: true\n", "")
+        pres.write_text("corner v {a#0}\n")  # b₀ stays, and u lies outside J
+        assert run("orth", graph, ideal, pres) == (0, "orthogonal: false\n", "")
+        pres.write_text("corner v {a#0, b#0}\n")
+        assert run("end", graph, pres) == (0, f"finite: 1 × M_{m - 1}\n", "")

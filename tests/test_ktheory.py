@@ -5,10 +5,11 @@ import pytest
 from leavitt.digraph import (
     Digraph,
     GeometricCycle,
+    cycle_vertices,
+    enumerate_cycles,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
     instances_escaping,
-    no_exit_cycles,
 )
 from leavitt.errors import (
     InvalidIdealError,
@@ -252,9 +253,15 @@ class TestFgips:
         assert cls.support == {"v1", "v2", "v3", "v4"}
 
     def test_empty_iff_no_laurent_corner(self):
-        # vLv is a Laurent ring exactly when v lies on a no-exit cycle
+        # vLv is a Laurent ring exactly when v lies on a cycle without exit:
+        # each vertex of the cycle emits just the cycle's one arrow instance
+        laurent_seen = 0
         for g in corpus_graphs().values():
-            assert bool(classify_fgips(g)) == bool(no_exit_cycles(g)), g.name
+            laurent = any(all(g.out_degree(v) == 1 for v in cycle_vertices(g, info.cycle))
+                          for info in enumerate_cycles(g))
+            assert bool(classify_fgips(g)) == laurent, g.name
+            laurent_seen += laurent
+        assert 0 < laurent_seen < len(corpus_graphs())
 
 
 class TestEndFiniteDim:
@@ -360,6 +367,10 @@ class TestPresentationValidation:
                                        VertexGen("b")])
         assert validate_presentation(g, p) == ProjectivePresentation.of(
             [VertexGen("a"), VertexGen("b"), VertexGen("b")])
+
+    def test_a_vertex_item_has_a_copy(self, sq2):
+        with pytest.raises(MalformedGeneratorsError):
+            validate_presentation(sq2, ProjectivePresentation.of([VertexGen("w1", 0)]))
 
     def test_corners_at_infinite_emitters_stay(self, breaking):
         p = ProjectivePresentation.of([VertexGen("h"), CornerGen("v", frozenset({("a", 0)}))])
