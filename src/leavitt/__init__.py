@@ -17,14 +17,12 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "digraph": (
-        "ArrowClass", "Digraph", "DigraphMorphism", "GeometricCycle", "OMEGA",
-        "breaking_vertices", "check_admissible_morphism", "classify_vertices",
-        "enumerate_cycles", "enumerate_hereditary_saturated",
+        "ArrowClass", "Digraph", "GeometricCycle", "OMEGA", "breaking_vertices",
+        "classify_vertices", "enumerate_cycles", "enumerate_hereditary_saturated",
         "hereditary_saturated_closure", "to_dot",
     ),
     "fields": (
-        "LaurentElement", "Polynomial", "RootMultiset", "crt_profile",
-        "find_roots", "is_dlf", "laurent_normalize", "poly_gcd", "squarefree_part",
+        "Polynomial", "RootMultiset", "find_roots", "is_dlf", "poly_gcd", "squarefree_part",
     ),
     "ideals": (
         "AdmissiblePair", "IdealPresentation", "enumerate_admissible_pairs",
@@ -36,6 +34,8 @@ _EXPORTS = {
         "end_finite_dim", "galois_phi", "galois_psi", "is_orthogonal", "monoid_congruent",
         "monoid_presentation",
     ),
+    "laurent": ("LaurentElement", "crt_profile", "laurent_normalize"),
+    "morphisms": ("DigraphMorphism", "check_admissible_morphism"),
     "quotients": (
         "IsoCertificate", "MatrixDecomposition", "QuotientResult", "cycle_to_loop",
         "decide_lpa_quotient", "dimension_blocks", "graded_quotient", "iso_certificate",

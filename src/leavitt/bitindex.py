@@ -9,7 +9,6 @@ tests (:meth:`BitIndex.leaving`) are then word operations on int masks;
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Collection, Iterator
 
 from .digraph import _strong_components, is_omega
@@ -27,9 +26,6 @@ def _positions(m: int) -> Iterator[int]:
         m ^= low
 
 
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
-
-
 class BitIndex:
     """The vertices of a digraph as the bits of an int, and its adjacency as masks.
 
@@ -37,19 +33,21 @@ class BitIndex:
     the last bit 0.  So among sets of one size, descending masks are ascending
     lists of sorted ids.  ``succ``, ``pred`` and ``omega_succ`` are lists by
     bit position; ``regular`` masks the vertices with 0 < out-degree < ∞ and
-    ``infinite`` those with an ω class.
+    ``infinite`` those with an ω class.  :meth:`ids` reads a mask byte by
+    byte, the high byte first, in one table per byte position, built on first
+    use, of the sorted ids of each of its 256 values.
     """
 
     __slots__ = ("graph_name", "ascending", "bit", "everything", "succ", "pred", "omega_succ",
-                 "regular", "infinite", "_digits", "_ancestors")
+                 "regular", "infinite", "_tables", "_ancestors")
 
     def __init__(self, g: Digraph):
         self.graph_name = g.name
         self.ascending: list[str] = sorted(g.vertices)
-        self._digits = f"0{len(self.ascending)}b"
         by_bit = self.ascending[::-1]  # by_bit[i] holds bit i
         self.bit: dict[str, int] = {v: 1 << i for i, v in enumerate(by_bit)}
         self.everything = (1 << len(by_bit)) - 1
+        self._tables: list[list[tuple[str, ...]] | None] = [None] * ((len(by_bit) + 7) // 8)
         bit = self.bit
         self.succ: list[int] = []
         self.pred: list[int] = []
@@ -86,10 +84,25 @@ class BitIndex:
         return m
 
     def ids(self, m: int) -> list[str]:
-        """The ids of m in sorted order."""
-        # the binary digits of m, |V| of them, are the ids in sorted order
-        digits = format(m, self._digits).encode().translate(_BINARY_DIGITS)
-        return list(itertools.compress(self.ascending, digits))
+        """The ids of m in sorted order: one table lookup per nonzero byte."""
+        out: list[str] = []
+        tables = self._tables
+        for k, byte in enumerate(m.to_bytes(len(tables), "big")):
+            if byte:
+                out += (tables[k] or self._table(k))[byte]
+        return out
+
+    def _table(self, k: int) -> list[tuple[str, ...]]:
+        """The sorted ids of each value of the k-th byte from the top."""
+        n = len(self.ascending)
+        low = 8 * (len(self._tables) - 1 - k)  # the bit position of the byte's low bit
+        table: list[tuple[str, ...]] = [()]
+        for i in range(low, min(low + 8, n)):
+            # bit i holds a smaller id than the bits below it
+            v = self.ascending[n - 1 - i]
+            table += [(v, *rest) for rest in table]
+        self._tables[k] = table
+        return table
 
     def members(self, m: int) -> frozenset[str]:
         return frozenset(self.ids(m))

@@ -9,18 +9,24 @@ loading of operand files, the ``--format dot`` check and the dispatch all
 read it.  Exit codes: 0 verdicts and help, 2 usage and parse errors,
 3 validation errors, 4 resource limits, 5 internal consistency failures.
 
-Only ``digraph``, ``errors`` and ``records`` load with this module; each
-handler imports the modules it runs, so a command compiles no code it does
-not use.  ``analyze``, ``closure``, ``dot`` and ``check-morphism`` add ``io``
-alone; ``decide``, ``sever``, ``certificate``, ``radical``, ``quotient`` and
-``dim`` add ``io``, ``fields``, ``ideals`` and ``quotients``; ``strata`` adds
-``io``, ``scalars`` and ``ideals``; ``monoid``, ``orth``, ``fgip``,
-``simples`` and ``end`` add ``ktheory`` with them (``end`` also
-``quotients``).  ``--field`` loads ``scalars``, the field without its
-polynomials, which ``fields`` imports.  Coefficients over ℚ load
-``rationals`` and with it ``fractions``; work over 𝔽p does not.  ``json``
-loads only under ``--format json-lines``.  ``bitindex`` loads with the first
-closure, enumeration of closed sets or check of an ideal.
+Only ``digraph``, ``errors`` and ``records`` load with this module.  Each
+row of :data:`COMMANDS` names the module of :mod:`leavitt.commands` that
+holds its handler, and :func:`run` imports that module alone, which imports
+the library modules its commands run; so a command compiles neither another
+family's handlers nor code it does not use.  Every command adds ``io``.
+``analyze``, ``closure`` and ``dot`` add ``commands.digraph``;
+``check-morphism`` adds ``morphisms`` and ``commands.morphisms``;
+``decide``, ``sever``, ``certificate``, ``radical``, ``quotient`` and
+``dim`` add ``fields``, ``ideals``, ``quotients`` and
+``commands.quotients``; ``strata`` adds ``scalars``, ``ideals`` and
+``commands.ideals``; ``monoid``, ``orth``, ``fgip``, ``simples`` and ``end``
+add ``ideals``, ``ktheory`` and ``commands.ktheory`` (``orth`` also
+``fields``, ``end`` also ``fields`` and ``quotients``).  ``--field`` loads
+``scalars``, the field without its polynomials, which ``fields`` imports.
+Coefficients over ℚ load ``rationals`` and with it ``fractions``; work over
+𝔽p does not.  ``json`` loads only under ``--format json-lines``.
+``bitindex`` loads with the first closure, enumeration of closed sets or
+check of an ideal.  No command loads ``laurent``.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ from __future__ import annotations
 import os
 import re
 import sys
+from importlib import import_module
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from . import digraph as dg
 from .errors import (
@@ -37,6 +44,7 @@ from .errors import (
     LeavittError,
     ParseError,
     ResourceLimitError,
+    _positive_int,
 )
 from .records import record
 
@@ -83,16 +91,6 @@ class Reporter:
                             name=result.digraph.name)
 
 
-def _positive_int(text: str, what: str) -> int:
-    """The one check for a count given as text: a limit flag, LPA_LIMITS, --max-deg."""
-    try:  # int() raises ValueError past 4,300 digits: a bad count all the same
-        if text.isascii() and text.isdigit() and int(text) > 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise ParseError(f"{what} must be a positive integer")
-
-
 def _env_limits() -> dict:
     raw = os.environ.get("LPA_LIMITS", "")
     out = {}
@@ -126,8 +124,10 @@ def _load(operand: str, path: str | None, override: Field | None):
     if operand == "ideal":
         return tio.parse_ideal(text, path, field_override=override)
     if operand == "presentation":
-        return tio.parse_presentation(text, path)
-    return tio.parse_morphism_file(text, path)
+        from .ktheory import parse_presentation
+        return parse_presentation(text, path)
+    from .morphisms import parse_morphism_file
+    return parse_morphism_file(text, path)
 
 
 def _config_from(args) -> tuple[dict, Field | None, str]:
@@ -147,208 +147,12 @@ def _config_from(args) -> tuple[dict, Field | None, str]:
     return limits, override, args.output_format
 
 
-def _set_label(vs) -> str:
-    return "{" + ",".join(sorted(vs)) + "}"
-
-
-def _failures(decision: qt.DecideResult, field: Field) -> str:
-    return "; ".join(f"cycle {r.label}: {r.verdict.describe(field)}"
-                     for r in decision.failing())
-
-
-# -- handlers: each takes the reporter, the parsed arguments (with the checked
-# ``limits`` and ``override`` that run adds) and the loaded operands in
-# COMMANDS order, imports the modules it runs beyond digraph, and writes only
-# through the reporter
-
-def _analyze(rep: Reporter, args, g):
-    info = dg.classify_vertices(g)
-    for v in g.vertices:
-        i = info[v]
-        flags = [name for name, on in [
-            ("sink", i.sink), ("source", i.source), ("branch", i.branch_vertex),
-            ("infinite-emitter", i.infinite_emitter), ("regular", i.regular),
-            ("line-point", i.line_point), ("leak", i.leak)] if on]
-        rep.emit(f"vertex {v}: " + " ".join(flags), record="vertex", id=v,
-                 sink=i.sink, source=i.source, branch=i.branch_vertex,
-                 infiniteEmitter=i.infinite_emitter, regular=i.regular,
-                 linePoint=i.line_point, leak=i.leak)
-    for ci in dg.enumerate_cycles(g, limit=args.limits["maxCycles"]):
-        flags = [("has-exit" if ci.has_exit else "no-exit"),
-                 ("exclusive" if ci.exclusive else "overlapping")]
-        rep.emit(f"cycle {ci.cycle.label()}: " + " ".join(flags),
-                 record="cycle", arrows=list(ci.cycle.arrows),
-                 hasExit=ci.has_exit, exclusive=ci.exclusive,
-                 multiplicityOne=ci.multiplicity_one)
-    ids = g.bits.ids
-    for m in dg.enumerate_hereditary_saturated(g, limit=args.limits["maxPairs"], masks=True):
-        members = ids(m)  # sorted, as _set_label would sort them
-        rep.emit("hs-set {" + ",".join(members) + "}", record="hs-set", vertices=members)
-
-
-def _closure(rep: Reporter, args, g):
-    xs = [v for v in args.vertex_set.split(",") if v]
-    closed = dg.hereditary_saturated_closure(g, xs)
-    rep.emit(f"closure {_set_label(closed)}", record="closure", vertices=sorted(closed))
-
-
-def _quotient(rep: Reporter, args, g, j):
-    from . import quotients as qt
-    rep.quotient(qt.graded_quotient(g, j.pair))
-
-
-def _decide(rep: Reporter, args, g, j):
-    from . import quotients as qt
-    decision = qt.decide_lpa_quotient(g, j)
-    if not decision.is_lpa:
-        detail = _failures(decision, j.field)
-        rep.emit(f"notLPA: {detail}", record="verdict", isLPA=False, detail=detail)
-        return
-    rep.emit("isLPA", record="verdict", isLPA=True)
-    for r in decision.reports:
-        rep.emit(f"cycle {r.label}: {r.verdict.describe(j.field)}",
-                 record="cycle-report", cycle=r.label,
-                 roots=[j.field.format_scalar(x) for x in r.verdict.roots])
-    rep.quotient(decision.severed)
-
-
-def _sever(rep: Reporter, args, g, j):
-    from . import quotients as qt
-    if args.force_degree_only:  # severing reads only deg θ: no dlf verdicts
-        rep.quotient(qt.sever(g, j))
-        return
-    decision = qt.decide_lpa_quotient(g, j)
-    if not decision.is_lpa:
-        raise qt.NotDlfError(f"{_failures(decision, j.field)} "
-                             "(use --force-degree-only for the degree-only construction)")
-    rep.quotient(decision.severed)
-
-
-def _certificate(rep: Reporter, args, g, j):
-    from . import io as tio
-    from . import quotients as qt
-    cert = qt.iso_certificate(g, j)
-    if rep.fmt == "json-lines":
-        for entry in cert.entries:
-            rep.emit("", record="generator", kind=entry.kind,
-                     generator=entry.generator,
-                     image=[[j.field.format_scalar(c), t] for c, t in entry.image])
-    else:
-        rep.emit_block(tio.serialize_certificate(cert, j.field))
-
-
-def _radical(rep: Reporter, args, g, j):
-    from . import io as tio
-    from . import quotients as qt
-    result = qt.radical_quotient(g, j)
-    for label, drop in result.degree_drops:
-        rep.emit(f"cycle {label}: degree drop {drop}", record="degree-drop",
-                 cycle=label, drop=drop)
-    for violation in result.hypothesis_violations:
-        rep.emit(f"hypothesis violation: {violation}",
-                 record="hypothesis-violation", detail=violation)
-    rep.emit_block(tio.serialize_ideal(result.j_prime), record="ideal",
-                   name=result.j_prime.name)
-    rep.quotient(result.severed)
-
-
-def _dim(rep: Reporter, args, g, j):
-    from . import quotients as qt
-    blocks = qt.dimension_blocks(g, j, limit=args.limits["maxCycles"])
-    rep.emit(f"{blocks.total_dimension} = {blocks.describe()}",
-             record="dimension", total=blocks.total_dimension,
-             blocks=[[size, copies] for size, copies in blocks.blocks])
-
-
-def _monoid(rep: Reporter, args, g):
-    from . import ktheory as kt
-    pres = kt.monoid_presentation(g)
-    rep.emit("generators: " + " ".join(pres.generators), record="generators",
-             vertices=list(pres.generators))
-    for v, targets in pres.relations:
-        rhs = " + ".join(w if k == 1 else f"{k}*{w}" for w, k in targets)
-        rep.emit(f"relation {v} = {rhs}", record="relation", vertex=v,
-                 targets=[[w, k] for w, k in targets])
-
-
-def _strata(rep: Reporter, args, g):
-    from . import ideals as il
-    if args.override is None or not args.override.is_prime_field:
-        raise ParseError("strata requires --field F<p>")
-    records = il.enumerate_strata(g, args.override, _positive_int(args.max_deg, "--max-deg"),
-                                  limit=args.limits["maxPairs"])
-    lines = rep.fmt == "json-lines"
-    for r in records:
-        pair, beta, degrees = r.key.pair, r.key.beta, r.key.degrees
-        text = (f"stratum pair={pair.label()} beta=[{' '.join(c.label() for c in beta)}] "
-                f"degrees=[{' '.join(map(str, degrees))}]: "
-                f"parameters {r.parameter_count}, dlf {r.dlf_count}")
-        if lines:  # the json-lines fields cost a sort and a list per record
-            rep.emit(text, record="stratum", h=sorted(pair.h), s=sorted(pair.s),
-                     beta=[list(c.arrows) for c in beta], degrees=list(degrees),
-                     parameters=r.parameter_count, dlf=r.dlf_count)
-        else:
-            rep.emit(text)
-
-
-def _orth(rep: Reporter, args, g, j, p):
-    from . import ktheory as kt
-    verdict = kt.is_orthogonal(g, p, j)
-    rep.emit(f"orthogonal: {'true' if verdict else 'false'}",
-             record="orthogonal", value=verdict)
-
-
-def _fgip(rep: Reporter, args, g):
-    from . import ktheory as kt
-    for f in kt.classify_fgips(g, limit=args.limits["maxCycles"]):
-        rep.emit(f"fgip {f.cycle.label()}: support " + " ".join(sorted(f.support)),
-                 record="fgip", arrows=list(f.cycle.arrows), support=sorted(f.support))
-
-
-def _simples(rep: Reporter, args, g):
-    from . import ktheory as kt
-    for cls in kt.classify_simple_projectives(g):
-        rep.emit(f"simple {cls.representative}: members " + " ".join(cls.members),
-                 record="simple", representative=cls.representative,
-                 members=list(cls.members))
-
-
-def _end(rep: Reporter, args, g, p):
-    from . import ktheory as kt
-    verdict = kt.end_finite_dim(g, p)
-    if verdict.finite:
-        rep.emit(f"finite: {verdict.decomposition.describe()}",
-                 record="end", finite=True,
-                 blocks=[[s, c] for s, c in verdict.decomposition.blocks])
-    else:
-        rep.emit(f"infinite: witness {verdict.witness}", record="end",
-                 finite=False, witness=verdict.witness)
-
-
-def _check_morphism(rep: Reporter, args, morphism, src, dst):
-    name, src_name, dst_name, vmap, emap = morphism
-    if src.name != src_name or dst.name != dst_name:
-        raise dg.MalformedMorphismError(
-            f"morphism {name} names graphs {src_name} -> {dst_name}, "
-            f"got {src.name} -> {dst.name}")
-    report = dg.check_admissible_morphism(dg.DigraphMorphism(name, src, dst, vmap, emap))
-    if report.valid:
-        rep.emit("valid admissible morphism", record="morphism", valid=True)
-    else:
-        rep.emit("invalid morphism", record="morphism", valid=False)
-        for v in report.violations:
-            rep.emit(f"violation: {v}", record="violation", detail=v)
-
-
-def _dot(rep: Reporter, args, g):
-    rep.emit_block(dg.to_dot(g), record="dot", name=g.name)
-
-
 @record
 class Command:
-    """One subcommand: what runs it, what it reads, and how it may render."""
+    """One subcommand: the module of ``leavitt.commands`` that holds its handler
+    (named after the command), what it reads, and how it may render."""
 
-    handler: Callable[..., None]
+    module: str
     operands: tuple[str, ...]  # positional operand files, loaded in this order
     dot: bool = False  # whether --format dot applies
     options: tuple[tuple[str, str, object, str], ...] = ()  # (flag, attribute, default, help)
@@ -371,26 +175,26 @@ GLOBAL_OPTIONS = (
 
 #: Every subcommand; a trailing "?" marks an optional operand.
 COMMANDS = {
-    "analyze": Command(_analyze, ("graph",)),
-    "closure": Command(_closure, ("graph",), options=(
+    "analyze": Command("digraph", ("graph",)),
+    "closure": Command("digraph", ("graph",), options=(
         ("--set", "vertex_set", "", "comma-separated vertex ids"),)),
-    "quotient": Command(_quotient, ("graph", "ideal"), dot=True),
-    "decide": Command(_decide, ("graph", "ideal")),
-    "sever": Command(_sever, ("graph", "ideal"), dot=True, options=(
+    "quotient": Command("quotients", ("graph", "ideal"), dot=True),
+    "decide": Command("quotients", ("graph", "ideal")),
+    "sever": Command("quotients", ("graph", "ideal"), dot=True, options=(
         ("--force-degree-only", "force_degree_only", False,
          "emit the severed digraph even for non-dlf ideals"),)),
-    "certificate": Command(_certificate, ("graph", "ideal")),
-    "radical": Command(_radical, ("graph", "ideal")),
-    "dim": Command(_dim, ("graph", "ideal?")),
-    "monoid": Command(_monoid, ("graph",)),
-    "strata": Command(_strata, ("graph",), options=(
+    "certificate": Command("quotients", ("graph", "ideal")),
+    "radical": Command("quotients", ("graph", "ideal")),
+    "dim": Command("quotients", ("graph", "ideal?")),
+    "monoid": Command("ktheory", ("graph",)),
+    "strata": Command("ideals", ("graph",), options=(
         ("--max-deg", "max_deg", REQUIRED, "largest degree of theta counted"),)),
-    "orth": Command(_orth, ("graph", "ideal", "presentation")),
-    "fgip": Command(_fgip, ("graph",)),
-    "simples": Command(_simples, ("graph",)),
-    "end": Command(_end, ("graph", "presentation")),
-    "check-morphism": Command(_check_morphism, ("morphism", "source_graph", "target_graph")),
-    "dot": Command(_dot, ("graph",), dot=True),
+    "orth": Command("ktheory", ("graph", "ideal", "presentation")),
+    "fgip": Command("ktheory", ("graph",)),
+    "simples": Command("ktheory", ("graph",)),
+    "end": Command("ktheory", ("graph", "presentation")),
+    "check-morphism": Command("morphisms", ("morphism", "source_graph", "target_graph")),
+    "dot": Command("digraph", ("graph",), dot=True),
 }
 
 
@@ -554,7 +358,8 @@ def run(args) -> int:
         raise ParseError(f"--format dot is not meaningful for {args.command}")
     names = [operand.rstrip("?") for operand in command.operands]
     operands = [_load(name, getattr(args, name), args.override) for name in names]
-    command.handler(Reporter(fmt, sys.stdout), args, *operands)
+    family = import_module(f".commands.{command.module}", __package__)
+    getattr(family, args.command.replace("-", "_"))(Reporter(fmt, sys.stdout), args, *operands)
     return 0
 
 

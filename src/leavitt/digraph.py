@@ -27,8 +27,12 @@ functions take and return ``frozenset``s of ids, or the masks themselves
 where they say so.  ``bitindex`` loads on the first use of the index, so a
 command that never needs it does not compile it.
 
-All values are immutable after construction and every analysis is a pure
-function, so everything here is safe to share across threads.
+Digraph morphisms and their admissibility check live in
+:mod:`leavitt.morphisms`, and the arrow instances a corner generator leaves
+out in :mod:`leavitt.ktheory`, so commands that never use them do not
+compile them.  All values are immutable after construction and every
+analysis is a pure function, so everything here is safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import math
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
-    MalformedMorphismError,
     NotHereditaryError,
     ResourceLimitError,
     UnknownArrowError,
@@ -526,84 +529,6 @@ def breaking_vertices(g: Digraph, hs: Iterable[str]) -> frozenset[str]:
         raise NotHereditaryError(f"{sorted(hs)} is not hereditary in {g.name}")
     bits = g.bits
     return bits.members(bits.breaking(bits.mask(hs)))
-
-
-def instances_escaping(g: Digraph, v: str, hs: Iterable[str]) -> frozenset[tuple[str, int]]:
-    """(arrow id, instance index) pairs leaving v whose target is outside hs.
-
-    Only defined when that set is finite, i.e. no ω class escapes.
-    """
-    hs = set(hs)
-    out = set()
-    for a in g._out[v]:
-        if a.target in hs:
-            continue
-        if is_omega(a.multiplicity):
-            raise ValueError(f"ω class {a.id} escapes {sorted(hs)}; instance set is infinite")
-        out.update((a.id, i) for i in range(a.multiplicity))
-    return frozenset(out)
-
-
-# -- digraph morphisms ----------------------------------------------------------
-
-@record
-class DigraphMorphism:
-    name: str
-    source: Digraph
-    target: Digraph
-    vertex_map: Mapping[str, str]
-    arrow_map: Mapping[str, str]
-
-
-@record
-class MorphismReport:
-    valid: bool
-    violations: tuple[str, ...]
-
-
-def check_admissible_morphism(m: DigraphMorphism) -> MorphismReport:
-    """Admissibility of a digraph morphism: finite fibers, target bijections on
-    arrow fibers, and sinks landing on sinks or infinite emitters."""
-    src, dst = m.source, m.target
-    for g, kind in ((src, "source"), (dst, "target")):
-        for a in g.arrows:
-            if a.multiplicity != 1:
-                raise MalformedMorphismError(
-                    f"{kind} digraph {g.name} has a class of multiplicity != 1 ({a.id})")
-    if set(m.vertex_map) != set(src.vertices):
-        raise MalformedMorphismError(f"morphism {m.name}: vertex map is not total")
-    if set(m.arrow_map) != {a.id for a in src.arrows}:
-        raise MalformedMorphismError(f"morphism {m.name}: arrow map is not total")
-    for v, w in m.vertex_map.items():
-        if not dst.has_vertex(w):
-            raise MalformedMorphismError(f"morphism {m.name}: image vertex {w!r} unknown")
-    for e, f_ in m.arrow_map.items():
-        if not dst.has_arrow(f_):
-            raise MalformedMorphismError(f"morphism {m.name}: image arrow {f_!r} unknown")
-        a, b = src.arrow(e), dst.arrow(f_)
-        if m.vertex_map[a.source] != b.source or m.vertex_map[a.target] != b.target:
-            raise MalformedMorphismError(
-                f"morphism {m.name}: arrow {e} does not commute with source/target")
-
-    violations = []
-    dst_info = classify_vertices(dst)
-    vertex_fiber: dict[str, list[str]] = {w: [] for w in dst.vertices}  # each sorted
-    for v in sorted(m.vertex_map):
-        vertex_fiber[m.vertex_map[v]].append(v)
-    targets_of: dict[str, list[str]] = {b.id: [] for b in dst.arrows}  # over each arrow fiber
-    for e, f_ in m.arrow_map.items():
-        targets_of[f_].append(src.arrow(e).target)
-    for b in dst.arrows:  # a fiber's targets are distinct once they equal a vertex fiber
-        if sorted(targets_of[b.id]) != vertex_fiber[b.target]:
-            violations.append(
-                f"arrow {b.id}: target map on its fiber is not a bijection")
-    for v in src.vertices:
-        if src._out[v]:
-            continue
-        w = m.vertex_map[v]
-        if not (dst_info[w].sink or dst_info[w].infinite_emitter):
-            violations.append(f"sink {v}: image {w} is neither a sink nor an infinite emitter")
-    return MorphismReport(valid=not violations, violations=tuple(violations))
 
 
 # -- DOT export ------------------------------------------------------------------

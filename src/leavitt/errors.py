@@ -4,6 +4,8 @@ Every failure mode has its own class so callers (and the CLI exit-code
 mapping) can dispatch on type.  ``LeavittError`` is the common base;
 ``ParseError`` carries a file path and line number; ``ResourceLimitError``
 signals that a configured or fixed bound was passed, not a wrong input.
+:func:`_positive_int` is the one check, shared by the command line's front
+end and ``strata``, of a count given as text.
 """
 
 from __future__ import annotations
@@ -31,6 +33,16 @@ class ParseError(LeavittError):
 
 class ResourceLimitError(LeavittError):
     """A configured or fixed enumeration or size bound was exceeded."""
+
+
+def _positive_int(text: str, what: str) -> int:
+    """The one check for a count given as text: a limit flag, LPA_LIMITS, --max-deg."""
+    try:  # int() raises ValueError past 4,300 digits: a bad count all the same
+        if text.isascii() and text.isdigit() and int(text) > 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise ParseError(f"{what} must be a positive integer")
 
 
 class InternalConsistencyError(LeavittError):

@@ -1,10 +1,14 @@
-"""Line-oriented text formats: digraph, ideal, morphism, projective presentation.
+"""Line-oriented text formats of digraphs and ideals, and the serialized results.
 
-All formats are UTF-8 with '#' comments and blank lines ignored.  Parsers
-raise :class:`~leavitt.errors.ParseError` with a line number; serializers
-emit a canonical form so parse/serialize round-trips are exact.  Only
-``digraph`` and ``errors`` load with this module: the ideal and presentation
-parsers import the modules of the types they build.
+All the package's formats are UTF-8 with '#' comments (whole lines only in
+a presentation) and blank lines ignored.  Parsers raise
+:class:`~leavitt.errors.ParseError` with a line number; serializers emit a
+canonical form so parse/serialize round-trips are exact.  The morphism
+format lives with its type in :mod:`leavitt.morphisms` and the projective
+presentation format in :mod:`leavitt.ktheory`, so only the commands that
+read one compile its parser.  Only ``digraph``, ``errors`` and ``records``
+load with this module: the ideal parser imports the modules of the types it
+builds.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from .records import replace
 if TYPE_CHECKING:
     from .fields import Field
     from .ideals import IdealPresentation
-    from .ktheory import ProjectivePresentation
     from .quotients import IsoCertificate, QuotientResult
 
 
@@ -26,14 +29,6 @@ def _lines(text: str):
     for no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield no, line
-
-
-def _whole_lines(text: str):
-    """Like :func:`_lines` but only full-line comments; '#' may occur in tokens."""
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
             yield no, line
 
 
@@ -199,75 +194,6 @@ def serialize_ideal(j: IdealPresentation) -> str:
             coeffs = " ".join(j.field.format_scalar(x) for x in poly.coeffs)
             lines.append(f"poly {j.label_of(c)}: {coeffs}")
     return "\n".join(lines) + "\n"
-
-
-# -- morphisms ------------------------------------------------------------------------
-
-def parse_morphism_file(text: str, path: str | None = None):
-    """Raw morphism data: (name, source name, target name, vertex map, arrow map)."""
-    name = None
-    graphs: tuple[str, str] | None = None
-    vmap: dict[str, str] = {}
-    emap: dict[str, str] = {}
-    for no, line in _lines(text):
-        parts = line.split()
-        kw = parts[0]
-        if kw == "morphism":
-            if len(parts) != 2:
-                raise ParseError("expected: morphism <name>", no, path)
-            name = parts[1]
-        elif kw == "graphs":
-            if len(parts) != 3:
-                raise ParseError("expected: graphs <src> <dst>", no, path)
-            graphs = (parts[1], parts[2])
-        elif kw in ("v", "e"):
-            if len(parts) != 4 or parts[2] != "->":
-                raise ParseError(f"expected: {kw} <a> -> <b>", no, path)
-            table = vmap if kw == "v" else emap
-            if parts[1] in table:
-                raise ParseError(f"duplicate mapping for {parts[1]!r}", no, path)
-            table[parts[1]] = parts[3]
-        else:
-            raise ParseError(f"unrecognized keyword {kw!r}", no, path)
-    if name is None:
-        raise ParseError("missing morphism header", None, path)
-    if graphs is None:
-        raise ParseError("missing graphs line", None, path)
-    return name, graphs[0], graphs[1], vmap, emap
-
-
-# -- projective presentations ----------------------------------------------------------
-
-def parse_presentation(text: str, path: str | None = None) -> ProjectivePresentation:
-    from .ktheory import CornerGen, ProjectivePresentation, VertexGen
-
-    items = []
-    for no, line in _whole_lines(text):
-        if line.startswith("P:"):
-            for v in line[2:].split():
-                items.append(VertexGen(v))
-        elif line.startswith("corner "):
-            rest = line[len("corner "):].strip()
-            if "{" not in rest or not rest.endswith("}"):
-                raise ParseError("expected: corner <v> {e#i, ...}", no, path)
-            vertex, braced = rest.split("{", 1)
-            vertex = vertex.strip()
-            if not vertex:
-                raise ParseError("corner line is missing the vertex", no, path)
-            z = set()
-            body = braced[:-1].strip()
-            for token in ([] if not body else body.split(",")):
-                token = token.strip()
-                if "#" not in token:
-                    raise ParseError(f"bad instance token {token!r}", no, path)
-                aid, idx = token.rsplit("#", 1)
-                if not (idx.isascii() and idx.isdigit()):
-                    raise ParseError(f"bad instance index in {token!r}", no, path)
-                z.add((aid, int(idx)))
-            items.append(CornerGen(vertex, frozenset(z)))
-        else:
-            raise ParseError("expected a 'P:' or 'corner' line", no, path)
-    return ProjectivePresentation.of(items)
 
 
 # -- certificates ------------------------------------------------------------------------

@@ -12,10 +12,14 @@ is the projective of v − Σ_{e∈Z} ee* (Tomforde's v^H at an infinite emitter
 its instances escaping H).  :func:`validate_presentation` rewrites a corner at
 a regular vertex by (CK2) into Vertex(r(a)) items, one per arrow class a, with
 one copy per instance of a outside Z; every consumer works on what it returns.
-The simple projectives read the linear walk :func:`~leavitt.digraph.out_one_walk`
-and End(P) the iterative path counts of ``quotients``, which only
-:func:`end_finite_dim` and :func:`acyclic_decomposition` import, so the Galois
-maps load no quotient code.
+The text format of presentations (``P:`` and ``corner`` lines) is parsed
+here, next to the types it builds, and :func:`instances_escaping` gives Z of
+the canonical corner at u ∈ S: the instances of u whose targets lie outside
+H.  The simple projectives read the linear walk
+:func:`~leavitt.digraph.out_one_walk` and End(P) the iterative path counts of
+``quotients``, which only :func:`end_finite_dim` and
+:func:`acyclic_decomposition` import, so the Galois maps load no quotient
+code.
 """
 
 from __future__ import annotations
@@ -30,12 +34,11 @@ from .digraph import (
     OMEGA,
     cycle_vertices,
     find_any_cycle,
-    instances_escaping,
     is_omega,
     no_exit_cycles,
     out_one_walk,
 )
-from .errors import MalformedGeneratorsError, NotAcyclicError, NotRowFiniteError
+from .errors import MalformedGeneratorsError, NotAcyclicError, NotRowFiniteError, ParseError
 from .ideals import (
     AdmissiblePair,
     IdealPresentation,
@@ -216,7 +219,64 @@ def validate_presentation(g: Digraph, p: ProjectivePresentation) -> ProjectivePr
     return ProjectivePresentation(tuple(normal))
 
 
+# -- the presentation format ---------------------------------------------------------
+
+def _whole_lines(text: str):
+    """The numbered non-blank lines, skipping only full-line comments: '#'
+    joins an arrow id to an instance index inside a line."""
+    for no, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield no, line
+
+
+def parse_presentation(text: str, path: str | None = None) -> ProjectivePresentation:
+    items = []
+    for no, line in _whole_lines(text):
+        if line.startswith("P:"):
+            for v in line[2:].split():
+                items.append(VertexGen(v))
+        elif line.startswith("corner "):
+            rest = line[len("corner "):].strip()
+            if "{" not in rest or not rest.endswith("}"):
+                raise ParseError("expected: corner <v> {e#i, ...}", no, path)
+            vertex, braced = rest.split("{", 1)
+            vertex = vertex.strip()
+            if not vertex:
+                raise ParseError("corner line is missing the vertex", no, path)
+            z = set()
+            body = braced[:-1].strip()
+            for token in ([] if not body else body.split(",")):
+                token = token.strip()
+                if "#" not in token:
+                    raise ParseError(f"bad instance token {token!r}", no, path)
+                aid, idx = token.rsplit("#", 1)
+                if not (idx.isascii() and idx.isdigit()):
+                    raise ParseError(f"bad instance index in {token!r}", no, path)
+                z.add((aid, int(idx)))
+            items.append(CornerGen(vertex, frozenset(z)))
+        else:
+            raise ParseError("expected a 'P:' or 'corner' line", no, path)
+    return ProjectivePresentation.of(items)
+
+
 # -- Galois correspondence ------------------------------------------------------------
+
+def instances_escaping(g: Digraph, v: str, hs: Iterable[str]) -> frozenset[tuple[str, int]]:
+    """(arrow id, instance index) pairs leaving v whose target is outside hs.
+
+    Only defined when that set is finite, i.e. no ω class escapes.
+    """
+    hs = set(hs)
+    out = set()
+    for a in g._out[v]:
+        if a.target in hs:
+            continue
+        if is_omega(a.multiplicity):
+            raise ValueError(f"ω class {a.id} escapes {sorted(hs)}; instance set is infinite")
+        out.update((a.id, i) for i in range(a.multiplicity))
+    return frozenset(out)
+
 
 @record
 class ClosedSubmonoid:

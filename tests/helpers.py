@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from leavitt import cli, digraph, fields, ideals, ktheory, quotients, records, scalars
+from leavitt import (
+    cli, digraph, fields, ideals, ktheory, laurent, morphisms, quotients, records, scalars)
 from leavitt.digraph import OMEGA, Digraph, is_hereditary, is_omega, is_saturated
 from leavitt.errors import (
     FieldMismatchError,
@@ -209,7 +210,7 @@ def recursive_sink_multiset(g: Digraph, v: str, memo: dict) -> Counter:
     return out
 
 
-def rescan_fiber_violations(m: digraph.DigraphMorphism) -> list[str]:
+def rescan_fiber_violations(m: morphisms.DigraphMorphism) -> list[str]:
     """The bijection violations of an admissible-morphism check, rescanning
     both maps for every target arrow: O(E·(V + E))."""
     violations = []
@@ -243,7 +244,7 @@ def item_orthogonal(g: Digraph, p: ktheory.ProjectivePresentation,
             continue
         if item.vertex not in s:
             return False
-        if not digraph.instances_escaping(g, item.vertex, h) <= item.z:
+        if not ktheory.instances_escaping(g, item.vertex, h) <= item.z:
             return False
     return True
 
@@ -508,18 +509,34 @@ def exhaustive_degree_census(field: Field, degree: int) -> tuple[int, int]:
 @st.composite
 def digraphs(draw, max_vertices: int = 12) -> Digraph:
     """Digraphs on up to ``max_vertices`` vertices whose arrow classes may be
-    loops, parallel to one another, of multiplicity 2 or ω."""
-    n = draw(st.integers(0, max_vertices))
+    loops, parallel to one another, of multiplicity 2 or ω.  In half the draws
+    one more vertex is a sink fed by ω classes from some of the others: a
+    feeder that keeps a finite exit breaks every H holding the sink, so
+    admissible pairs with S ≠ ∅ are common."""
+    sink = draw(st.booleans())
+    n = draw(st.integers(0, max_vertices - sink))
     vs = [f"v{i}" for i in range(n)]
     ends = st.integers(0, n - 1) if n else st.nothing()
     classes = draw(st.lists(st.tuples(ends, ends, st.sampled_from((1, 1, 2, OMEGA))),
                             max_size=2 * n))
-    return Digraph("random", vs, [(f"e{k}", vs[s], vs[t], m)
-                                  for k, (s, t, m) in enumerate(classes)])
+    arrows = [(f"e{k}", vs[s], vs[t], m) for k, (s, t, m) in enumerate(classes)]
+    if sink and n:
+        feeders = sorted(draw(st.sets(st.sampled_from(vs), min_size=1, max_size=3)))
+        arrows += [(f"w{i}", u, f"v{n}", OMEGA) for i, u in enumerate(feeders)]
+        vs.append(f"v{n}")
+    return Digraph("random", vs, arrows)
 
 
 # -- hereditary saturated sets and the pair lattice by exhaustive search, and the
 #    frozenset closure and eager tables that the bit index replaced ---------------
+
+def digit_ids(bits, m: int) -> list[str]:
+    """The ids of the mask m of a BitIndex in sorted order, read off its |V|
+    binary digits, as ``BitIndex.ids`` did before its byte tables."""
+    digits = format(m, f"0{len(bits.ascending)}b").encode().translate(
+        bytes.maketrans(b"01", b"\0\1"))
+    return list(itertools.compress(bits.ascending, digits))
+
 
 def fixpoint_closure(g: Digraph, xs) -> frozenset[str]:
     """Smallest hereditary and saturated set containing xs, by repeating full
@@ -732,7 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def record_classes() -> list[type]:
     """Every class of the package made by :func:`leavitt.records.record`."""
-    return [obj for module in (cli, digraph, fields, ideals, ktheory, quotients, scalars)
+    return [obj for module in (cli, digraph, fields, ideals, ktheory, laurent, morphisms,
+                               quotients, scalars)
             for obj in vars(module).values()
             if isinstance(obj, type) and obj.__module__ == module.__name__
             and "__record__" in vars(obj)]

@@ -5,11 +5,9 @@ import pytest
 from helpers import label_isomorphic, maximal_paths_from
 from leavitt.digraph import (
     Digraph,
-    DigraphMorphism,
     GeometricCycle,
     OMEGA,
     breaking_vertices,
-    check_admissible_morphism,
     classify_vertices,
     cycle_vertices,
     enumerate_cycles,
@@ -26,6 +24,7 @@ from leavitt.errors import (
     ResourceLimitError,
     UnknownVertexError,
 )
+from leavitt.morphisms import DigraphMorphism, check_admissible_morphism
 
 from conftest import corpus_graphs, load_graph
 

@@ -21,16 +21,13 @@ from leavitt.errors import (
 from helpers import field_elements, fraction_squarefree_part
 from leavitt.fields import (
     Field,
-    LaurentElement,
     Polynomial,
-    crt_profile,
     find_roots,
     is_dlf,
-    laurent_normalize,
-    linear_factorization,
     poly_gcd,
     squarefree_part,
 )
+from leavitt.laurent import LaurentElement, crt_profile, laurent_normalize, linear_factorization
 
 Q = Field.rationals()
 F2, F3, F5 = Field.gf(2), Field.gf(3), Field.gf(5)

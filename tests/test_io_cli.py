@@ -14,12 +14,11 @@ from leavitt.io import (
     cast_ideal,
     parse_digraph,
     parse_ideal,
-    parse_morphism_file,
-    parse_presentation,
     serialize_digraph,
     serialize_ideal,
 )
-from leavitt.ktheory import CornerGen, VertexGen
+from leavitt.ktheory import CornerGen, VertexGen, parse_presentation
+from leavitt.morphisms import parse_morphism_file
 
 from conftest import (
     CORPUS,

@@ -9,7 +9,6 @@ from leavitt.digraph import (
     enumerate_cycles,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
-    instances_escaping,
 )
 from leavitt.errors import (
     InvalidIdealError,

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from helpers import (
     bitset_lattice_tables,
     closure_enumerate_hereditary_saturated,
+    digit_ids,
     digraphs,
     exhaustive_degree_census,
     fixpoint_closure,
@@ -217,6 +218,14 @@ def component_union(kinds: str) -> Digraph:
 class TestMasksAgainstOracles:
     """The mask enumeration, the pair order read off the masks, and the
     reports rendered from them, against the frozenset oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_ids_by_byte_table_equal_the_binary_digits(self, data):
+        # up to 40 vertices: masks of one to five bytes, ids such as v10 < v2
+        bits = data.draw(digraphs(max_vertices=40)).bits
+        for m in data.draw(st.lists(st.integers(0, bits.everything), max_size=8)):
+            assert bits.ids(m) == digit_ids(bits, m)
 
     @settings(max_examples=100, deadline=None)
     @given(g=digraphs(max_vertices=8))

@@ -230,7 +230,7 @@ def test_unsupported_options_and_mutable_defaults_fail_loudly():
 #: stack with no import of a module outside the package in between, then list
 #: which of the named modules the import left behind.  ``import leavitt.cli``
 #: loads only the modules the CLI needs at start, so every other module of the
-#: package is imported after it.
+#: package, those of its subpackages included, is imported after it.
 STARTUP_PROBE = """
 import json, os, sys, traceback
 generated = []
@@ -251,10 +251,13 @@ def hook(event, args):
             return
 sys.addaudithook(hook)
 import leavitt.cli
-package = os.path.dirname(leavitt.__file__)
-for name in sorted(os.listdir(package)):
-    if name.endswith(".py") and name != "__init__.py":
-        __import__("leavitt." + name[:-3])
+top = os.path.dirname(os.path.dirname(leavitt.__file__))
+for root, dirs, names in os.walk(os.path.dirname(leavitt.__file__)):
+    dirs.sort()
+    package = os.path.relpath(root, top).replace(os.sep, ".")
+    for name in sorted(names):
+        if name.endswith(".py"):
+            __import__(package if name == "__init__.py" else package + "." + name[:-3])
 print(json.dumps({"generated": generated,
                   "modules": sorted(m for m in sys.modules if m.startswith("leavitt.")),
                   "after": [m for m in ("dataclasses", "inspect") if m in sys.modules]}))
@@ -272,5 +275,7 @@ def test_cli_import_generates_no_code():
     report = json.loads(proc.stdout)
     assert report["generated"] == []
     assert {"leavitt.fields", "leavitt.ideals", "leavitt.io", "leavitt.ktheory",
-            "leavitt.quotients"} <= set(report["modules"])
+            "leavitt.laurent", "leavitt.morphisms", "leavitt.quotients", "leavitt.commands",
+            "leavitt.commands.digraph", "leavitt.commands.ideals", "leavitt.commands.ktheory",
+            "leavitt.commands.morphisms", "leavitt.commands.quotients"} <= set(report["modules"])
     assert set(report["after"]) <= set(json.loads(bare.stdout))

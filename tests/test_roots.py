@@ -27,8 +27,8 @@ from leavitt.fields import (
     Polynomial,
     find_roots,
     is_dlf,
-    linear_factorization,
 )
+from leavitt.laurent import linear_factorization
 from leavitt.scalars import MILLER_RABIN_BOUND
 
 from helpers import divisor_roots, sweep_roots

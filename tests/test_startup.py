@@ -8,18 +8,18 @@ import sys
 import pytest
 
 import leavitt
-from leavitt import digraph, fields, ideals, ktheory, quotients
+from leavitt import digraph, fields, ideals, ktheory, laurent, morphisms, quotients
+from leavitt.cli import COMMANDS
 
 from test_io_cli import SAMPLE_ARGS, child_env, cpath
 
 #: Every name ``leavitt`` exported when its ``__init__`` imported them eagerly.
 EXPORTED = {
-    digraph: ("ArrowClass", "Digraph", "DigraphMorphism", "GeometricCycle", "OMEGA",
-              "breaking_vertices", "check_admissible_morphism", "classify_vertices",
-              "enumerate_cycles", "enumerate_hereditary_saturated",
+    digraph: ("ArrowClass", "Digraph", "GeometricCycle", "OMEGA", "breaking_vertices",
+              "classify_vertices", "enumerate_cycles", "enumerate_hereditary_saturated",
               "hereditary_saturated_closure", "to_dot"),
-    fields: ("Field", "LaurentElement", "Polynomial", "RootMultiset", "crt_profile",
-             "find_roots", "is_dlf", "laurent_normalize", "poly_gcd", "squarefree_part"),
+    fields: ("Field", "Polynomial", "RootMultiset", "find_roots", "is_dlf", "poly_gcd",
+             "squarefree_part"),
     ideals: ("AdmissiblePair", "IdealPresentation", "enumerate_admissible_pairs",
              "enumerate_strata", "graded_part", "pair_lattice", "pair_order",
              "validate_ideal"),
@@ -27,6 +27,8 @@ EXPORTED = {
               "acyclic_decomposition", "classify_fgips", "classify_simple_projectives",
               "end_finite_dim", "galois_phi", "galois_psi",
               "is_orthogonal", "monoid_congruent", "monoid_presentation"),
+    laurent: ("LaurentElement", "crt_profile", "laurent_normalize"),
+    morphisms: ("DigraphMorphism", "check_admissible_morphism"),
     quotients: ("IsoCertificate", "MatrixDecomposition", "QuotientResult", "cycle_to_loop",
                 "decide_lpa_quotient", "dimension_blocks", "graded_quotient",
                 "iso_certificate", "quotient_dimension", "radical_quotient", "sever"),
@@ -92,8 +94,8 @@ def test_analyze_loads_no_algebra(bare):
     modules = loaded(CLI_PROBE, "analyze", cpath("sq2"))
     # the CLI itself runs as __main__, as under python -m
     assert {m for m in modules if m.startswith("leavitt")} == {
-        "leavitt", "leavitt.bitindex", "leavitt.digraph", "leavitt.errors", "leavitt.io",
-        "leavitt.records"}
+        "leavitt", "leavitt.bitindex", "leavitt.commands", "leavitt.commands.digraph",
+        "leavitt.digraph", "leavitt.errors", "leavitt.io", "leavitt.records"}
     assert not {"fractions", "json"} & (modules - bare)
 
 
@@ -109,6 +111,38 @@ def test_decide_loads_no_ktheory(bare):
     lines = loaded(CLI_PROBE, "--format", "json-lines", "decide", cpath("sq5"),
                    cpath("ch2-ideal-F3"))
     assert "json" in lines and "leavitt.ktheory" not in lines
+
+
+#: The commands on a digraph and one ideal presentation.
+IDEAL_COMMANDS = ("quotient", "decide", "sever", "certificate", "radical", "dim")
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_ARGS))
+def test_a_command_loads_only_its_own_family(name):
+    modules = loaded(CLI_PROBE, name, *SAMPLE_ARGS[name])
+    # the front end ran once, as __main__: no handler module imported it again
+    assert "leavitt.cli" not in modules
+    assert {m for m in modules if m.startswith("leavitt.commands")} == {
+        "leavitt.commands", f"leavitt.commands.{COMMANDS[name].module}"}
+    assert "leavitt.laurent" not in modules
+    if name in IDEAL_COMMANDS:
+        assert not {"leavitt.morphisms", "leavitt.ktheory"} & modules
+
+
+def test_check_morphism_loads_no_algebra():
+    modules = loaded(CLI_PROBE, "check-morphism", *SAMPLE_ARGS["check-morphism"])
+    assert "leavitt.morphisms" in modules
+    assert not {"leavitt.fields", "leavitt.ideals", "leavitt.quotients"} & modules
+
+
+def test_presentations_are_parsed_by_ktheory(tmp_path):
+    # a bad presentation stops orth and end in ktheory's parser, before their handlers load
+    bad = tmp_path / "bad.pres"
+    bad.write_text("corner v {e1}\n")
+    g, j = SAMPLE_ARGS["orth"][:2]
+    modules = loaded(MAIN_PROBE, json.dumps([["orth", g, j, str(bad)], ["end", g, str(bad)]]))
+    assert "leavitt.ktheory" in modules
+    assert not {"leavitt.commands.ktheory", "leavitt.quotients"} & modules
 
 
 def test_strata_loads_no_quotients():

@@ -20,8 +20,6 @@ from helpers import (
 from leavitt.digraph import (
     OMEGA,
     Digraph,
-    DigraphMorphism,
-    check_admissible_morphism,
     classify_vertices,
     cycle_vertices,
     enumerate_cycles,
@@ -38,6 +36,7 @@ from leavitt.ktheory import (
     classify_simple_projectives,
     end_finite_dim,
 )
+from leavitt.morphisms import DigraphMorphism, check_admissible_morphism
 from leavitt.quotients import (
     MatrixDecomposition,
     _paths_ending_at,
