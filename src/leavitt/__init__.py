@@ -16,30 +16,29 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "cycles": ("enumerate_cycles",),
     "digraph": (
         "ArrowClass", "Digraph", "GeometricCycle", "OMEGA", "breaking_vertices",
-        "classify_vertices", "enumerate_cycles", "enumerate_hereditary_saturated",
+        "classify_vertices", "enumerate_hereditary_saturated",
         "hereditary_saturated_closure", "to_dot",
     ),
+    "dimension": ("MatrixDecomposition", "dimension_blocks", "quotient_dimension"),
     "fields": (
         "Polynomial", "RootMultiset", "find_roots", "is_dlf", "poly_gcd", "squarefree_part",
     ),
-    "ideals": (
-        "AdmissiblePair", "IdealPresentation", "enumerate_admissible_pairs",
-        "enumerate_strata", "graded_part", "pair_lattice", "pair_order", "validate_ideal",
-    ),
+    "ideals": ("AdmissiblePair", "IdealPresentation", "graded_part", "validate_ideal"),
     "ktheory": (
         "ClosedSubmonoid", "CornerGen", "ProjectivePresentation", "VertexGen",
         "acyclic_decomposition", "classify_fgips", "classify_simple_projectives",
         "end_finite_dim", "galois_phi", "galois_psi", "is_orthogonal", "monoid_congruent",
         "monoid_presentation",
     ),
+    "lattice": ("enumerate_admissible_pairs", "enumerate_strata", "pair_lattice", "pair_order"),
     "laurent": ("LaurentElement", "crt_profile", "laurent_normalize"),
     "morphisms": ("DigraphMorphism", "check_admissible_morphism"),
     "quotients": (
-        "IsoCertificate", "MatrixDecomposition", "QuotientResult", "cycle_to_loop",
-        "decide_lpa_quotient", "dimension_blocks", "graded_quotient", "iso_certificate",
-        "quotient_dimension", "radical_quotient", "sever",
+        "IsoCertificate", "QuotientResult", "cycle_to_loop", "decide_lpa_quotient",
+        "graded_quotient", "iso_certificate", "radical_quotient", "sever",
     ),
     "scalars": ("Field",),
 }

@@ -14,14 +14,16 @@ row of :data:`COMMANDS` names the module of :mod:`leavitt.commands` that
 holds its handler, and :func:`run` imports that module alone, which imports
 the library modules its commands run; so a command compiles neither another
 family's handlers nor code it does not use.  Every command adds ``io``.
-``analyze``, ``closure`` and ``dot`` add ``commands.digraph``;
-``check-morphism`` adds ``morphisms`` and ``commands.morphisms``;
-``decide``, ``sever``, ``certificate``, ``radical``, ``quotient`` and
-``dim`` add ``fields``, ``ideals``, ``quotients`` and
-``commands.quotients``; ``strata`` adds ``scalars``, ``ideals`` and
-``commands.ideals``; ``monoid``, ``orth``, ``fgip``, ``simples`` and ``end``
-add ``ideals``, ``ktheory`` and ``commands.ktheory`` (``orth`` also
-``fields``, ``end`` also ``fields`` and ``quotients``).  ``--field`` loads
+``analyze``, ``closure`` and ``dot`` add ``commands.digraph`` (``analyze``
+also ``cycles``); ``check-morphism`` adds ``morphisms`` and
+``commands.morphisms``; ``decide``, ``sever``, ``certificate``,
+``radical``, ``quotient`` and ``dim`` add ``fields``, ``ideals``,
+``quotients`` and ``commands.quotients`` (``dim`` also ``cycles`` and
+``dimension``); ``strata`` adds ``scalars``, ``ideals``, ``lattice`` and
+``commands.ideals``; ``monoid``, ``orth``, ``fgip``, ``simples`` and
+``end`` add ``ktheory`` and ``commands.ktheory`` (``orth`` also
+``fields``, ``ideals`` and ``lattice``, ``end`` also ``dimension``, and
+``cycles`` when it names a cycle as its witness).  ``--field`` loads
 ``scalars``, the field without its polynomials, which ``fields`` imports.
 Coefficients over ℚ load ``rationals`` and with it ``fractions``; work over
 𝔽p does not.  ``json`` loads only under ``--format json-lines``.
@@ -86,8 +88,8 @@ class Reporter:
         if self.fmt == "dot":
             self.out.write(dg.to_dot(result.digraph))
         else:
-            from . import io as tio
-            self.emit_block(tio.serialize_quotient(result), record="digraph",
+            from .quotients import serialize_quotient
+            self.emit_block(serialize_quotient(result), record="digraph",
                             name=result.digraph.name)
 
 
@@ -122,7 +124,8 @@ def _load(operand: str, path: str | None, override: Field | None):
     if operand.endswith("graph"):
         return tio.parse_digraph(text, path)
     if operand == "ideal":
-        return tio.parse_ideal(text, path, field_override=override)
+        from .ideals import parse_ideal
+        return parse_ideal(text, path, field_override=override)
     if operand == "presentation":
         from .ktheory import parse_presentation
         return parse_presentation(text, path)

@@ -1,4 +1,5 @@
-"""``analyze``, ``closure`` and ``dot``: the structure of one digraph."""
+"""``analyze``, ``closure`` and ``dot``: the structure of one digraph.  Only
+``analyze`` loads the cycle enumeration."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ def _set_label(vs) -> str:
 
 
 def analyze(rep: Reporter, args, g):
+    from ..cycles import enumerate_cycles
+
     info = dg.classify_vertices(g)
     for v in g.vertices:
         i = info[v]
@@ -26,7 +29,7 @@ def analyze(rep: Reporter, args, g):
                  sink=i.sink, source=i.source, branch=i.branch_vertex,
                  infiniteEmitter=i.infinite_emitter, regular=i.regular,
                  linePoint=i.line_point, leak=i.leak)
-    for ci in dg.enumerate_cycles(g, limit=args.limits["maxCycles"]):
+    for ci in enumerate_cycles(g, limit=args.limits["maxCycles"]):
         flags = [("has-exit" if ci.has_exit else "no-exit"),
                  ("exclusive" if ci.exclusive else "overlapping")]
         rep.emit(f"cycle {ci.cycle.label()}: " + " ".join(flags),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .. import ideals as il
+from .. import lattice as la
 from ..errors import ParseError, _positive_int
 
 if TYPE_CHECKING:
@@ -14,7 +14,7 @@ if TYPE_CHECKING:
 def strata(rep: Reporter, args, g):
     if args.override is None or not args.override.is_prime_field:
         raise ParseError("strata requires --field F<p>")
-    records = il.enumerate_strata(g, args.override, _positive_int(args.max_deg, "--max-deg"),
+    records = la.enumerate_strata(g, args.override, _positive_int(args.max_deg, "--max-deg"),
                                   limit=args.limits["maxPairs"])
     lines = rep.fmt == "json-lines"
     for r in records:

@@ -1,11 +1,12 @@
 """``quotient``, ``decide``, ``sever``, ``certificate``, ``radical`` and
-``dim``: the commands on a digraph and one ideal presentation."""
+``dim``: the commands on a digraph and one ideal presentation.  Only ``dim``
+loads ``dimension``, and with it the cycle enumeration."""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .. import io as tio
+from .. import ideals as il
 from .. import quotients as qt
 
 if TYPE_CHECKING:
@@ -55,7 +56,7 @@ def certificate(rep: Reporter, args, g, j):
                      generator=entry.generator,
                      image=[[j.field.format_scalar(c), t] for c, t in entry.image])
     else:
-        rep.emit_block(tio.serialize_certificate(cert, j.field))
+        rep.emit_block(qt.serialize_certificate(cert, j.field))
 
 
 def radical(rep: Reporter, args, g, j):
@@ -66,13 +67,15 @@ def radical(rep: Reporter, args, g, j):
     for violation in result.hypothesis_violations:
         rep.emit(f"hypothesis violation: {violation}",
                  record="hypothesis-violation", detail=violation)
-    rep.emit_block(tio.serialize_ideal(result.j_prime), record="ideal",
+    rep.emit_block(il.serialize_ideal(result.j_prime), record="ideal",
                    name=result.j_prime.name)
     rep.quotient(result.severed)
 
 
 def dim(rep: Reporter, args, g, j):
-    blocks = qt.dimension_blocks(g, j, limit=args.limits["maxCycles"])
+    from ..dimension import dimension_blocks
+
+    blocks = dimension_blocks(g, j, limit=args.limits["maxCycles"])
     rep.emit(f"{blocks.total_dimension} = {blocks.describe()}",
              record="dimension", total=blocks.total_dimension,
              blocks=[[size, copies] for size, copies in blocks.blocks])

@@ -7,10 +7,9 @@ wherever counts matter; an ω class makes its source an infinite emitter.
 
 Cycles are *geometric*: an arrow-id sequence up to rotation, stored in the
 canonical rotation whose first arrow id is lexicographically smallest.
-Cycle enumeration runs over vertex-simple cycles (sources pairwise
-distinct) and expands parallel classes afterwards.  The vertex cycles come
-from Johnson's circuit search (1975) inside each strongly connected
-component found by Tarjan's algorithm (1972), both iterative and lazy.
+Their enumeration, and the search for any one cycle, live in
+:mod:`leavitt.cycles`; the strongly connected components it reads come from
+Tarjan's algorithm (1972) here, which the bit index shares.
 The cycles without exits need no enumeration: every vertex on one emits
 exactly one arrow, so they are vertex-disjoint and one walk along the map
 "vertex -> its only arrow" finds them all in linear time.  That walk,
@@ -28,9 +27,10 @@ where they say so.  ``bitindex`` loads on the first use of the index, so a
 command that never needs it does not compile it.
 
 Digraph morphisms and their admissibility check live in
-:mod:`leavitt.morphisms`, and the arrow instances a corner generator leaves
-out in :mod:`leavitt.ktheory`, so commands that never use them do not
-compile them.  All values are immutable after construction and every
+:mod:`leavitt.morphisms`, the cycle enumeration in :mod:`leavitt.cycles`,
+and the arrow instances a corner generator leaves out in
+:mod:`leavitt.ktheory`, so commands that never use them do not compile
+them.  All values are immutable after construction and every
 analysis is a pure function, so everything here is safe to share across
 threads.
 """
@@ -288,14 +288,6 @@ def base_vertex(g: Digraph, cycle: GeometricCycle) -> str:
     return g.arrow(cycle.arrows[0]).source
 
 
-@record
-class CycleInfo:
-    cycle: GeometricCycle
-    has_exit: bool
-    exclusive: bool
-    multiplicity_one: bool
-
-
 def _strong_components(vs: Sequence[str], succ: Mapping[str, list[str]]) -> Iterator[list[str]]:
     """Tarjan's strongly connected components of the digraph induced on vs."""
     inside, index, low, stack, on_stack, work = set(vs), {}, {}, [], set(), []
@@ -329,135 +321,16 @@ def _strong_components(vs: Sequence[str], succ: Mapping[str, list[str]]) -> Iter
                     yield comp
 
 
-def _circuits(start: str, comp: set[str], succ: Mapping[str, list[str]]) -> Iterator[list[str]]:
-    """Johnson's search for the simple cycles through start inside its component."""
-    path, blocked, closed, waiting = [start], {start}, set(), {}
-    work = [(start, [w for w in succ[start] if w in comp])]
-    while work:
-        v, todo = work[-1]
-        if todo:
-            w = todo.pop()
-            if w == start:
-                yield list(path)
-                closed.update(path)
-            elif w not in blocked:
-                path.append(w)
-                blocked.add(w)
-                closed.discard(w)
-                work.append((w, [x for x in succ[w] if x in comp]))
-            continue
-        if v in closed:  # a cycle went through v: unblock v and whatever waits on it
-            release = [v]
-            while release:
-                u = release.pop()
-                if u in blocked:
-                    blocked.remove(u)
-                    release.extend(waiting.pop(u, ()))
-        else:
-            for w in succ[v]:
-                if w in comp:
-                    waiting.setdefault(w, set()).add(v)
-        work.pop()
-        path.pop()
-
-
-def _vertex_cycles(g: Digraph) -> Iterator[list[str]]:
-    """Vertex sequences of simple cycles of length >= 2 (parallel classes merged)."""
-    succ = {v: list(dict.fromkeys(a.target for a in g._out[v] if a.target != v))
-            for v in g.vertices}
-    pending = [c for c in _strong_components(g.vertices, succ) if len(c) > 1]
-    while pending:
-        comp = pending.pop()
-        start = comp.pop()
-        yield from _circuits(start, set(comp) | {start}, succ)
-        pending += [c for c in _strong_components(comp, succ) if len(c) > 1]
-
-
 def no_exit_cycles(g: Digraph, only_arrow: Mapping[str, ArrowClass] | None = None,
                    limit: int | None = None) -> list[GeometricCycle]:
     """Cycles along which every vertex emits only the cycle's arrow, in the
-    order of :func:`enumerate_cycles`: the cycles of :func:`out_one_walk`,
-    over ``only_arrow`` (by default, g's vertices of out-degree one)."""
+    order of :func:`~leavitt.cycles.enumerate_cycles`: the cycles of
+    :func:`out_one_walk`, over ``only_arrow`` (by default, g's vertices of
+    out-degree one)."""
     _, cycles = out_one_walk(g, only_arrow)
     if limit is not None and len(cycles) > limit:
         raise ResourceLimitError(f"digraph {g.name} has more than {limit} cycles")
     return sorted(map(GeometricCycle.of, cycles), key=lambda c: (len(c.arrows), c.arrows))
-
-
-def enumerate_cycles(g: Digraph, limit: int = 10_000) -> list[CycleInfo]:
-    """All geometric cycles with exit/exclusive flags, sorted deterministically."""
-    if limit < 1:
-        raise ValueError("limit must be positive")
-    found: set[GeometricCycle] = set()
-
-    def add(arrows):
-        found.add(GeometricCycle.of(arrows))
-        if len(found) > limit:
-            raise ResourceLimitError(f"digraph {g.name} has more than {limit} cycles")
-
-    for a in g.arrows:
-        if a.source == a.target:
-            add([a.id])
-    classes_between: dict[tuple[str, str], list[str]] = {}
-    for a in g.arrows:
-        classes_between.setdefault((a.source, a.target), []).append(a.id)
-    for vs in _vertex_cycles(g):
-        hops = [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-        choices = [classes_between[h] for h in hops]
-        stack = [[]]
-        while stack:
-            prefix = stack.pop()
-            if len(prefix) == len(hops):
-                add(prefix)
-                continue
-            for aid in reversed(choices[len(prefix)]):
-                stack.append(prefix + [aid])
-
-    cycles = sorted(found, key=lambda c: (len(c.arrows), c.arrows))
-    vertex_sets = {c: frozenset(cycle_vertices(g, c)) for c in cycles}
-    hits: dict[str, int] = {}
-    for c in cycles:
-        for v in vertex_sets[c]:
-            hits[v] = hits.get(v, 0) + 1
-    no_exit = set(no_exit_cycles(g))
-    return [CycleInfo(
-        cycle=c,
-        has_exit=c not in no_exit,
-        exclusive=all(hits[v] == 1 for v in vertex_sets[c]),
-        multiplicity_one=all(g.arrow(aid).multiplicity == 1 for aid in c.arrows),
-    ) for c in cycles]
-
-
-def find_any_cycle(g: Digraph) -> GeometricCycle | None:
-    """Deterministic DFS for a single cycle, cheap for acyclicity checks."""
-    color = {v: 0 for v in g.vertices}
-    parent_arrow: dict[str, ArrowClass] = {}
-    for root in g.vertices:
-        if color[root]:
-            continue
-        stack = [(root, iter(sorted(g._out[root], key=lambda a: a.id)))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            for a in it:
-                w = a.target
-                if color[w] == 1:  # a back arrow, or a loop at v
-                    arrows = [a.id]
-                    cur = v
-                    while cur != w:
-                        pa = parent_arrow[cur]
-                        arrows.append(pa.id)
-                        cur = pa.source
-                    return GeometricCycle.of(list(reversed(arrows)))
-                if color[w] == 0:
-                    color[w] = 1
-                    parent_arrow[w] = a
-                    stack.append((w, iter(sorted(g._out[w], key=lambda x: x.id))))
-                    break
-            else:
-                color[v] = 2
-                stack.pop()
-    return None
 
 
 # -- hereditary and saturated sets ---------------------------------------------

@@ -1,28 +1,21 @@
-"""Line-oriented text formats of digraphs and ideals, and the serialized results.
+"""The line-oriented text format of digraphs, and the reader every format shares.
 
 All the package's formats are UTF-8 with '#' comments (whole lines only in
 a presentation) and blank lines ignored.  Parsers raise
 :class:`~leavitt.errors.ParseError` with a line number; serializers emit a
-canonical form so parse/serialize round-trips are exact.  The morphism
-format lives with its type in :mod:`leavitt.morphisms` and the projective
-presentation format in :mod:`leavitt.ktheory`, so only the commands that
-read one compile its parser.  Only ``digraph``, ``errors`` and ``records``
-load with this module: the ideal parser imports the modules of the types it
-builds.
+canonical form so parse/serialize round-trips are exact.  Every other format
+lives with its type, so only the commands that read or write one compile
+it: the ideal format in :mod:`leavitt.ideals`, the serialized quotients and
+certificates in :mod:`leavitt.quotients`, the morphism format in
+:mod:`leavitt.morphisms` and the projective presentation format in
+:mod:`leavitt.ktheory`.  Only ``digraph``, ``errors`` and ``records`` load
+with this module.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from .digraph import Digraph, GeometricCycle, OMEGA, is_omega
+from .digraph import Digraph, OMEGA, is_omega
 from .errors import ParseError
-from .records import replace
-
-if TYPE_CHECKING:
-    from .fields import Field
-    from .ideals import IdealPresentation
-    from .quotients import IsoCertificate, QuotientResult
 
 
 def _lines(text: str):
@@ -99,108 +92,4 @@ def serialize_digraph(g: Digraph, provenance: dict | None = None) -> str:
             lines.append(f"# provenance: {v} <- {provenance[v]}")
         for a in g.arrows:
             lines.append(f"# provenance: {a.id} <- {provenance[a.id]}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_quotient(q: QuotientResult) -> str:
-    return serialize_digraph(q.digraph, provenance=dict(q.provenance))
-
-
-# -- ideals ------------------------------------------------------------------------
-
-def parse_ideal(text: str, path: str | None = None,
-                field_override: Field | None = None) -> IdealPresentation:
-    from .fields import Field, Polynomial
-    from .ideals import AdmissiblePair, IdealPresentation
-
-    name = None
-    field: Field | None = None
-    h: list[str] = []
-    s: list[str] = []
-    by_label: dict[str, GeometricCycle] = {}
-    raw_polys: list[tuple[int, str, list[str]]] = []
-    for no, line in _lines(text):
-        parts = line.split()
-        kw = parts[0]
-        if kw == "ideal":
-            if len(parts) != 2:
-                raise ParseError("expected: ideal <name>", no, path)
-            name = parts[1]
-        elif kw == "field":
-            if len(parts) != 2:
-                raise ParseError("expected: field Q|F<p>", no, path)
-            try:
-                field = Field.from_header(parts[1])
-            except ValueError as exc:
-                raise ParseError(str(exc), no, path) from None
-        elif kw == "H":
-            h.extend(parts[1:])
-        elif kw == "S":
-            s.extend(parts[1:])
-        elif kw == "cycle":
-            if len(parts) < 3 or not parts[1].endswith(":"):
-                raise ParseError("expected: cycle <cid>: <arrow ids>", no, path)
-            cid = parts[1][:-1]
-            if cid in by_label:
-                raise ParseError(f"duplicate cycle label {cid!r}", no, path)
-            by_label[cid] = GeometricCycle.of(parts[2:])
-        elif kw == "poly":
-            if len(parts) < 3 or not parts[1].endswith(":"):
-                raise ParseError("expected: poly <cid>: <c0> <c1> ...", no, path)
-            raw_polys.append((no, parts[1][:-1], parts[2:]))
-        else:
-            raise ParseError(f"unrecognized keyword {kw!r}", no, path)
-    if name is None:
-        raise ParseError("missing ideal header", None, path)
-    if field is None:
-        raise ParseError("missing field header", None, path)
-    labels = {cyc: cid for cid, cyc in by_label.items()}
-    theta = {}
-    for no, cid, tokens in raw_polys:
-        if cid not in by_label:
-            raise ParseError(f"poly for unknown cycle {cid!r}", no, path)
-        try:
-            coeffs = [field.parse_scalar(t) for t in tokens]
-        except ValueError as exc:
-            raise ParseError(str(exc), no, path) from None
-        theta[by_label[cid]] = Polynomial.of(field, coeffs)
-    j = IdealPresentation(field=field, pair=AdmissiblePair.of(h, s),
-                          beta=tuple(by_label.values()),
-                          theta=theta, labels=labels, name=name)
-    if field_override is not None and field_override != field:
-        j = cast_ideal(j, field_override)
-    return j
-
-
-def cast_ideal(j: IdealPresentation, field: Field) -> IdealPresentation:
-    """Reinterpret the presentation over another field (CLI --field override)."""
-    from .fields import Polynomial
-
-    return replace(j, field=field,
-                   theta={c: Polynomial.of(field, f.coeffs) for c, f in j.theta.items()})
-
-
-def serialize_ideal(j: IdealPresentation) -> str:
-    lines = [f"ideal {j.name}", f"field {j.field.header()}"]
-    if j.pair.h:
-        lines.append("H " + " ".join(sorted(j.pair.h)))
-    if j.pair.s:
-        lines.append("S " + " ".join(sorted(j.pair.s)))
-    for c in j.beta:
-        lines.append(f"cycle {j.label_of(c)}: " + " ".join(c.arrows))
-    for c in j.beta:
-        if c in j.theta:
-            poly = j.theta[c]
-            coeffs = " ".join(j.field.format_scalar(x) for x in poly.coeffs)
-            lines.append(f"poly {j.label_of(c)}: {coeffs}")
-    return "\n".join(lines) + "\n"
-
-
-# -- certificates ------------------------------------------------------------------------
-
-def serialize_certificate(cert: IsoCertificate, field: Field) -> str:
-    lines = []
-    for entry in cert.entries:
-        image = " + ".join(f"{field.format_scalar(c)}*{t}" for c, t in entry.image)
-        lines.append(f"{entry.generator} -> {image}")
     return "\n".join(lines) + "\n"

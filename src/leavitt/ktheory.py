@@ -17,9 +17,10 @@ here, next to the types it builds, and :func:`instances_escaping` gives Z of
 the canonical corner at u ∈ S: the instances of u whose targets lie outside
 H.  The simple projectives read the linear walk
 :func:`~leavitt.digraph.out_one_walk` and End(P) the iterative path counts of
-``quotients``, which only :func:`end_finite_dim` and
-:func:`acyclic_decomposition` import, so the Galois maps load no quotient
-code.
+``dimension``.  The functions that need the ideals (``ideals``), the pair
+order (``lattice``), the search for a cycle (``cycles``) or the path counts
+import them when they run, so ``monoid``, ``fgip`` and ``simples`` load
+none of them and the Galois maps only ``ideals``.
 """
 
 from __future__ import annotations
@@ -33,23 +34,16 @@ from .digraph import (
     GeometricCycle,
     OMEGA,
     cycle_vertices,
-    find_any_cycle,
     is_omega,
     no_exit_cycles,
     out_one_walk,
 )
 from .errors import MalformedGeneratorsError, NotAcyclicError, NotRowFiniteError, ParseError
-from .ideals import (
-    AdmissiblePair,
-    IdealPresentation,
-    ensure_admissible,
-    pair_order,
-    validated_ideal,
-)
 from .records import record
 
 if TYPE_CHECKING:
-    from .quotients import MatrixDecomposition
+    from .dimension import MatrixDecomposition
+    from .ideals import AdmissiblePair, IdealPresentation
 
 
 # -- graph monoid ----------------------------------------------------------------
@@ -295,6 +289,8 @@ class ClosedSubmonoid:
 
 def galois_phi(g: Digraph, pair: AdmissiblePair) -> ClosedSubmonoid:
     """The closed submonoid orthogonal to the graded ideal of the pair."""
+    from .ideals import ensure_admissible
+
     ensure_admissible(g, pair)
     return ClosedSubmonoid(pair.h, pair.s)
 
@@ -308,6 +304,8 @@ def galois_psi(g: Digraph, x: ProjectivePresentation | Iterable[Generator]) -> A
     in H the vertex itself joins H, otherwise u joins S if it breaks H.
     Iterated to a fixpoint together with the hereditary saturated closure.
     """
+    from .ideals import AdmissiblePair
+
     p = x if isinstance(x, ProjectivePresentation) else ProjectivePresentation.of(x)
     items = validate_presentation(g, p).items
     # p names only vertices of g now; H is a closed mask of g.bits from here on
@@ -334,6 +332,9 @@ def galois_psi(g: Digraph, x: ProjectivePresentation | Iterable[Generator]) -> A
 
 def is_orthogonal(g: Digraph, p: ProjectivePresentation, j: IdealPresentation) -> bool:
     """Hom(P, L/J) = 0: P ⊥ J ⇔ trace(P) ⊆ J ⇔ ψ(P) ≼ (H, S), as trace(P) is graded."""
+    from .ideals import validated_ideal
+    from .lattice import pair_order
+
     p = validate_presentation(g, p)
     validated_ideal(g, j)
     return pair_order(g, galois_psi(g, p), j.pair)
@@ -385,7 +386,7 @@ def end_finite_dim(g: Digraph, p: ProjectivePresentation) -> EndVerdict:
 
     The items' reach is peeled from its sinks once; what stays reaches an ω class
     or a cycle, and only the first item that stays is walked for its witness."""
-    from .quotients import MatrixDecomposition, _paths_ending_at
+    from .dimension import MatrixDecomposition, _paths_ending_at
 
     items = validate_presentation(g, p).items
     corner = next((item for item in items if isinstance(item, CornerGen)), None)
@@ -402,6 +403,8 @@ def end_finite_dim(g: Digraph, p: ProjectivePresentation) -> EndVerdict:
                 peeled.append(u)
     stuck = next((item.vertex for item in items if waiting[item.vertex]), None)
     if stuck is not None:
+        from .cycles import find_any_cycle
+
         own = g.successors({stuck})
         what = next((f"ω class {a.id}" for w in sorted(own) for a in g._out[w]
                      if is_omega(a.multiplicity)), None)
@@ -419,7 +422,8 @@ def end_finite_dim(g: Digraph, p: ProjectivePresentation) -> EndVerdict:
 
 def acyclic_decomposition(g: Digraph) -> MatrixDecomposition:
     """One M_{n(v)} block per sink of a finite acyclic row-finite digraph."""
-    from .quotients import dimension_blocks
+    from .cycles import find_any_cycle
+    from .dimension import dimension_blocks
 
     _require_row_finite(g)
     cyc = find_any_cycle(g)

@@ -14,9 +14,10 @@ a path algebra quotient of the same kind exactly when every θ(C) factors
 into distinct linear factors; the decision procedure reports a witness per
 cycle and, on success, an explicit generator-image certificate.
 
-Dimensions, and End(P) in ``ktheory``, come from path counts: one iterative
-depth-first pass against the arrows with one memo per call, so
-:func:`dimension_blocks` counts the paths into all sinks in linear time.
+Dimensions, and End(P) in ``ktheory``, are path counts: they live in
+:mod:`leavitt.dimension`, with the cycle enumeration they check against, so
+the other commands on one ideal compile neither.  A quotient and a
+certificate are serialized here, next to their types.
 
 Fresh-id scheme: primed ids append a prime character, split ids append
 ``.j`` (j from 1), so provenance stays readable and DOT output is stable.
@@ -30,7 +31,6 @@ radical j′ unchecked, or from the graded quotient already built.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .digraph import (
@@ -39,15 +39,12 @@ from .digraph import (
     GeometricCycle,
     base_vertex,
     cycle_vertices,
-    enumerate_cycles,
-    is_omega,
 )
 from .errors import (
     CycleHasExitError,
     CyclesNotDisjointError,
     InternalConsistencyError,
     NotDlfError,
-    UnsupportedShapeError,
 )
 from .fields import DlfVerdict, Polynomial, is_dlf, squarefree_part
 from .ideals import (
@@ -60,7 +57,7 @@ from .ideals import (
 from .records import record, replace
 
 if TYPE_CHECKING:
-    from .fields import Scalar
+    from .fields import Field, Scalar
 
 
 @record
@@ -339,103 +336,17 @@ def radical_quotient(g: Digraph, j: IdealPresentation) -> RadicalResult:
                          hypothesis_violations=tuple(violations))
 
 
-# -- dimensions ----------------------------------------------------------------
+# -- serialized results ------------------------------------------------------------
 
-def _paths_ending_at(g: Digraph, roots: Iterable[str], starts: Counter,
-                     skip_arrows: frozenset[str] = frozenset()) -> dict[str, int]:
-    """Count of paths ending at each vertex the roots are reached from against
-    the arrows, each path counted ``starts[its source]`` times (multiplicities
-    expanded, ``skip_arrows`` left out): one iterative depth-first pass, one memo."""
-    memo: dict[str, int] = {}
-    for root in roots:
-        # the vertices on the current path, last on top, each with its in-arrows
-        # still to read, its count so far and the multiplicity it was entered by
-        path = {} if root in memo else {root: [iter(g.in_arrows(root)), starts[root], 1]}
-        while path:
-            frame = path[next(reversed(path))]
-            for a in frame[0]:
-                if a.id in skip_arrows:
-                    continue
-                if is_omega(a.multiplicity):
-                    raise UnsupportedShapeError(f"ω class {a.id} makes path counts infinite")
-                u = a.source
-                if u in path:
-                    raise UnsupportedShapeError(
-                        f"a cycle feeds {u} in {g.name}; path counts are infinite")
-                if u not in memo:
-                    path[u] = [iter(g.in_arrows(u)), starts[u], a.multiplicity]
-                    break
-                frame[1] += a.multiplicity * memo[u]
-            else:
-                v, (_, total, multiplicity) = path.popitem()
-                memo[v] = total
-                if path:
-                    path[next(reversed(path))][1] += multiplicity * total
-    return memo
+def serialize_quotient(q: QuotientResult) -> str:
+    from .io import serialize_digraph
+
+    return serialize_digraph(q.digraph, provenance=dict(q.provenance))
 
 
-def partial_cycle_path_count(g: Digraph, cycle: GeometricCycle) -> int:
-    """|P_C|: paths ending at the base vertex that do not traverse the full cycle.
-
-    Each such path is an off-cycle prefix into some cycle vertex followed by
-    the unique partial run to the base, so the count is the sum over cycle
-    vertices of the off-cycle path counts into them.
-    """
-    vertices = cycle_vertices(g, cycle)
-    counts = _paths_ending_at(g, vertices, Counter(g.vertices), frozenset(cycle.arrows))
-    return sum(counts[w] for w in vertices)
-
-
-@record
-class MatrixDecomposition:
-    """Sorted (block size, copies) pairs of a direct sum of matrix algebras."""
-
-    blocks: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, sizes: Iterable[int]) -> "MatrixDecomposition":
-        return cls(tuple(sorted(Counter(sizes).items())))
-
-    @property
-    def total_dimension(self) -> int:
-        return sum(copies * size * size for size, copies in self.blocks)
-
-    def describe(self) -> str:
-        return " ⊕ ".join(f"{copies} × M_{size}" for size, copies in self.blocks) or "0"
-
-
-def dimension_blocks(g: Digraph, j: IdealPresentation | None = None,
-                     limit: int = 10_000) -> MatrixDecomposition:
-    """Matrix blocks of the quotient: M_n(v) per sink, deg θ(C) × M_|P_C| per C ∈ β.
-
-    So dim = Σ_sinks n(v)² + Σ_{C∈β} deg θ(C)·|P_C|², over the graded
-    quotient when an ideal is given, over g itself (which must then be
-    acyclic) otherwise.  ``limit`` bounds the cycle enumeration.
-    """
-    if j is not None:
-        valid = validated_ideal(g, j)
-        work = _graded_quotient(g, j.pair.h, valid.primed).digraph
-        beta = j.beta
-    else:
-        work = g
-        beta = ()
-    if not work.is_row_finite:
-        raise UnsupportedShapeError(f"{work.name} has an ω class; dimension is infinite")
-    cycles = {info.cycle for info in enumerate_cycles(work, limit=limit)}
-    stray = sorted(c.label() for c in cycles - set(beta))
-    if stray:
-        raise UnsupportedShapeError(f"unsevered cycle(s) {', '.join(stray)} in {work.name}")
-    # β cycles have no exit, so no path into a sink or into another cycle uses
-    # a β arrow: one pass without them counts every n(v) and |P_C| at once
-    sinks, on_cycles = work.sinks(), [cycle_vertices(work, c) for c in beta]
-    counts = _paths_ending_at(work, [*sinks, *(w for vs in on_cycles for w in vs)],
-                              Counter(work.vertices), frozenset(a for c in beta for a in c.arrows))
-    sizes = [counts[v] for v in sinks]
-    for c, vs in zip(beta, on_cycles):
-        sizes += [sum(counts[w] for w in vs)] * j.theta[c].degree
-    return MatrixDecomposition.of(sizes)
-
-
-def quotient_dimension(g: Digraph, j: IdealPresentation | None = None) -> int:
-    """Total dimension of the quotient; see :func:`dimension_blocks`."""
-    return dimension_blocks(g, j).total_dimension
+def serialize_certificate(cert: IsoCertificate, field: Field) -> str:
+    lines = []
+    for entry in cert.entries:
+        image = " + ".join(f"{field.format_scalar(c)}*{t}" for c, t in entry.image)
+        lines.append(f"{entry.generator} -> {image}")
+    return "\n".join(lines) + "\n"

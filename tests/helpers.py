@@ -14,7 +14,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from leavitt import (
-    cli, digraph, fields, ideals, ktheory, laurent, morphisms, quotients, records, scalars)
+    cli, cycles, digraph, dimension, fields, ideals, ktheory, lattice, laurent, morphisms,
+    quotients, records, scalars)
 from leavitt.digraph import OMEGA, Digraph, is_hereditary, is_omega, is_saturated
 from leavitt.errors import (
     FieldMismatchError,
@@ -263,7 +264,7 @@ def per_item_end(g: Digraph, p: ktheory.ProjectivePresentation) -> ktheory.EndVe
         if omega is not None:
             return ktheory.EndVerdict(
                 False, witness=f"ω class {omega.id} reachable from {item.vertex}")
-        cyc = digraph.find_any_cycle(g.full_subgraph(reach))
+        cyc = cycles.find_any_cycle(g.full_subgraph(reach))
         if cyc is not None:
             return ktheory.EndVerdict(
                 False, witness=f"cycle {cyc.label()} reachable from {item.vertex}")
@@ -271,9 +272,9 @@ def per_item_end(g: Digraph, p: ktheory.ProjectivePresentation) -> ktheory.EndVe
     sinks = [w for w in reach if not g.out_arrows(w)]
     outside = frozenset(a.id for w in reach for a in g.in_arrows(w) if a.source not in reach)
     starts = sum((Counter({item.vertex: item.copies}) for item in items), Counter())
-    counts = quotients._paths_ending_at(g, sinks, starts, outside)
+    counts = dimension._paths_ending_at(g, sinks, starts, outside)
     return ktheory.EndVerdict(
-        True, decomposition=quotients.MatrixDecomposition.of(counts[w] for w in sinks))
+        True, decomposition=dimension.MatrixDecomposition.of(counts[w] for w in sinks))
 
 
 # -- exact rank over Q ----------------------------------------------------------
@@ -749,8 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def record_classes() -> list[type]:
     """Every class of the package made by :func:`leavitt.records.record`."""
-    return [obj for module in (cli, digraph, fields, ideals, ktheory, laurent, morphisms,
-                               quotients, scalars)
+    return [obj for module in (cli, cycles, digraph, dimension, fields, ideals, ktheory,
+                               lattice, laurent, morphisms, quotients, scalars)
             for obj in vars(module).values()
             if isinstance(obj, type) and obj.__module__ == module.__name__
             and "__record__" in vars(obj)]

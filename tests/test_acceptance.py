@@ -7,22 +7,16 @@ import itertools
 from contextlib import contextmanager
 
 from helpers import SinkBlockRepresentation, label_isomorphic
+from leavitt.cycles import enumerate_cycles, find_any_cycle
 from leavitt.digraph import (
-    enumerate_cycles,
     enumerate_hereditary_saturated,
-    find_any_cycle,
     hereditary_saturated_closure,
     is_hereditary,
     is_saturated,
 )
 from leavitt.fields import Field, Polynomial, is_dlf
-from leavitt.ideals import (
-    AdmissiblePair,
-    IdealPresentation,
-    enumerate_admissible_pairs,
-    enumerate_strata,
-    pair_order,
-)
+from leavitt.dimension import quotient_dimension
+from leavitt.ideals import AdmissiblePair, IdealPresentation
 from leavitt.ktheory import (
     ProjectivePresentation,
     VertexGen,
@@ -31,12 +25,12 @@ from leavitt.ktheory import (
     galois_psi,
     is_orthogonal,
 )
+from leavitt.lattice import enumerate_admissible_pairs, enumerate_strata, pair_order
 from leavitt.quotients import (
     cycle_to_loop,
     decide_lpa_quotient,
     graded_quotient,
     iso_certificate,
-    quotient_dimension,
     radical_quotient,
     sever,
 )

@@ -16,8 +16,8 @@ from helpers import digraphs, item_orthogonal
 from leavitt.cli import main
 from leavitt.digraph import Digraph, is_omega
 from leavitt.fields import Field
-from leavitt.ideals import IdealPresentation, enumerate_admissible_pairs
-from leavitt.io import parse_digraph, serialize_digraph, serialize_ideal
+from leavitt.ideals import IdealPresentation, serialize_ideal
+from leavitt.io import parse_digraph, serialize_digraph
 from leavitt.ktheory import (
     CornerGen,
     ProjectivePresentation,
@@ -28,6 +28,7 @@ from leavitt.ktheory import (
     parse_presentation,
     validate_presentation,
 )
+from leavitt.lattice import enumerate_admissible_pairs
 
 from conftest import corpus_path
 

@@ -7,20 +7,10 @@ import time
 
 import pytest
 
-from leavitt.digraph import (
-    OMEGA,
-    Digraph,
-    _vertex_cycles,
-    cycle_vertices,
-    enumerate_cycles,
-    no_exit_cycles,
-)
-from leavitt.ideals import (
-    enumerate_admissible_pairs,
-    ensure_admissible,
-    no_exit_quotient_cycles,
-    quotient_out_degree,
-)
+from leavitt.cycles import _vertex_cycles, enumerate_cycles
+from leavitt.digraph import OMEGA, Digraph, cycle_vertices, no_exit_cycles
+from leavitt.ideals import ensure_admissible, no_exit_quotient_cycles, quotient_out_degree
+from leavitt.lattice import enumerate_admissible_pairs
 from leavitt.ktheory import FgipClass, classify_fgips
 
 from conftest import corpus_graphs

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from helpers import label_isomorphic, maximal_paths_from
+from leavitt.cycles import enumerate_cycles, find_any_cycle
 from leavitt.digraph import (
     Digraph,
     GeometricCycle,
@@ -10,9 +11,7 @@ from leavitt.digraph import (
     breaking_vertices,
     classify_vertices,
     cycle_vertices,
-    enumerate_cycles,
     enumerate_hereditary_saturated,
-    find_any_cycle,
     hereditary_saturated_closure,
     is_hereditary,
     is_saturated,

@@ -1,6 +1,6 @@
 import pytest
 
-from leavitt import ideals
+from leavitt import lattice
 from leavitt.digraph import Digraph, GeometricCycle, enumerate_hereditary_saturated
 from leavitt.errors import (
     FieldMismatchError,
@@ -13,15 +13,12 @@ from leavitt.fields import Field, Polynomial
 from leavitt.ideals import (
     AdmissiblePair,
     IdealPresentation,
-    enumerate_admissible_pairs,
-    enumerate_strata,
     ensure_admissible,
     graded_part,
     no_exit_quotient_cycles,
-    pair_lattice,
-    pair_order,
     validate_ideal,
 )
+from leavitt.lattice import enumerate_admissible_pairs, enumerate_strata, pair_lattice, pair_order
 
 from conftest import corpus_graphs, corpus_ideal_pairs, load_graph, load_ideal
 from helpers import exhaustive_degree_census
@@ -273,7 +270,7 @@ class TestStrata:
     def test_resource_limit(self, loop, monkeypatch):
         # (p − 1)·p^2999 over 𝔽(2⁶¹ − 1) has some 55,000 digits: refused unbuilt
         calls = []
-        monkeypatch.setattr(ideals, "_degree_census", lambda *a: calls.append(a))
+        monkeypatch.setattr(lattice, "_degree_census", lambda *a: calls.append(a))
         with pytest.raises(ResourceLimitError, match="fixed bound of 4300 decimal digits"):
             enumerate_strata(loop, Field.gf(2**61 - 1), 3000)
         assert calls == []

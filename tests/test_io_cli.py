@@ -10,13 +10,8 @@ from leavitt.cli import COMMANDS, main
 from leavitt.digraph import to_dot
 from leavitt.errors import ParseError
 from leavitt.fields import Field, Polynomial
-from leavitt.io import (
-    cast_ideal,
-    parse_digraph,
-    parse_ideal,
-    serialize_digraph,
-    serialize_ideal,
-)
+from leavitt.ideals import cast_ideal, parse_ideal, serialize_ideal
+from leavitt.io import parse_digraph, serialize_digraph
 from leavitt.ktheory import CornerGen, VertexGen, parse_presentation
 from leavitt.morphisms import parse_morphism_file
 

@@ -2,14 +2,15 @@ import itertools
 
 import pytest
 
+from leavitt.cycles import enumerate_cycles
 from leavitt.digraph import (
     Digraph,
     GeometricCycle,
     cycle_vertices,
-    enumerate_cycles,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
 )
+from leavitt.dimension import MatrixDecomposition, quotient_dimension
 from leavitt.errors import (
     InvalidIdealError,
     MalformedGeneratorsError,
@@ -17,7 +18,7 @@ from leavitt.errors import (
     NotRowFiniteError,
 )
 from leavitt.fields import Field, Polynomial
-from leavitt.ideals import AdmissiblePair, IdealPresentation, enumerate_admissible_pairs, pair_order
+from leavitt.ideals import AdmissiblePair, IdealPresentation
 from leavitt.ktheory import (
     CongruenceVerdict,
     CornerGen,
@@ -34,7 +35,7 @@ from leavitt.ktheory import (
     monoid_presentation,
     validate_presentation,
 )
-from leavitt.quotients import MatrixDecomposition, quotient_dimension
+from leavitt.lattice import enumerate_admissible_pairs, pair_order
 
 from conftest import corpus_graphs, load_graph, load_ideal
 
@@ -333,7 +334,7 @@ class TestAcyclicDecomposition:
             acyclic_decomposition(breaking)
 
     def test_matches_quotient_dimension(self):
-        from leavitt.digraph import find_any_cycle
+        from leavitt.cycles import find_any_cycle
         for g in corpus_graphs().values():
             if not g.is_row_finite or find_any_cycle(g) is not None:
                 continue

@@ -45,15 +45,13 @@ from leavitt.fields import Field
 from leavitt.ideals import (
     AdmissiblePair,
     IdealPresentation,
-    _CellTable,
-    enumerate_admissible_pairs,
     ensure_admissible,
     no_exit_quotient_cycles,
-    pair_lattice,
     validate_ideal,
 )
 from leavitt.io import serialize_digraph
 from leavitt.ktheory import galois_phi, galois_psi
+from leavitt.lattice import _CellTable, enumerate_admissible_pairs, pair_lattice
 
 from conftest import corpus_graphs
 from test_io_cli import child_env

@@ -1,7 +1,9 @@
 import pytest
 
 from helpers import SinkBlockRepresentation, label_isomorphic
-from leavitt.digraph import Digraph, GeometricCycle, enumerate_cycles
+from leavitt.cycles import enumerate_cycles
+from leavitt.digraph import Digraph, GeometricCycle
+from leavitt.dimension import dimension_blocks, partial_cycle_path_count, quotient_dimension
 from leavitt.errors import (
     CycleHasExitError,
     CyclesNotDisjointError,
@@ -10,15 +12,13 @@ from leavitt.errors import (
     UnsupportedShapeError,
 )
 from leavitt.fields import Field, Polynomial
-from leavitt.ideals import AdmissiblePair, IdealPresentation, enumerate_admissible_pairs
+from leavitt.ideals import AdmissiblePair, IdealPresentation
+from leavitt.lattice import enumerate_admissible_pairs
 from leavitt.quotients import (
     cycle_to_loop,
     decide_lpa_quotient,
-    dimension_blocks,
     graded_quotient,
     iso_certificate,
-    partial_cycle_path_count,
-    quotient_dimension,
     radical_quotient,
     sever,
 )
@@ -343,7 +343,7 @@ class TestMatrixOracle:
         for g in corpus_graphs().values():
             if not g.is_row_finite:
                 continue
-            from leavitt.digraph import find_any_cycle
+            from leavitt.cycles import find_any_cycle
             if find_any_cycle(g) is not None:
                 continue
             dim = quotient_dimension(g)

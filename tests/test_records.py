@@ -16,8 +16,8 @@ from helpers import dataclass_twin, record_classes
 from leavitt import records
 from leavitt.digraph import GeometricCycle
 from leavitt.fields import Field, Polynomial
-from leavitt.ideals import AdmissiblePair, IdealPresentation, pair_lattice, validated_ideal
-from leavitt.io import cast_ideal
+from leavitt.ideals import AdmissiblePair, IdealPresentation, cast_ideal, validated_ideal
+from leavitt.lattice import pair_lattice
 from leavitt.quotients import radical_quotient
 from leavitt.records import FrozenInstanceError, record
 
@@ -274,8 +274,9 @@ def test_cli_import_generates_no_code():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["generated"] == []
-    assert {"leavitt.fields", "leavitt.ideals", "leavitt.io", "leavitt.ktheory",
-            "leavitt.laurent", "leavitt.morphisms", "leavitt.quotients", "leavitt.commands",
+    assert {"leavitt.cycles", "leavitt.dimension", "leavitt.fields", "leavitt.ideals",
+            "leavitt.io", "leavitt.ktheory", "leavitt.lattice", "leavitt.laurent",
+            "leavitt.morphisms", "leavitt.quotients", "leavitt.commands",
             "leavitt.commands.digraph", "leavitt.commands.ideals", "leavitt.commands.ktheory",
             "leavitt.commands.morphisms", "leavitt.commands.quotients"} <= set(report["modules"])
     assert set(report["after"]) <= set(json.loads(bare.stdout))

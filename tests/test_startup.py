@@ -8,30 +8,31 @@ import sys
 import pytest
 
 import leavitt
-from leavitt import digraph, fields, ideals, ktheory, laurent, morphisms, quotients
+from leavitt import (
+    cycles, digraph, dimension, fields, ideals, ktheory, lattice, laurent, morphisms, quotients)
 from leavitt.cli import COMMANDS
 
 from test_io_cli import SAMPLE_ARGS, child_env, cpath
 
 #: Every name ``leavitt`` exported when its ``__init__`` imported them eagerly.
 EXPORTED = {
+    cycles: ("enumerate_cycles",),
     digraph: ("ArrowClass", "Digraph", "GeometricCycle", "OMEGA", "breaking_vertices",
-              "classify_vertices", "enumerate_cycles", "enumerate_hereditary_saturated",
+              "classify_vertices", "enumerate_hereditary_saturated",
               "hereditary_saturated_closure", "to_dot"),
+    dimension: ("MatrixDecomposition", "dimension_blocks", "quotient_dimension"),
     fields: ("Field", "Polynomial", "RootMultiset", "find_roots", "is_dlf", "poly_gcd",
              "squarefree_part"),
-    ideals: ("AdmissiblePair", "IdealPresentation", "enumerate_admissible_pairs",
-             "enumerate_strata", "graded_part", "pair_lattice", "pair_order",
-             "validate_ideal"),
+    ideals: ("AdmissiblePair", "IdealPresentation", "graded_part", "validate_ideal"),
     ktheory: ("ClosedSubmonoid", "CornerGen", "ProjectivePresentation", "VertexGen",
               "acyclic_decomposition", "classify_fgips", "classify_simple_projectives",
               "end_finite_dim", "galois_phi", "galois_psi",
               "is_orthogonal", "monoid_congruent", "monoid_presentation"),
+    lattice: ("enumerate_admissible_pairs", "enumerate_strata", "pair_lattice", "pair_order"),
     laurent: ("LaurentElement", "crt_profile", "laurent_normalize"),
     morphisms: ("DigraphMorphism", "check_admissible_morphism"),
-    quotients: ("IsoCertificate", "MatrixDecomposition", "QuotientResult", "cycle_to_loop",
-                "decide_lpa_quotient", "dimension_blocks", "graded_quotient",
-                "iso_certificate", "quotient_dimension", "radical_quotient", "sever"),
+    quotients: ("IsoCertificate", "QuotientResult", "cycle_to_loop", "decide_lpa_quotient",
+                "graded_quotient", "iso_certificate", "radical_quotient", "sever"),
 }
 NAMES = sorted(name for names in EXPORTED.values() for name in names)
 
@@ -95,7 +96,7 @@ def test_analyze_loads_no_algebra(bare):
     # the CLI itself runs as __main__, as under python -m
     assert {m for m in modules if m.startswith("leavitt")} == {
         "leavitt", "leavitt.bitindex", "leavitt.commands", "leavitt.commands.digraph",
-        "leavitt.digraph", "leavitt.errors", "leavitt.io", "leavitt.records"}
+        "leavitt.cycles", "leavitt.digraph", "leavitt.errors", "leavitt.io", "leavitt.records"}
     assert not {"fractions", "json"} & (modules - bare)
 
 
@@ -115,6 +116,9 @@ def test_decide_loads_no_ktheory(bare):
 
 #: The commands on a digraph and one ideal presentation.
 IDEAL_COMMANDS = ("quotient", "decide", "sever", "certificate", "radical", "dim")
+#: The commands that read no ideal, and the lattice, cycle and dimension modules.
+NO_IDEALS = ("analyze", "closure", "dot", "check-morphism", "monoid")
+ENUMERATIONS = {"leavitt.lattice", "leavitt.cycles", "leavitt.dimension"}
 
 
 @pytest.mark.parametrize("name", list(SAMPLE_ARGS))
@@ -127,6 +131,53 @@ def test_a_command_loads_only_its_own_family(name):
     assert "leavitt.laurent" not in modules
     if name in IDEAL_COMMANDS:
         assert not {"leavitt.morphisms", "leavitt.ktheory"} & modules
+    if name == "dim":
+        assert ENUMERATIONS & modules == {"leavitt.cycles", "leavitt.dimension"}
+    elif name in IDEAL_COMMANDS:
+        assert not ENUMERATIONS & modules
+    if name == "strata":
+        assert "leavitt.lattice" in modules and "leavitt.cycles" not in modules
+    if name in NO_IDEALS:
+        assert "leavitt.ideals" not in modules
+
+
+#: Runs ``python -m leavitt.cli ARGS`` as CLI_PROBE does, then prints the
+#: number of source lines of the leavitt files that were loaded, ``cli.py``
+#: (which ran as ``__main__``) included: the lines the command compiled.
+LINES_PROBE = """
+import os, runpy, sys
+sys.argv = ["leavitt", *sys.argv[1:]]
+try:
+    runpy.run_module("leavitt.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+import leavitt
+files = {m.__file__ for name, m in sys.modules.items() if name.split(".")[0] == "leavitt"}
+files.add(os.path.join(os.path.dirname(leavitt.__file__), "cli.py"))
+lines = 0
+for path in files:
+    with open(path, encoding="utf-8") as fh:
+        lines += fh.read().count("\\n")
+print(lines)
+"""
+
+#: The lines each SAMPLE_ARGS command compiled while the ideal commands still
+#: loaded the pair lattice, the cycle enumeration and the dimension counts
+#: (``radical`` reads an ideal over ℚ, so it also compiles ``rationals``).
+COMPILED_BEFORE = {
+    "analyze": 1789, "closure": 1789, "dot": 1615, "check-morphism": 1704,
+    "quotient": 3378, "decide": 3378, "sever": 3378, "certificate": 3378, "radical": 3568,
+    "dim": 3204, "strata": 2447, "orth": 3338, "end": 3605,
+    "monoid": 2543, "fgip": 2543, "simples": 2543,
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_ARGS))
+def test_no_command_compiles_more_than_before(name):
+    proc = subprocess.run([sys.executable, "-c", LINES_PROBE, name, *SAMPLE_ARGS[name]],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) <= COMPILED_BEFORE[name]
 
 
 def test_check_morphism_loads_no_algebra():
@@ -154,17 +205,24 @@ def test_strata_loads_no_quotients():
 
 def test_lattice_library_call_loads_no_quotients():
     modules = loaded(LATTICE_PROBE, cpath("sq5"))
-    assert "leavitt.ktheory" in modules and "leavitt.quotients" not in modules
+    assert {"leavitt.ktheory", "leavitt.lattice"} <= modules
+    assert "leavitt.quotients" not in modules
     assert "leavitt.fields" not in modules  # ideals names Field only in annotations
 
 
+#: The names ``ideals`` forwards to the modules they moved to, which bench/ reads.
+FORWARDED = {"is_dlf": fields, "pair_lattice": lattice, "enumerate_strata": lattice}
+
+
 def test_ideals_forwards_is_dlf_to_fields():
-    code = ("import sys; from leavitt import ideals; loaded = 'leavitt.fields' in sys.modules; "
-            "from leavitt import fields; assert ideals.is_dlf is fields.is_dlf; "
-            "print(loaded)")
+    # importing ideals loads none of the modules it forwards to
+    code = "import sys; from leavitt import ideals; print(' '.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env())
-    assert proc.returncode == 0 and proc.stdout.split() == ["False"], proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert not {"leavitt.fields", "leavitt.lattice"} & set(proc.stdout.split())
+    for name, home in FORWARDED.items():
+        assert getattr(ideals, name) is getattr(home, name), name
     with pytest.raises(AttributeError, match="no_such_name"):
         ideals.no_such_name
 

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from leavitt import ideals
 from leavitt.digraph import OMEGA, Digraph, GeometricCycle
+from leavitt.dimension import dimension_blocks, quotient_dimension
 from leavitt.errors import InternalConsistencyError
 from leavitt.fields import Field, Polynomial
 from leavitt.ideals import (
@@ -17,9 +17,10 @@ from leavitt.ideals import (
     IdealPresentation,
     ValidatedIdeal,
     validate_ideal,
+    serialize_ideal,
     validated_ideal,
 )
-from leavitt.io import serialize_digraph, serialize_ideal
+from leavitt.io import serialize_digraph
 from leavitt.ktheory import (
     ProjectivePresentation,
     VertexGen,
@@ -27,11 +28,10 @@ from leavitt.ktheory import (
     galois_psi,
     is_orthogonal,
 )
+from leavitt.lattice import enumerate_strata, pair_lattice
 from leavitt.quotients import (
     decide_lpa_quotient,
-    dimension_blocks,
     iso_certificate,
-    quotient_dimension,
     radical_quotient,
     sever,
 )
@@ -208,7 +208,7 @@ def _strata_counts(monkeypatch, loops: int) -> Counter:
                                        "ensure_admissible", "no_exit_quotient_cycles"))
     for method in ("check_vertices", "out_arrows"):
         monkeypatch.setattr(Digraph, method, counted(counts, method, getattr(Digraph, method)))
-    records = ideals.enumerate_strata(g, Field.gf(3), 1)
+    records = enumerate_strata(g, Field.gf(3), 1)
     monkeypatch.undo()
     counts["records"] = len(records)
     return counts
@@ -245,7 +245,7 @@ def component_union(kinds: str) -> Digraph:
 
 def test_galois_round_trip_does_not_recheck_enumerated_pairs(monkeypatch):
     g = component_union("ABBCA")
-    lattice = ideals.pair_lattice(g)
+    lattice = pair_lattice(g)
     counts = count_calls(monkeypatch, ("breaking_vertices",))
     for pair in lattice.elements:
         assert galois_psi(g, galois_phi(g, pair).generating_items(g)) == pair

@@ -17,18 +17,24 @@ from helpers import (
     walk_is_line_point,
     walk_simple_classes,
 )
+from leavitt.cycles import enumerate_cycles
 from leavitt.digraph import (
     OMEGA,
     Digraph,
     classify_vertices,
     cycle_vertices,
-    enumerate_cycles,
     is_omega,
     no_exit_cycles,
 )
+from leavitt.dimension import (
+    MatrixDecomposition,
+    _paths_ending_at,
+    dimension_blocks,
+    partial_cycle_path_count,
+)
 from leavitt.errors import UnsupportedShapeError
 from leavitt.fields import Field, Polynomial
-from leavitt.ideals import IdealPresentation, enumerate_admissible_pairs, no_exit_quotient_cycles
+from leavitt.ideals import IdealPresentation, no_exit_quotient_cycles
 from leavitt.io import serialize_digraph
 from leavitt.ktheory import (
     ProjectivePresentation,
@@ -36,14 +42,9 @@ from leavitt.ktheory import (
     classify_simple_projectives,
     end_finite_dim,
 )
+from leavitt.lattice import enumerate_admissible_pairs
 from leavitt.morphisms import DigraphMorphism, check_admissible_morphism
-from leavitt.quotients import (
-    MatrixDecomposition,
-    _paths_ending_at,
-    dimension_blocks,
-    graded_quotient,
-    partial_cycle_path_count,
-)
+from leavitt.quotients import graded_quotient
 
 from test_cycles import all_cycles_no_exit, quotient_oracle
 from test_io_cli import run_cli
