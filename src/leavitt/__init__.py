@@ -26,16 +26,15 @@ _EXPORTS = {
     "fields": (
         "Polynomial", "RootMultiset", "find_roots", "is_dlf", "poly_gcd", "squarefree_part",
     ),
-    "ideals": ("AdmissiblePair", "IdealPresentation", "graded_part", "validate_ideal"),
-    "ktheory": (
-        "ClosedSubmonoid", "CornerGen", "ProjectivePresentation", "VertexGen",
-        "acyclic_decomposition", "classify_fgips", "classify_simple_projectives",
-        "end_finite_dim", "galois_phi", "galois_psi", "is_orthogonal", "monoid_congruent",
-        "monoid_presentation",
-    ),
-    "lattice": ("enumerate_admissible_pairs", "enumerate_strata", "pair_lattice", "pair_order"),
+    "ideals": ("AdmissiblePair", "pair_order"),
+    "ktheory": ("ClosedSubmonoid", "CornerGen", "ProjectivePresentation", "VertexGen",
+                "galois_phi", "galois_psi"),
+    "lattice": ("enumerate_admissible_pairs", "enumerate_strata", "pair_lattice"),
     "laurent": ("LaurentElement", "crt_profile", "laurent_normalize"),
     "morphisms": ("DigraphMorphism", "check_admissible_morphism"),
+    "presentations": ("IdealPresentation", "graded_part", "validate_ideal"),
+    "projectives": ("acyclic_decomposition", "classify_fgips", "classify_simple_projectives",
+                    "end_finite_dim", "is_orthogonal", "monoid_congruent", "monoid_presentation"),
     "quotients": (
         "IsoCertificate", "QuotientResult", "cycle_to_loop", "decide_lpa_quotient",
         "graded_quotient", "iso_certificate", "radical_quotient", "sever",

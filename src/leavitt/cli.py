@@ -16,19 +16,19 @@ the library modules its commands run; so a command compiles neither another
 family's handlers nor code it does not use.  Every command adds ``io``.
 ``analyze``, ``closure`` and ``dot`` add ``commands.digraph`` (``analyze``
 also ``cycles``); ``check-morphism`` adds ``morphisms`` and
-``commands.morphisms``; ``decide``, ``sever``, ``certificate``,
-``radical``, ``quotient`` and ``dim`` add ``fields``, ``ideals``,
-``quotients`` and ``commands.quotients`` (``dim`` also ``cycles`` and
-``dimension``); ``strata`` adds ``scalars``, ``ideals``, ``lattice`` and
-``commands.ideals``; ``monoid``, ``orth``, ``fgip``, ``simples`` and
-``end`` add ``ktheory`` and ``commands.ktheory`` (``orth`` also
-``fields``, ``ideals`` and ``lattice``, ``end`` also ``dimension``, and
-``cycles`` when it names a cycle as its witness).  ``--field`` loads
-``scalars``, the field without its polynomials, which ``fields`` imports.
-Coefficients over ℚ load ``rationals`` and with it ``fractions``; work over
-𝔽p does not.  ``json`` loads only under ``--format json-lines``.
-``bitindex`` loads with the first closure, enumeration of closed sets or
-check of an ideal.  No command loads ``laurent``.
+``commands.morphisms``; ``decide``, ``sever``, ``certificate``, ``radical``,
+``quotient`` and ``dim`` add ``commands.quotients`` and, given an ideal,
+``fields``, ``ideals``, ``presentations`` and ``quotients`` (``dim`` also
+``cycles`` and ``dimension``); ``strata`` adds ``scalars``, ``ideals``,
+``lattice`` and ``commands.ideals``; ``monoid``, ``orth``, ``fgip``,
+``simples`` and ``end`` add ``projectives`` and ``commands.ktheory``
+(``orth`` also ``ktheory``, ``fields``, ``ideals`` and ``presentations``,
+``end`` also ``ktheory``, ``dimension`` and, when it names a cycle as its
+witness, ``cycles``).  ``--field`` loads ``scalars``, the field without its
+polynomials, which ``fields`` imports.  Coefficients over ℚ load
+``rationals`` and ``fractions``, work over 𝔽p neither; ``json`` loads only
+under ``--format json-lines``, and ``bitindex`` with the first closure,
+enumeration of closed sets or check of an ideal.  No command loads ``laurent``.
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ def _load(operand: str, path: str | None, override: Field | None):
     if operand.endswith("graph"):
         return tio.parse_digraph(text, path)
     if operand == "ideal":
-        from .ideals import parse_ideal
+        from .presentations import parse_ideal
         return parse_ideal(text, path, field_override=override)
     if operand == "presentation":
-        from .ktheory import parse_presentation
+        from .projectives import parse_presentation
         return parse_presentation(text, path)
     from .morphisms import parse_morphism_file
     return parse_morphism_file(text, path)

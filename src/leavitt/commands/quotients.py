@@ -1,15 +1,13 @@
 """``quotient``, ``decide``, ``sever``, ``certificate``, ``radical`` and
 ``dim``: the commands on a digraph and one ideal presentation.  Only ``dim``
-loads ``dimension``, and with it the cycle enumeration."""
+loads ``dimension`` and the cycles, and without an ideal no ``quotients``."""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .. import ideals as il
-from .. import quotients as qt
-
 if TYPE_CHECKING:
+    from .. import quotients as qt
     from ..cli import Reporter
     from ..scalars import Field
 
@@ -20,10 +18,12 @@ def _failures(decision: qt.DecideResult, field: Field) -> str:
 
 
 def quotient(rep: Reporter, args, g, j):
+    from .. import quotients as qt
     rep.quotient(qt.graded_quotient(g, j.pair))
 
 
 def decide(rep: Reporter, args, g, j):
+    from .. import quotients as qt
     decision = qt.decide_lpa_quotient(g, j)
     if not decision.is_lpa:
         detail = _failures(decision, j.field)
@@ -38,6 +38,7 @@ def decide(rep: Reporter, args, g, j):
 
 
 def sever(rep: Reporter, args, g, j):
+    from .. import quotients as qt
     if args.force_degree_only:  # severing reads only deg θ: no dlf verdicts
         rep.quotient(qt.sever(g, j))
         return
@@ -49,6 +50,7 @@ def sever(rep: Reporter, args, g, j):
 
 
 def certificate(rep: Reporter, args, g, j):
+    from .. import quotients as qt
     cert = qt.iso_certificate(g, j)
     if rep.fmt == "json-lines":
         for entry in cert.entries:
@@ -60,6 +62,8 @@ def certificate(rep: Reporter, args, g, j):
 
 
 def radical(rep: Reporter, args, g, j):
+    from .. import quotients as qt
+    from ..presentations import serialize_ideal
     result = qt.radical_quotient(g, j)
     for label, drop in result.degree_drops:
         rep.emit(f"cycle {label}: degree drop {drop}", record="degree-drop",
@@ -67,7 +71,7 @@ def radical(rep: Reporter, args, g, j):
     for violation in result.hypothesis_violations:
         rep.emit(f"hypothesis violation: {violation}",
                  record="hypothesis-violation", detail=violation)
-    rep.emit_block(il.serialize_ideal(result.j_prime), record="ideal",
+    rep.emit_block(serialize_ideal(result.j_prime), record="ideal",
                    name=result.j_prime.name)
     rep.quotient(result.severed)
 

@@ -7,7 +7,7 @@ component found by Tarjan's algorithm (1972), both iterative and lazy.
 :func:`find_any_cycle` is a single depth-first search for one cycle, for
 acyclicity checks.  The cycles without exits need none of this
 (:func:`~leavitt.digraph.no_exit_cycles`), so only ``analyze``, ``dim`` and
-the acyclicity checks of ``ktheory`` load this module.
+the acyclicity checks of ``projectives`` load this module.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ one M_n(v) per sink and deg θ(C) copies of M_|P_C| per C ∈ β, where the
 sizes count paths; otherwise :func:`dimension_blocks` raises.  The
 counts come from one iterative depth-first pass against the arrows with one
 memo per call, so :func:`dimension_blocks` counts the paths into all sinks
-in linear time.  End(P) in ``ktheory`` reads the same counts.
-:func:`dimension_blocks` imports the cycle enumeration, the ideals and the
-graded quotient when it runs, so ``end`` loads only the path counts.
+in linear time.  End(P) in ``projectives`` reads the same counts.
+:func:`dimension_blocks` imports the cycle enumeration when it runs, and the
+ideal presentations and the graded quotient only when given an ideal.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import UnsupportedShapeError
 from .records import record
 
 if TYPE_CHECKING:
-    from .ideals import IdealPresentation
+    from .presentations import IdealPresentation
 
 
 def _paths_ending_at(g: Digraph, roots: Iterable[str], starts: Counter,
@@ -96,10 +96,11 @@ def dimension_blocks(g: Digraph, j: IdealPresentation | None = None,
     acyclic) otherwise.  ``limit`` bounds the cycle enumeration.
     """
     from .cycles import enumerate_cycles
-    from .ideals import validated_ideal
-    from .quotients import _graded_quotient
 
     if j is not None:
+        from .presentations import validated_ideal
+        from .quotients import _graded_quotient
+
         valid = validated_ideal(g, j)
         work = _graded_quotient(g, j.pair.h, valid.primed).digraph
         beta = j.beta

@@ -1,48 +1,20 @@
-"""Ideal presentations (H, S, β, θ), their validation and their text format.
+"""Graded ideals: admissible pairs (H, S), their order and quotient out-degrees.
 
-An ideal of the path algebra of a digraph is presented by an admissible pair
-(H, S), a collection β of cycles with no exit in the graded quotient, and a
-polynomial θ(C) with constant term 1 for each C ∈ β.  β empty means the
-ideal is graded.  Validation returns violations instead of raising so the
-CLI can report them all; only dangling vertex/arrow ids raise.
-
-Contract: public entry points validate a (digraph, ideal) pair exactly once,
-through :func:`validated_ideal`, which raises InvalidIdealError and computes
-B_H∖S once; workers take the resulting :class:`ValidatedIdeal` and use what
-it caches instead of validating again.
-
-The ideal file format is parsed and written here, next to the type it
-builds; the parser imports ``fields`` for the coefficients.  The order on
-admissible pairs, their enumeration and lattice, and the strata census live
-in :mod:`leavitt.lattice`, so the commands on one ideal do not compile them.
+Presentations (H, S, β, θ) live in :mod:`leavitt.presentations`, and the
+pairs' enumeration, lattice and strata census in :mod:`leavitt.lattice`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from .digraph import (
-    ArrowClass,
-    Digraph,
-    GeometricCycle,
-    OMEGA,
-    cycle_vertices,
-    is_omega,
-    no_exit_cycles,
-)
-from .errors import InvalidIdealError, NotAdmissibleError, ParseError, UnknownVertexError
-from .records import record, replace
-
-if TYPE_CHECKING:
-    from .fields import Field, Polynomial
+from .digraph import ArrowClass, Digraph, GeometricCycle, OMEGA, is_omega, no_exit_cycles
+from .errors import NotAdmissibleError, UnknownVertexError
+from .records import record
 
 
 def __getattr__(name):
-    # bench/selftest.py reads ideals.is_dlf, which this module once imported,
-    # and bench/lattice_call.py and bench/probe.py call ideals.pair_lattice and
-    # ideals.enumerate_strata, which moved to lattice; forwarding these names
+    # bench/ reads these names here, where they once were; forwarding them
     # keeps fields and lattice out of the commands that never use them
     if name == "is_dlf":
         from .fields import is_dlf
@@ -91,6 +63,13 @@ def ensure_admissible(g: Digraph, pair: AdmissiblePair) -> frozenset[str]:
     raise NotAdmissibleError(f"{pair.label()} is not admissible in {g.name}")
 
 
+def pair_order(g: Digraph, a: AdmissiblePair, b: AdmissiblePair) -> bool:
+    """a ≼ b, mirroring inclusion of the corresponding graded ideals."""
+    ensure_admissible(g, a)
+    ensure_admissible(g, b)
+    return a.h <= b.h and (a.h | a.s) <= (b.h | b.s)
+
+
 def quotient_out_degree(g: Digraph, h: frozenset[str], primed: frozenset[str],
                         v: str) -> int | float:
     """Out-degree of a surviving vertex in Γ/(H, S) without building the quotient.
@@ -129,214 +108,3 @@ def _no_exit_quotient_cycles(g: Digraph, pair: AdmissiblePair, primed: frozenset
         v: next(a for a in out[v] if a.target not in pair.h)
         for v in g.vertices
         if v not in pair.h and _quotient_out_degree(out[v], pair.h, primed) == 1}, limit=limit)
-
-
-@record
-class IdealPresentation:
-    """The quadruple (H, S, β, θ), frozen: ``theta`` and ``labels`` (``C1…`` by
-    default) are read-only views of fresh dicts, so a checked ideal stays checked."""
-
-    field: Field
-    pair: AdmissiblePair
-    beta: tuple[GeometricCycle, ...] = ()
-    theta: Mapping[GeometricCycle, Polynomial] = ()
-    labels: Mapping[GeometricCycle, str] = ()
-    name: str = "ideal"
-
-    def __post_init__(self):
-        beta = tuple(self.beta)
-        labels = dict(self.labels)
-        for i, c in enumerate(beta, 1):
-            labels.setdefault(c, f"C{i}")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "theta", MappingProxyType(dict(self.theta)))
-        object.__setattr__(self, "labels", MappingProxyType(labels))
-
-    def label_of(self, cycle: GeometricCycle) -> str:
-        return self.labels.get(cycle, cycle.label())
-
-
-@record
-class IdealValidation:
-    valid: bool
-    violations: tuple[str, ...]
-    primed: frozenset[str] = frozenset()  # B_H∖S, once H is hereditary and saturated
-
-
-def validate_ideal(g: Digraph, j: IdealPresentation) -> IdealValidation:
-    """Check the quadruple against its digraph; collects violations."""
-    g.check_vertices(j.pair.h | j.pair.s)
-    for c in j.beta:
-        for aid in c.arrows:
-            g.arrow(aid)
-
-    violations: list[str] = []
-    bits = g.bits
-    h = bits.mask(j.pair.h)
-    leaving = bits.leaving(h)
-    if leaving & h:
-        violations.append("H is not hereditary")
-    if bits.regular & ~h & ~leaving:
-        violations.append("H is not saturated")
-    h_ok = not violations
-    primed: frozenset[str] = frozenset()
-    if h_ok:
-        bb = bits.members(bits.breaking(h))
-        for v in sorted(j.pair.s - bb):
-            violations.append(f"S contains {v}, which is not a breaking vertex of H")
-        primed = bb - j.pair.s
-
-    seen = set()
-    for c in j.beta:
-        if c in seen:
-            violations.append(f"cycle {j.label_of(c)} listed twice")
-        seen.add(c)
-        try:
-            vs = cycle_vertices(g, c)
-        except ValueError as exc:
-            violations.append(str(exc))
-            continue
-        if any(v in j.pair.h for v in vs):
-            violations.append(f"cycle {j.label_of(c)} does not survive in the quotient "
-                              f"(a vertex lies in H)")
-            continue
-        if not h_ok:
-            continue
-        bad = [g.arrow(a).multiplicity != 1 for a in c.arrows]
-        if any(bad):
-            violations.append(f"cycle {j.label_of(c)} has a class of multiplicity != 1")
-            continue
-        if any(quotient_out_degree(g, j.pair.h, primed, v) != 1 for v in vs):
-            violations.append(f"cycle {j.label_of(c)} has an exit in the quotient")
-
-    for c in j.beta:
-        f = j.theta.get(c)
-        if f is None:
-            violations.append(f"cycle {j.label_of(c)} has no polynomial")
-            continue
-        if f.field != j.field:
-            violations.append(f"polynomial for {j.label_of(c)} is over {f.field.header()}, "
-                              f"ideal is over {j.field.header()}")
-            continue
-        if f.is_zero or f.degree < 1:
-            violations.append(f"polynomial for {j.label_of(c)} must have positive degree")
-        elif f.constant_term != j.field.one:
-            violations.append(f"polynomial for {j.label_of(c)} must have constant term 1")
-    for c in j.theta:
-        if c not in seen:
-            violations.append(f"polynomial given for {j.label_of(c)}, "
-                              f"which is not a cycle of the ideal")
-    return IdealValidation(valid=not violations, violations=tuple(violations),
-                           primed=primed)
-
-
-@record
-class ValidatedIdeal:
-    """(Γ, J) once :func:`validated_ideal` passed; ``primed`` is B_H∖S."""
-
-    graph: Digraph
-    ideal: IdealPresentation
-    primed: frozenset[str]
-
-
-def validated_ideal(g: Digraph, j: IdealPresentation) -> ValidatedIdeal:
-    """Validate j on g once; raises InvalidIdealError with every violation."""
-    report = validate_ideal(g, j)
-    if not report.valid:
-        raise InvalidIdealError(report.violations)
-    return ValidatedIdeal(g, j, report.primed)
-
-
-def graded_part(j: IdealPresentation) -> IdealPresentation:
-    """(H, S, ∅, ∅): the largest graded ideal inside j."""
-    return IdealPresentation(field=j.field, pair=j.pair, name=j.name)
-
-
-# -- the ideal file format ---------------------------------------------------------
-
-def parse_ideal(text: str, path: str | None = None,
-                field_override: Field | None = None) -> IdealPresentation:
-    from .fields import Field, Polynomial
-    from .io import _lines
-
-    name = None
-    field: Field | None = None
-    h: list[str] = []
-    s: list[str] = []
-    by_label: dict[str, GeometricCycle] = {}
-    raw_polys: list[tuple[int, str, list[str]]] = []
-    for no, line in _lines(text):
-        parts = line.split()
-        kw = parts[0]
-        if kw == "ideal":
-            if len(parts) != 2:
-                raise ParseError("expected: ideal <name>", no, path)
-            name = parts[1]
-        elif kw == "field":
-            if len(parts) != 2:
-                raise ParseError("expected: field Q|F<p>", no, path)
-            try:
-                field = Field.from_header(parts[1])
-            except ValueError as exc:
-                raise ParseError(str(exc), no, path) from None
-        elif kw == "H":
-            h.extend(parts[1:])
-        elif kw == "S":
-            s.extend(parts[1:])
-        elif kw == "cycle":
-            if len(parts) < 3 or not parts[1].endswith(":"):
-                raise ParseError("expected: cycle <cid>: <arrow ids>", no, path)
-            cid = parts[1][:-1]
-            if cid in by_label:
-                raise ParseError(f"duplicate cycle label {cid!r}", no, path)
-            by_label[cid] = GeometricCycle.of(parts[2:])
-        elif kw == "poly":
-            if len(parts) < 3 or not parts[1].endswith(":"):
-                raise ParseError("expected: poly <cid>: <c0> <c1> ...", no, path)
-            raw_polys.append((no, parts[1][:-1], parts[2:]))
-        else:
-            raise ParseError(f"unrecognized keyword {kw!r}", no, path)
-    if name is None:
-        raise ParseError("missing ideal header", None, path)
-    if field is None:
-        raise ParseError("missing field header", None, path)
-    labels = {cyc: cid for cid, cyc in by_label.items()}
-    theta = {}
-    for no, cid, tokens in raw_polys:
-        if cid not in by_label:
-            raise ParseError(f"poly for unknown cycle {cid!r}", no, path)
-        try:
-            coeffs = [field.parse_scalar(t) for t in tokens]
-        except ValueError as exc:
-            raise ParseError(str(exc), no, path) from None
-        theta[by_label[cid]] = Polynomial.of(field, coeffs)
-    j = IdealPresentation(field=field, pair=AdmissiblePair.of(h, s),
-                          beta=tuple(by_label.values()),
-                          theta=theta, labels=labels, name=name)
-    if field_override is not None and field_override != field:
-        j = cast_ideal(j, field_override)
-    return j
-
-
-def cast_ideal(j: IdealPresentation, field: Field) -> IdealPresentation:
-    """Reinterpret the presentation over another field (CLI --field override)."""
-    from .fields import Polynomial
-
-    return replace(j, field=field,
-                   theta={c: Polynomial.of(field, f.coeffs) for c, f in j.theta.items()})
-
-
-def serialize_ideal(j: IdealPresentation) -> str:
-    lines = [f"ideal {j.name}", f"field {j.field.header()}"]
-    if j.pair.h:
-        lines.append("H " + " ".join(sorted(j.pair.h)))
-    if j.pair.s:
-        lines.append("S " + " ".join(sorted(j.pair.s)))
-    for c in j.beta:
-        lines.append(f"cycle {j.label_of(c)}: " + " ".join(c.arrows))
-    for c in j.beta:
-        if c in j.theta:
-            poly = j.theta[c]
-            coeffs = " ".join(j.field.format_scalar(x) for x in poly.coeffs)
-            lines.append(f"poly {j.label_of(c)}: {coeffs}")
-    return "\n".join(lines) + "\n"

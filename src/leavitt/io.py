@@ -5,10 +5,10 @@ a presentation) and blank lines ignored.  Parsers raise
 :class:`~leavitt.errors.ParseError` with a line number; serializers emit a
 canonical form so parse/serialize round-trips are exact.  Every other format
 lives with its type, so only the commands that read or write one compile
-it: the ideal format in :mod:`leavitt.ideals`, the serialized quotients and
-certificates in :mod:`leavitt.quotients`, the morphism format in
-:mod:`leavitt.morphisms` and the projective presentation format in
-:mod:`leavitt.ktheory`.  Only ``digraph``, ``errors`` and ``records`` load
+it: the ideal format in :mod:`leavitt.presentations`, the serialized
+quotients and certificates in :mod:`leavitt.quotients`, the morphism format
+in :mod:`leavitt.morphisms` and the projective presentation format in
+:mod:`leavitt.projectives`.  Only ``digraph``, ``errors`` and ``records`` load
 with this module.
 """
 

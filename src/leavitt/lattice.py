@@ -1,14 +1,13 @@
-"""The order on admissible pairs: every pair, their lattice, and the strata.
+"""Every admissible pair, their lattice, and the strata.
 
-:func:`pair_order` mirrors inclusion of graded ideals.
 :func:`enumerate_admissible_pairs` lists every admissible pair (H, S) from
 the closed sets of :func:`~leavitt.digraph.enumerate_hereditary_saturated`,
 :func:`pair_lattice` gives them meet and join tables computed on read, and
 :func:`enumerate_strata` counts the ideal presentations over a prime field
-per stratum (pair, β, degrees) in closed form.  The presentations
-themselves, and their validation, live in :mod:`leavitt.ideals`; only
-``strata``, the lattice library call and ``orth`` (through
-:func:`~leavitt.ktheory.is_orthogonal`) load this module.
+per stratum (pair, β, degrees) in closed form.  The pairs and their order
+live in :mod:`leavitt.ideals`, the presentations in
+:mod:`leavitt.presentations`; only ``strata`` and the lattice library call
+load this module.
 """
 
 from __future__ import annotations
@@ -22,18 +21,11 @@ from typing import TYPE_CHECKING, Sequence
 
 from .digraph import Digraph, GeometricCycle, enumerate_hereditary_saturated
 from .errors import FieldMismatchError, MeetJoinFailureError, ResourceLimitError
-from .ideals import AdmissiblePair, _no_exit_quotient_cycles, ensure_admissible
+from .ideals import AdmissiblePair, _no_exit_quotient_cycles
 from .records import record
 
 if TYPE_CHECKING:
     from .fields import Field
-
-
-def pair_order(g: Digraph, a: AdmissiblePair, b: AdmissiblePair) -> bool:
-    """a ≼ b, mirroring inclusion of the corresponding graded ideals."""
-    ensure_admissible(g, a)
-    ensure_admissible(g, b)
-    return a.h <= b.h and (a.h | a.s) <= (b.h | b.s)
 
 
 def _preorder_key(m: int) -> int:

@@ -14,19 +14,17 @@ a path algebra quotient of the same kind exactly when every θ(C) factors
 into distinct linear factors; the decision procedure reports a witness per
 cycle and, on success, an explicit generator-image certificate.
 
-Dimensions, and End(P) in ``ktheory``, are path counts: they live in
-:mod:`leavitt.dimension`, with the cycle enumeration they check against, so
-the other commands on one ideal compile neither.  A quotient and a
+Dimensions are path counts in :mod:`leavitt.dimension`; a quotient and a
 certificate are serialized here, next to their types.
 
 Fresh-id scheme: primed ids append a prime character, split ids append
 ``.j`` (j from 1), so provenance stays readable and DOT output is stable.
 
 Contract: each public (digraph, ideal) entry point validates once, through
-:func:`~leavitt.ideals.validated_ideal`, and builds the graded quotient, the
-dlf verdicts and the severed digraph at most once per call.  The one worker,
-:func:`sever_validated`, severs a validated ideal with its cached B_H∖S: the
-radical j′ unchecked, or from the graded quotient already built.
+:func:`~leavitt.presentations.validated_ideal`, and builds the graded
+quotient, the dlf verdicts and the severed digraph at most once per call;
+the one worker, :func:`sever_validated`, severs a validated ideal with its
+cached B_H∖S: the radical j′ unchecked, or from the graded quotient built.
 """
 
 from __future__ import annotations
@@ -47,13 +45,8 @@ from .errors import (
     NotDlfError,
 )
 from .fields import DlfVerdict, Polynomial, is_dlf, squarefree_part
-from .ideals import (
-    AdmissiblePair,
-    IdealPresentation,
-    ValidatedIdeal,
-    ensure_admissible,
-    validated_ideal,
-)
+from .ideals import AdmissiblePair, ensure_admissible
+from .presentations import IdealPresentation, ValidatedIdeal, validated_ideal
 from .records import record, replace
 
 if TYPE_CHECKING:

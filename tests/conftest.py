@@ -5,8 +5,8 @@ import pytest
 from hypothesis import settings
 
 from leavitt.digraph import Digraph
-from leavitt.ideals import IdealPresentation, parse_ideal
 from leavitt.io import parse_digraph
+from leavitt.presentations import IdealPresentation, parse_ideal
 
 sys.path.insert(0, str(Path(__file__).parent))  # make helpers importable
 

@@ -5,17 +5,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import itertools
 import math
 import operator
+import pkgutil
 from collections import Counter
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+import leavitt
 from leavitt import (
-    cli, cycles, digraph, dimension, fields, ideals, ktheory, lattice, laurent, morphisms,
-    quotients, records, scalars)
+    cli, cycles, dimension, fields, ktheory, morphisms, presentations, projectives, records)
 from leavitt.digraph import OMEGA, Digraph, is_hereditary, is_omega, is_saturated
 from leavitt.errors import (
     FieldMismatchError,
@@ -165,7 +167,7 @@ def walk_simple_classes(g: Digraph) -> tuple:
         while g.out_arrows(cur):
             cur = g.out_arrows(cur)[0].target
         terminal[cur].append(v)
-    return tuple(ktheory.SimpleClass(sink, tuple(members))
+    return tuple(projectives.SimpleClass(sink, tuple(members))
                  for sink, members in terminal.items())
 
 
@@ -228,13 +230,13 @@ def rescan_fiber_violations(m: morphisms.DigraphMorphism) -> list[str]:
 #    one peel replaced -----------------------------------------------------------
 
 def item_orthogonal(g: Digraph, p: ktheory.ProjectivePresentation,
-                    j: ideals.IdealPresentation) -> bool:
+                    j: presentations.IdealPresentation) -> bool:
     """Hom(P, L/J) = 0 by a rule per generator item: Vertex(v) needs v ∈ H, and
     Corner(u, Z) needs u ∈ H, or u ∈ S with Z holding every instance escaping H.
     Right where every corner sits at an infinite emitter; it misreads a corner
     at a regular vertex, whose instances outside Z may all end in H."""
     ktheory.validate_presentation(g, p)
-    ideals.validated_ideal(g, j)
+    presentations.validated_ideal(g, j)
     h, s = j.pair.h, j.pair.s
     for item in p.items:
         if isinstance(item, ktheory.VertexGen):
@@ -250,30 +252,30 @@ def item_orthogonal(g: Digraph, p: ktheory.ProjectivePresentation,
     return True
 
 
-def per_item_end(g: Digraph, p: ktheory.ProjectivePresentation) -> ktheory.EndVerdict:
+def per_item_end(g: Digraph, p: ktheory.ProjectivePresentation) -> projectives.EndVerdict:
     """End(P) with each item's own reach scanned for an ω class and searched
     for a cycle in turn: O(items·(V + E))."""
     items = ktheory.validate_presentation(g, p).items
     for item in items:
         if isinstance(item, ktheory.CornerGen):
-            return ktheory.EndVerdict(False, witness=f"corner item at {item.vertex}")
+            return projectives.EndVerdict(False, witness=f"corner item at {item.vertex}")
     for item in items:
         reach = g.successors({item.vertex})
         omega = next((a for w in sorted(reach) for a in g.out_arrows(w)
                       if is_omega(a.multiplicity)), None)
         if omega is not None:
-            return ktheory.EndVerdict(
+            return projectives.EndVerdict(
                 False, witness=f"ω class {omega.id} reachable from {item.vertex}")
         cyc = cycles.find_any_cycle(g.full_subgraph(reach))
         if cyc is not None:
-            return ktheory.EndVerdict(
+            return projectives.EndVerdict(
                 False, witness=f"cycle {cyc.label()} reachable from {item.vertex}")
     reach = g.successors(item.vertex for item in items)
     sinks = [w for w in reach if not g.out_arrows(w)]
     outside = frozenset(a.id for w in reach for a in g.in_arrows(w) if a.source not in reach)
     starts = sum((Counter({item.vertex: item.copies}) for item in items), Counter())
     counts = dimension._paths_ending_at(g, sinks, starts, outside)
-    return ktheory.EndVerdict(
+    return projectives.EndVerdict(
         True, decomposition=dimension.MatrixDecomposition.of(counts[w] for w in sinks))
 
 
@@ -749,10 +751,11 @@ def build_parser() -> argparse.ArgumentParser:
 # -- dataclass twins of the record classes ------------------------------------------
 
 def record_classes() -> list[type]:
-    """Every class of the package made by :func:`leavitt.records.record`."""
-    return [obj for module in (cli, cycles, digraph, dimension, fields, ideals, ktheory,
-                               lattice, laurent, morphisms, quotients, scalars)
-            for obj in vars(module).values()
+    """Every class of the package made by :func:`leavitt.records.record`, read
+    off every module of the package, so no split of a module can drop one."""
+    modules = [importlib.import_module(info.name)
+               for info in pkgutil.walk_packages(leavitt.__path__, "leavitt.")]
+    return [obj for module in modules for obj in vars(module).values()
             if isinstance(obj, type) and obj.__module__ == module.__name__
             and "__record__" in vars(obj)]
 

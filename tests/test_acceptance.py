@@ -14,18 +14,13 @@ from leavitt.digraph import (
     is_hereditary,
     is_saturated,
 )
-from leavitt.fields import Field, Polynomial, is_dlf
 from leavitt.dimension import quotient_dimension
-from leavitt.ideals import AdmissiblePair, IdealPresentation
-from leavitt.ktheory import (
-    ProjectivePresentation,
-    VertexGen,
-    acyclic_decomposition,
-    galois_phi,
-    galois_psi,
-    is_orthogonal,
-)
-from leavitt.lattice import enumerate_admissible_pairs, enumerate_strata, pair_order
+from leavitt.fields import Field, Polynomial, is_dlf
+from leavitt.ideals import AdmissiblePair, pair_order
+from leavitt.ktheory import ProjectivePresentation, VertexGen, galois_phi, galois_psi
+from leavitt.lattice import enumerate_admissible_pairs, enumerate_strata
+from leavitt.presentations import IdealPresentation
+from leavitt.projectives import acyclic_decomposition, is_orthogonal
 from leavitt.quotients import (
     cycle_to_loop,
     decide_lpa_quotient,

@@ -16,7 +16,6 @@ from helpers import digraphs, item_orthogonal
 from leavitt.cli import main
 from leavitt.digraph import Digraph, is_omega
 from leavitt.fields import Field
-from leavitt.ideals import IdealPresentation, serialize_ideal
 from leavitt.io import parse_digraph, serialize_digraph
 from leavitt.ktheory import (
     CornerGen,
@@ -24,11 +23,11 @@ from leavitt.ktheory import (
     VertexGen,
     galois_psi,
     instances_escaping,
-    is_orthogonal,
-    parse_presentation,
     validate_presentation,
 )
 from leavitt.lattice import enumerate_admissible_pairs
+from leavitt.presentations import IdealPresentation, serialize_ideal
+from leavitt.projectives import is_orthogonal, parse_presentation
 
 from conftest import corpus_path
 

@@ -11,7 +11,7 @@ from leavitt.cycles import _vertex_cycles, enumerate_cycles
 from leavitt.digraph import OMEGA, Digraph, cycle_vertices, no_exit_cycles
 from leavitt.ideals import ensure_admissible, no_exit_quotient_cycles, quotient_out_degree
 from leavitt.lattice import enumerate_admissible_pairs
-from leavitt.ktheory import FgipClass, classify_fgips
+from leavitt.projectives import FgipClass, classify_fgips
 
 from conftest import corpus_graphs
 from test_io_cli import child_env, run_cli

@@ -10,15 +10,9 @@ from leavitt.errors import (
     UnknownVertexError,
 )
 from leavitt.fields import Field, Polynomial
-from leavitt.ideals import (
-    AdmissiblePair,
-    IdealPresentation,
-    ensure_admissible,
-    graded_part,
-    no_exit_quotient_cycles,
-    validate_ideal,
-)
-from leavitt.lattice import enumerate_admissible_pairs, enumerate_strata, pair_lattice, pair_order
+from leavitt.ideals import AdmissiblePair, ensure_admissible, no_exit_quotient_cycles, pair_order
+from leavitt.lattice import enumerate_admissible_pairs, enumerate_strata, pair_lattice
+from leavitt.presentations import IdealPresentation, graded_part, validate_ideal
 
 from conftest import corpus_graphs, corpus_ideal_pairs, load_graph, load_ideal
 from helpers import exhaustive_degree_census

@@ -10,10 +10,11 @@ from leavitt.cli import COMMANDS, main
 from leavitt.digraph import to_dot
 from leavitt.errors import ParseError
 from leavitt.fields import Field, Polynomial
-from leavitt.ideals import cast_ideal, parse_ideal, serialize_ideal
 from leavitt.io import parse_digraph, serialize_digraph
-from leavitt.ktheory import CornerGen, VertexGen, parse_presentation
+from leavitt.ktheory import CornerGen, VertexGen
 from leavitt.morphisms import parse_morphism_file
+from leavitt.presentations import cast_ideal, parse_ideal, serialize_ideal
+from leavitt.projectives import parse_presentation
 
 from conftest import (
     CORPUS,

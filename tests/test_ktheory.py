@@ -18,24 +18,27 @@ from leavitt.errors import (
     NotRowFiniteError,
 )
 from leavitt.fields import Field, Polynomial
-from leavitt.ideals import AdmissiblePair, IdealPresentation
+from leavitt.ideals import AdmissiblePair, pair_order
 from leavitt.ktheory import (
-    CongruenceVerdict,
     CornerGen,
     ProjectivePresentation,
     VertexGen,
+    galois_phi,
+    galois_psi,
+    validate_presentation,
+)
+from leavitt.lattice import enumerate_admissible_pairs
+from leavitt.presentations import IdealPresentation
+from leavitt.projectives import (
+    CongruenceVerdict,
     acyclic_decomposition,
     classify_fgips,
     classify_simple_projectives,
     end_finite_dim,
-    galois_phi,
-    galois_psi,
     is_orthogonal,
     monoid_congruent,
     monoid_presentation,
-    validate_presentation,
 )
-from leavitt.lattice import enumerate_admissible_pairs, pair_order
 
 from conftest import corpus_graphs, load_graph, load_ideal
 

@@ -30,6 +30,7 @@ from helpers import (
     search_lattice_tables,
     sweep_hereditary_saturated,
 )
+from leavitt.cli import main
 from leavitt.digraph import (
     OMEGA,
     Digraph,
@@ -39,19 +40,13 @@ from leavitt.digraph import (
     is_hereditary,
     is_saturated,
 )
-from leavitt.cli import main
 from leavitt.errors import MeetJoinFailureError, NotAdmissibleError, ResourceLimitError
 from leavitt.fields import Field
-from leavitt.ideals import (
-    AdmissiblePair,
-    IdealPresentation,
-    ensure_admissible,
-    no_exit_quotient_cycles,
-    validate_ideal,
-)
+from leavitt.ideals import AdmissiblePair, ensure_admissible, no_exit_quotient_cycles
 from leavitt.io import serialize_digraph
 from leavitt.ktheory import galois_phi, galois_psi
 from leavitt.lattice import _CellTable, enumerate_admissible_pairs, pair_lattice
+from leavitt.presentations import IdealPresentation, validate_ideal
 
 from conftest import corpus_graphs
 from test_io_cli import child_env

@@ -12,8 +12,9 @@ from leavitt.errors import (
     UnsupportedShapeError,
 )
 from leavitt.fields import Field, Polynomial
-from leavitt.ideals import AdmissiblePair, IdealPresentation
+from leavitt.ideals import AdmissiblePair
 from leavitt.lattice import enumerate_admissible_pairs
+from leavitt.presentations import IdealPresentation
 from leavitt.quotients import (
     cycle_to_loop,
     decide_lpa_quotient,

@@ -16,8 +16,9 @@ from helpers import dataclass_twin, record_classes
 from leavitt import records
 from leavitt.digraph import GeometricCycle
 from leavitt.fields import Field, Polynomial
-from leavitt.ideals import AdmissiblePair, IdealPresentation, cast_ideal, validated_ideal
+from leavitt.ideals import AdmissiblePair
 from leavitt.lattice import pair_lattice
+from leavitt.presentations import IdealPresentation, cast_ideal, validated_ideal
 from leavitt.quotients import radical_quotient
 from leavitt.records import FrozenInstanceError, record
 
@@ -276,7 +277,8 @@ def test_cli_import_generates_no_code():
     assert report["generated"] == []
     assert {"leavitt.cycles", "leavitt.dimension", "leavitt.fields", "leavitt.ideals",
             "leavitt.io", "leavitt.ktheory", "leavitt.lattice", "leavitt.laurent",
-            "leavitt.morphisms", "leavitt.quotients", "leavitt.commands",
+            "leavitt.morphisms", "leavitt.presentations", "leavitt.projectives",
+            "leavitt.quotients", "leavitt.commands",
             "leavitt.commands.digraph", "leavitt.commands.ideals", "leavitt.commands.ktheory",
             "leavitt.commands.morphisms", "leavitt.commands.quotients"} <= set(report["modules"])
     assert set(report["after"]) <= set(json.loads(bare.stdout))

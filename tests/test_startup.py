@@ -9,7 +9,8 @@ import pytest
 
 import leavitt
 from leavitt import (
-    cycles, digraph, dimension, fields, ideals, ktheory, lattice, laurent, morphisms, quotients)
+    cycles, digraph, dimension, fields, ideals, ktheory, lattice, laurent, morphisms,
+    presentations, projectives, quotients)
 from leavitt.cli import COMMANDS
 
 from test_io_cli import SAMPLE_ARGS, child_env, cpath
@@ -23,14 +24,15 @@ EXPORTED = {
     dimension: ("MatrixDecomposition", "dimension_blocks", "quotient_dimension"),
     fields: ("Field", "Polynomial", "RootMultiset", "find_roots", "is_dlf", "poly_gcd",
              "squarefree_part"),
-    ideals: ("AdmissiblePair", "IdealPresentation", "graded_part", "validate_ideal"),
+    ideals: ("AdmissiblePair", "pair_order"),
     ktheory: ("ClosedSubmonoid", "CornerGen", "ProjectivePresentation", "VertexGen",
-              "acyclic_decomposition", "classify_fgips", "classify_simple_projectives",
-              "end_finite_dim", "galois_phi", "galois_psi",
-              "is_orthogonal", "monoid_congruent", "monoid_presentation"),
-    lattice: ("enumerate_admissible_pairs", "enumerate_strata", "pair_lattice", "pair_order"),
+              "galois_phi", "galois_psi"),
+    lattice: ("enumerate_admissible_pairs", "enumerate_strata", "pair_lattice"),
     laurent: ("LaurentElement", "crt_profile", "laurent_normalize"),
     morphisms: ("DigraphMorphism", "check_admissible_morphism"),
+    presentations: ("IdealPresentation", "graded_part", "validate_ideal"),
+    projectives: ("acyclic_decomposition", "classify_fgips", "classify_simple_projectives",
+                  "end_finite_dim", "is_orthogonal", "monoid_congruent", "monoid_presentation"),
     quotients: ("IsoCertificate", "QuotientResult", "cycle_to_loop", "decide_lpa_quotient",
                 "graded_quotient", "iso_certificate", "radical_quotient", "sever"),
 }
@@ -119,6 +121,8 @@ IDEAL_COMMANDS = ("quotient", "decide", "sever", "certificate", "radical", "dim"
 #: The commands that read no ideal, and the lattice, cycle and dimension modules.
 NO_IDEALS = ("analyze", "closure", "dot", "check-morphism", "monoid")
 ENUMERATIONS = {"leavitt.lattice", "leavitt.cycles", "leavitt.dimension"}
+#: The modules split off ``ideals`` and ``ktheory``.
+SPLIT = {"leavitt.presentations", "leavitt.projectives"}
 
 
 @pytest.mark.parametrize("name", list(SAMPLE_ARGS))
@@ -130,7 +134,7 @@ def test_a_command_loads_only_its_own_family(name):
         "leavitt.commands", f"leavitt.commands.{COMMANDS[name].module}"}
     assert "leavitt.laurent" not in modules
     if name in IDEAL_COMMANDS:
-        assert not {"leavitt.morphisms", "leavitt.ktheory"} & modules
+        assert not {"leavitt.morphisms", "leavitt.ktheory", "leavitt.projectives"} & modules
     if name == "dim":
         assert ENUMERATIONS & modules == {"leavitt.cycles", "leavitt.dimension"}
     elif name in IDEAL_COMMANDS:
@@ -138,22 +142,19 @@ def test_a_command_loads_only_its_own_family(name):
     if name == "strata":
         assert "leavitt.lattice" in modules and "leavitt.cycles" not in modules
     if name in NO_IDEALS:
-        assert "leavitt.ideals" not in modules
+        assert not {"leavitt.ideals", "leavitt.presentations"} & modules
+    if name in ("monoid", "fgip", "simples"):  # no generators, so no Galois maps
+        assert "leavitt.projectives" in modules and "leavitt.ktheory" not in modules
 
 
-#: Runs ``python -m leavitt.cli ARGS`` as CLI_PROBE does, then prints the
-#: number of source lines of the leavitt files that were loaded, ``cli.py``
-#: (which ran as ``__main__``) included: the lines the command compiled.
-LINES_PROBE = """
-import os, runpy, sys
-sys.argv = ["leavitt", *sys.argv[1:]]
-try:
-    runpy.run_module("leavitt.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    assert exc.code == 0, exc.code
+#: Ends a probe: prints the number of source lines of the leavitt files that
+#: were loaded, and of the files named in ``ran``, which ran as ``__main__``:
+#: the lines the probe compiled.
+COUNT_LINES = """
+import os, sys
 import leavitt
 files = {m.__file__ for name, m in sys.modules.items() if name.split(".")[0] == "leavitt"}
-files.add(os.path.join(os.path.dirname(leavitt.__file__), "cli.py"))
+files |= {os.path.join(os.path.dirname(leavitt.__file__), name) for name in ran}
 lines = 0
 for path in files:
     with open(path, encoding="utf-8") as fh:
@@ -161,23 +162,49 @@ for path in files:
 print(lines)
 """
 
-#: The lines each SAMPLE_ARGS command compiled while the ideal commands still
-#: loaded the pair lattice, the cycle enumeration and the dimension counts
-#: (``radical`` reads an ideal over ℚ, so it also compiles ``rationals``).
+#: Runs ``python -m leavitt.cli ARGS`` as CLI_PROBE does, then counts the lines
+#: compiled, ``cli.py`` included.
+LINES_PROBE = """
+import runpy, sys
+ran = ["cli.py"]
+sys.argv = ["leavitt", *sys.argv[1:]]
+try:
+    runpy.run_module("leavitt.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+""" + COUNT_LINES
+
+#: The library call, then the lines it compiled.
+LATTICE_LINES_PROBE = "ran = []" + LATTICE_PROBE + COUNT_LINES
+
+#: The lines each SAMPLE_ARGS command compiled while ``ideals`` still held the
+#: ideal presentations and ``ktheory`` the projective modules (``radical``
+#: reads an ideal over ℚ, so it also compiles ``rationals``).
 COMPILED_BEFORE = {
-    "analyze": 1789, "closure": 1789, "dot": 1615, "check-morphism": 1704,
-    "quotient": 3378, "decide": 3378, "sever": 3378, "certificate": 3378, "radical": 3568,
-    "dim": 3204, "strata": 2447, "orth": 3338, "end": 3605,
-    "monoid": 2543, "fgip": 2543, "simples": 2543,
+    "analyze": 1710, "closure": 1556, "dot": 1382, "check-morphism": 1468,
+    "quotient": 2900, "decide": 2900, "sever": 2900, "certificate": 2900, "radical": 3090,
+    "dim": 3008, "strata": 2328, "orth": 3223, "end": 1941,
+    "monoid": 1813, "fgip": 1813, "simples": 1813,
 }
+#: The lines the library call compiles with only the graded ideals, the pair
+#: lattice and the Galois maps (2,147 with the presentations and projectives).
+LATTICE_COMPILED = 1645
+
+
+def compiled(code: str, *args: str) -> int:
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("name", list(SAMPLE_ARGS))
 def test_no_command_compiles_more_than_before(name):
-    proc = subprocess.run([sys.executable, "-c", LINES_PROBE, name, *SAMPLE_ARGS[name]],
-                          capture_output=True, text=True, env=child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.splitlines()[-1]) <= COMPILED_BEFORE[name]
+    assert compiled(LINES_PROBE, name, *SAMPLE_ARGS[name]) <= COMPILED_BEFORE[name]
+
+
+def test_lattice_library_call_compiles_no_more_than_its_ceiling():
+    assert compiled(LATTICE_LINES_PROBE, cpath("sq5")) <= LATTICE_COMPILED
 
 
 def test_check_morphism_loads_no_algebra():
@@ -186,19 +213,34 @@ def test_check_morphism_loads_no_algebra():
     assert not {"leavitt.fields", "leavitt.ideals", "leavitt.quotients"} & modules
 
 
-def test_presentations_are_parsed_by_ktheory(tmp_path):
-    # a bad presentation stops orth and end in ktheory's parser, before their handlers load
+def test_presentations_are_parsed_by_projectives(tmp_path):
+    # a bad presentation stops orth and end in projectives' parser, before their handlers load
     bad = tmp_path / "bad.pres"
     bad.write_text("corner v {e1}\n")
     g, j = SAMPLE_ARGS["orth"][:2]
     modules = loaded(MAIN_PROBE, json.dumps([["orth", g, j, str(bad)], ["end", g, str(bad)]]))
-    assert "leavitt.ktheory" in modules
+    assert "leavitt.projectives" in modules
     assert not {"leavitt.commands.ktheory", "leavitt.quotients"} & modules
+
+
+def test_orth_loads_the_pair_order_without_the_lattice():
+    modules = loaded(CLI_PROBE, "orth", *SAMPLE_ARGS["orth"])
+    assert {"leavitt.ideals", "leavitt.ktheory", "leavitt.projectives"} <= modules
+    assert "leavitt.lattice" not in modules
+
+
+def test_dim_without_an_ideal_loads_no_ideal_code():
+    # the golden dim ek-severed.graph reads only the cycles and the path counts
+    modules = loaded(CLI_PROBE, "dim", cpath("ek-severed"))
+    assert {"leavitt.cycles", "leavitt.dimension"} <= modules
+    assert not {"leavitt.fields", "leavitt.scalars", "leavitt.quotients", "leavitt.ideals",
+                "leavitt.presentations"} & modules
 
 
 def test_strata_loads_no_quotients():
     modules = loaded(CLI_PROBE, "strata", "--field", "F3", "--max-deg", "2", cpath("loop"))
     assert not {"leavitt.quotients", "leavitt.ktheory"} & modules
+    assert not SPLIT & modules
     # the --field header is parsed by scalars, which holds no polynomial code
     assert "leavitt.scalars" in modules and "leavitt.fields" not in modules
 
@@ -207,7 +249,8 @@ def test_lattice_library_call_loads_no_quotients():
     modules = loaded(LATTICE_PROBE, cpath("sq5"))
     assert {"leavitt.ktheory", "leavitt.lattice"} <= modules
     assert "leavitt.quotients" not in modules
-    assert "leavitt.fields" not in modules  # ideals names Field only in annotations
+    assert not SPLIT & modules  # the graded ideals and the Galois maps only
+    assert "leavitt.fields" not in modules  # nothing on this path reads a field
 
 
 #: The names ``ideals`` forwards to the modules they moved to, which bench/ reads.
@@ -215,12 +258,13 @@ FORWARDED = {"is_dlf": fields, "pair_lattice": lattice, "enumerate_strata": latt
 
 
 def test_ideals_forwards_is_dlf_to_fields():
-    # importing ideals loads none of the modules it forwards to
+    # importing ideals loads none of the modules it forwards to, nor the presentations
     code = "import sys; from leavitt import ideals; print(' '.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert not {"leavitt.fields", "leavitt.lattice"} & set(proc.stdout.split())
+    assert not {"leavitt.fields", "leavitt.lattice", "leavitt.presentations"} \
+        & set(proc.stdout.split())
     for name, home in FORWARDED.items():
         assert getattr(ideals, name) is getattr(home, name), name
     with pytest.raises(AttributeError, match="no_such_name"):
@@ -232,7 +276,7 @@ def test_no_command_line_loads_argparse(bare):
              for fmt in ([], ["--format", "json-lines"], ["--format", "dot"])]
     lines += [["--help"], ["strata", "-h"], ["no-such-command"], ["strata", cpath("loop")]]
     modules = loaded(MAIN_PROBE, json.dumps(lines))
-    assert "leavitt.ktheory" in modules  # every command ran
+    assert "leavitt.projectives" in modules  # every command ran
     assert not {"argparse", "gettext", "locale"} & (modules - bare)
 
 

@@ -12,23 +12,18 @@ from leavitt.digraph import OMEGA, Digraph, GeometricCycle
 from leavitt.dimension import dimension_blocks, quotient_dimension
 from leavitt.errors import InternalConsistencyError
 from leavitt.fields import Field, Polynomial
-from leavitt.ideals import (
-    AdmissiblePair,
+from leavitt.ideals import AdmissiblePair
+from leavitt.io import serialize_digraph
+from leavitt.ktheory import ProjectivePresentation, VertexGen, galois_phi, galois_psi
+from leavitt.lattice import enumerate_strata, pair_lattice
+from leavitt.presentations import (
     IdealPresentation,
     ValidatedIdeal,
-    validate_ideal,
     serialize_ideal,
+    validate_ideal,
     validated_ideal,
 )
-from leavitt.io import serialize_digraph
-from leavitt.ktheory import (
-    ProjectivePresentation,
-    VertexGen,
-    galois_phi,
-    galois_psi,
-    is_orthogonal,
-)
-from leavitt.lattice import enumerate_strata, pair_lattice
+from leavitt.projectives import is_orthogonal
 from leavitt.quotients import (
     decide_lpa_quotient,
     iso_certificate,

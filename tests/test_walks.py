@@ -34,16 +34,13 @@ from leavitt.dimension import (
 )
 from leavitt.errors import UnsupportedShapeError
 from leavitt.fields import Field, Polynomial
-from leavitt.ideals import IdealPresentation, no_exit_quotient_cycles
+from leavitt.ideals import no_exit_quotient_cycles
 from leavitt.io import serialize_digraph
-from leavitt.ktheory import (
-    ProjectivePresentation,
-    VertexGen,
-    classify_simple_projectives,
-    end_finite_dim,
-)
+from leavitt.ktheory import ProjectivePresentation, VertexGen
 from leavitt.lattice import enumerate_admissible_pairs
 from leavitt.morphisms import DigraphMorphism, check_admissible_morphism
+from leavitt.presentations import IdealPresentation
+from leavitt.projectives import classify_simple_projectives, end_finite_dim
 from leavitt.quotients import graded_quotient
 
 from test_cycles import all_cycles_no_exit, quotient_oracle
