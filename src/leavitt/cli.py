@@ -7,38 +7,20 @@ list of subcommands: the command line reader (:func:`_parse`, which keeps
 argparse's conventions without loading argparse, gettext or locale), the
 loading of operand files, the ``--format dot`` check and the dispatch all
 read it.  Exit codes: 0 verdicts and help, 2 usage and parse errors,
-3 validation errors, 4 resource limits, 5 internal consistency failures.
-
-Only ``digraph``, ``errors`` and ``records`` load with this module.  Each
-row of :data:`COMMANDS` names the module of :mod:`leavitt.commands` that
-holds its handler, and :func:`run` imports that module alone, which imports
-the library modules its commands run; so a command compiles neither another
-family's handlers nor code it does not use.  Every command adds ``io``.
-``analyze``, ``closure`` and ``dot`` add ``commands.digraph`` (``analyze``
-also ``cycles``); ``check-morphism`` adds ``morphisms`` and
-``commands.morphisms``; ``decide``, ``sever``, ``certificate``, ``radical``,
-``quotient`` and ``dim`` add ``commands.quotients`` and, given an ideal,
-``fields``, ``ideals``, ``presentations`` and ``quotients`` (``dim`` also
-``cycles`` and ``dimension``); ``strata`` adds ``scalars``, ``ideals``,
-``lattice`` and ``commands.ideals``; ``monoid``, ``orth``, ``fgip``,
-``simples`` and ``end`` add ``projectives`` and ``commands.ktheory``
-(``orth`` also ``ktheory``, ``fields``, ``ideals`` and ``presentations``,
-``end`` also ``ktheory``, ``dimension`` and, when it names a cycle as its
-witness, ``cycles``).  ``--field`` loads ``scalars``, the field without its
-polynomials, which ``fields`` imports.  Coefficients over ℚ load
-``rationals`` and ``fractions``, work over 𝔽p neither; ``json`` loads only
-under ``--format json-lines``, and ``bitindex`` with the first closure,
-enumeration of closed sets or check of an ideal.  No command loads ``laurent``.
+3 validation errors, 4 resource limits, 5 internal consistency failures.  Run as
+a program, it ends once its answer is flushed, skipping the interpreter's teardown
+(:func:`program`); ``tests/test_startup.py`` checks which modules each command loads.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import re
 import sys
 from importlib import import_module
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import digraph as dg
 from .errors import (
@@ -389,5 +371,23 @@ def main(argv=None) -> int:
         return 3
 
 
+def program() -> NoReturn:
+    """:func:`main` as the process: the ``atexit`` callbacks, a flush and ``os._exit``,
+    or ``sys.exit`` where a tracer, a profiler or ``-i`` may look at the teardown."""
+    code, tools = main(), getattr(sys, "monitoring", None)  # cProfile's hook from 3.12
+    if sys.gettrace() or sys.getprofile() or sys.flags.inspect or (
+            tools and any(map(tools.get_tool, range(6)))):
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    report = ""  # the interpreter's own last flush: a failure exits 120, stdout's is reported
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.write(report)
+            stream.flush()
+        except OSError as exc:
+            code, report = 120, f"Exception ignored in: {stream!r}\n{type(exc).__name__}: {exc}\n"
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    program()

@@ -225,7 +225,7 @@ def test_a_literal_dashes_value_is_a_string():
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
-    # the console script leavitt = "leavitt.cli:main" calls main()
+    # the console script leavitt = "leavitt.cli:program" calls main()
     monkeypatch.setattr(sys, "argv", ["leavitt", "dim", cpath("ek-severed")])
     assert cli.main() == 0
     assert capsys.readouterr().out == "48 = 3 × M_4\n"

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -502,6 +504,87 @@ def child_env(**extra) -> dict:
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
+def run_process(*args: str, prefix: tuple = ("-m", "leavitt.cli")) -> tuple[int, str, str]:
+    """Run the CLI as its own process, ``python -m leavitt.cli ARGS`` unless another
+    prefix is given; returns (exit code, stdout, stderr)."""
+    proc = subprocess.run([sys.executable, *prefix, *args], capture_output=True,
+                          encoding="utf-8", env=child_env(PYTHONIOENCODING="utf-8"))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_in_process(*args: str) -> tuple[int, str, str]:
+    """``cli.main`` on ARGS in this process; returns (exit code, stdout, stderr)."""
+    import contextlib
+    import io as _io
+
+    out, err = _io.StringIO(), _io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+#: Command lines on which the process must print and exit as ``cli.main`` does,
+#: with their exit code: the golden table, help, and one for each failing exit
+#: code.  COLLISION names a digraph with vertices v and v.1, whose severing
+#: mints v.1 again.
+SAME_AS_MAIN = {
+    **{expected: (0, args) for args, expected in GOLDEN},
+    "help": (0, ("--help",)),
+    "usage": (2, ("strata", cpath("loop"))),
+    "missing-file": (2, ("analyze", "no-such-file.graph")),
+    "not-dlf": (3, ("sever", cpath("sq5"), cpath("ch2-ideal-F2"))),
+    "max-cycles": (4, ("analyze", "--max-cycles", "1", cpath("sq3"))),
+    "fresh-id": (5, ("decide", "COLLISION.graph", "COLLISION.ideal")),
+}
+
+#: Runs ``python -m leavitt.cli ARGS[1:]`` as ``-m`` does, beside an ``atexit``
+#: callback and a module-level object whose ``__del__`` runs only in the
+#: interpreter's teardown.  ARGS[0] sets a profile or trace function first, or not.
+TEARDOWN_PROBE = """
+import atexit, os, runpy, sys
+
+class Marker:
+    def __del__(self, write=os.write):
+        write(2, b"teardown\\n")
+
+marker = Marker()
+atexit.register(os.write, 2, b"atexit\\n")
+hook = {"plain": None, "profiled": sys.setprofile, "traced": sys.settrace}[sys.argv[1]]
+if hook:
+    hook(lambda *args: None)
+sys.argv = ["leavitt", *sys.argv[2:]]
+runpy.run_module("leavitt.cli", run_name="__main__", alter_sys=True)
+"""
+
+#: What the interpreter prints when its last flush of stdout fails.
+FLUSH_FAILURE = ("Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                 "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def chain_files(n: int) -> dict:
+    """A chain of n loops whose last vertex is H, and an ideal on the loop before
+    it: decide prints the severed chain, about 150 bytes a vertex as json-lines."""
+    graph = ("digraph chain\n" + "".join(f"vertex v{i}\n" for i in range(n))
+             + "".join(f"arrow l{i} v{i} v{i}\narrow a{i} v{i} v{i + 1}\n" for i in range(n - 1))
+             + f"arrow l{n - 1} v{n - 1} v{n - 1}\n")
+    ideal = f"ideal j\nfield F3\nH v{n - 1}\ncycle C: l{n - 2}\npoly C: 1 0 2\n"
+    return {f"chain{n}.graph": graph, f"chain{n}.ideal": ideal}
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """COLLISION's files and two chains, as paths by name."""
+    root = tmp_path_factory.mktemp("generated")
+    files = {
+        "COLLISION.graph": "digraph c\nvertex v\nvertex v.1\narrow e v v\narrow f v.1 v\n",
+        "COLLISION.ideal": "ideal j\nfield Q\ncycle C: e\npoly C: 1 -3/2 1/2\n",
+        **chain_files(40), **chain_files(400),
+    }
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return {name: str(root / name) for name in files}
+
+
 class TestConsoleScript:
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -509,3 +592,67 @@ class TestConsoleScript:
             capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert proc.stdout.strip() == "48 = 3 × M_4"
+
+    @pytest.mark.parametrize("name", list(SAME_AS_MAIN))
+    def test_process_prints_and_exits_as_main(self, generated, name):
+        code, args = SAME_AS_MAIN[name]
+        args = [generated.get(a, a) for a in args]
+        in_process = run_in_process(*args)
+        assert in_process[0] == code
+        assert run_process(*args) == in_process
+
+    def test_console_script_runs_the_program(self):
+        # the wrapper that installing writes for [project.scripts]: import, call, exit
+        text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        module, name = re.search(r'^leavitt = "([\w.]+):(\w+)"$', text, re.M).groups()
+        wrapper = f"import sys; from {module} import {name}; sys.exit({name}())"
+        args = ("dot", cpath("sq2"))
+        assert run_process(*args, prefix=("-c", wrapper)) == run_in_process(*args)
+
+    @pytest.mark.parametrize("hook", ["plain", "profiled", "traced"])
+    def test_teardown_is_skipped_unless_hooked(self, hook):
+        code, out, err = run_process(hook, "dot", cpath("sq2"), prefix=("-c", TEARDOWN_PROBE))
+        assert (code, out) == (0, (CORPUS / "expected" / "dot-sq2.dot").read_text())
+        # the atexit callbacks run either way; teardown only for a profiler or tracer
+        assert err == ("atexit\n" if hook == "plain" else "atexit\nteardown\n")
+
+    def test_cprofile_still_prints_its_statistics(self):
+        code, out, err = run_process("dot", cpath("sq2"),
+                                     prefix=("-m", "cProfile", "-m", "leavitt.cli"))
+        assert (code, err) == (0, "")
+        assert out.startswith((CORPUS / "expected" / "dot-sq2.dot").read_text())
+        assert " function calls " in out
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("size", ["small", "large", "overflowing"])
+    def test_closed_pipe_keeps_the_exit_status(self, generated, size, unbuffered):
+        # large: more than a pipe's 4 KiB write buffer, less than the 8 KiB of text
+        # stdout holds before writing; a failed flush of it loses the answer
+        n = {"large": 40, "overflowing": 400}.get(size)
+        args = (("analyze", cpath("sq2")) if size == "small" else
+                ("--format", "json-lines", "decide", generated[f"chain{n}.graph"],
+                 generated[f"chain{n}.ideal"]))
+        if size == "large":
+            assert 4096 < len(run_in_process(*args)[1].encode()) < 8192
+        env = child_env(PYTHONIOENCODING="utf-8")
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "leavitt.cli", *args], stdout=writer,
+                                  stderr=subprocess.PIPE, encoding="utf-8", env=env)
+        finally:
+            os.close(writer)
+        failed_write = "\nBrokenPipeError: [Errno 32] Broken pipe\n"
+        if unbuffered:  # the first write raises out of main
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("Traceback (most recent call last):\n")
+            assert proc.stderr.endswith(failed_write) and "Exception ignored" not in proc.stderr
+        elif size != "overflowing":  # the whole answer waits for the last flush
+            assert (proc.returncode, proc.stderr) == (120, FLUSH_FAILURE)
+        else:  # the write that overflows the buffer raises, then the last flush fails
+            assert proc.returncode == 120
+            assert proc.stderr.startswith("Traceback (most recent call last):\n")
+            assert proc.stderr.endswith(failed_write + FLUSH_FAILURE)
