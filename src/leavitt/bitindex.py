@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Collection, Iterator
 
-from .digraph import _strong_components, is_omega
+from .digraph import is_omega
 from .errors import UnknownVertexError
 
 if TYPE_CHECKING:
@@ -38,11 +38,11 @@ class BitIndex:
     use, of the sorted ids of each of its 256 values.
     """
 
-    __slots__ = ("graph_name", "ascending", "bit", "everything", "succ", "pred", "omega_succ",
+    __slots__ = ("graph", "ascending", "bit", "everything", "succ", "pred", "omega_succ",
                  "regular", "infinite", "_tables", "_ancestors")
 
     def __init__(self, g: Digraph):
-        self.graph_name = g.name
+        self.graph = g
         self.ascending: list[str] = sorted(g.vertices)
         by_bit = self.ascending[::-1]  # by_bit[i] holds bit i
         self.bit: dict[str, int] = {v: 1 << i for i, v in enumerate(by_bit)}
@@ -80,7 +80,7 @@ class BitIndex:
         except KeyError:
             unknown = min(v for v in vs if v not in bit)
             raise UnknownVertexError(
-                f"unknown vertex {unknown!r} in digraph {self.graph_name}") from None
+                f"unknown vertex {unknown!r} in digraph {self.graph.name}") from None
         return m
 
     def ids(self, m: int) -> list[str]:
@@ -110,20 +110,18 @@ class BitIndex:
     @property
     def ancestors(self) -> list[int]:
         """By bit position, the vertices with a path to that vertex, itself
-        included; built on first use in one pass over the strongly connected
-        components, O(V + E) mask operations."""
+        included; built on first use by folding the digraph's strongly
+        connected components (:attr:`~leavitt.digraph.Digraph.components`)
+        from the sources, O(V + E) mask operations."""
         if self._ancestors is None:
-            pred = [list(_positions(m)) for m in self.pred]
-            ancestors = [0] * len(pred)
-            # Tarjan's search along reversed arrows emits a component only
-            # after every component it reaches, so after all its ancestors
-            for comp in _strong_components(range(len(pred)), pred):
-                reach = 0
-                for i in comp:
-                    reach |= 1 << i
-                    for j in pred[i]:
+            ancestors, pred = [0] * len(self.pred), self.pred
+            # listed sinks first, so a component's predecessors outside it come later
+            for vs, _ in reversed(self.graph.components):
+                comp = reach = self.mask(vs)
+                for i in _positions(comp):
+                    for j in _positions(pred[i]):
                         reach |= ancestors[j]
-                for i in comp:
+                for i in _positions(comp):
                     ancestors[i] = reach
             self._ancestors = ancestors
         return self._ancestors

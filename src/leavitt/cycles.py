@@ -2,12 +2,12 @@
 
 Cycle enumeration runs over vertex-simple cycles (sources pairwise
 distinct) and expands parallel classes afterwards.  The vertex cycles come
-from Johnson's circuit search (1975) inside each strongly connected
-component found by Tarjan's algorithm (1972), both iterative and lazy.
-:func:`find_any_cycle` is a single depth-first search for one cycle, for
-acyclicity checks.  The cycles without exits need none of this
-(:func:`~leavitt.digraph.no_exit_cycles`), so only ``analyze``, ``dim`` and
-the acyclicity checks of ``projectives`` load this module.
+from Johnson's circuit search (1975), iterative and lazy, inside each
+nontrivial strongly connected component of
+:attr:`~leavitt.digraph.Digraph.components`; a cycle is exclusive when it is
+its component's single cycle.  :func:`find_any_cycle` is a single
+depth-first search for one cycle, for acyclicity checks.  Only ``analyze``,
+``dim`` and the acyclicity checks of ``projectives`` load this module.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .digraph import (
     Digraph,
     GeometricCycle,
     _strong_components,
-    cycle_vertices,
     no_exit_cycles,
 )
 from .errors import ResourceLimitError
@@ -70,7 +69,7 @@ def _vertex_cycles(g: Digraph) -> Iterator[list[str]]:
     """Vertex sequences of simple cycles of length >= 2 (parallel classes merged)."""
     succ = {v: list(dict.fromkeys(a.target for a in g._out[v] if a.target != v))
             for v in g.vertices}
-    pending = [c for c in _strong_components(g.vertices, succ) if len(c) > 1]
+    pending = [list(vs) for vs, _ in g.components if len(vs) > 1]
     while pending:
         comp = pending.pop()
         start = comp.pop()
@@ -108,16 +107,12 @@ def enumerate_cycles(g: Digraph, limit: int = 10_000) -> list[CycleInfo]:
                 stack.append(prefix + [aid])
 
     cycles = sorted(found, key=lambda c: (len(c.arrows), c.arrows))
-    vertex_sets = {c: frozenset(cycle_vertices(g, c)) for c in cycles}
-    hits: dict[str, int] = {}
-    for c in cycles:
-        for v in vertex_sets[c]:
-            hits[v] = hits.get(v, 0) + 1
+    single = {cycle for _, cycle in g.components}
     no_exit = set(no_exit_cycles(g))
     return [CycleInfo(
         cycle=c,
         has_exit=c not in no_exit,
-        exclusive=all(hits[v] == 1 for v in vertex_sets[c]),
+        exclusive=c in single,
         multiplicity_one=all(g.arrow(aid).multiplicity == 1 for aid in c.arrows),
     ) for c in cycles]
 

@@ -8,13 +8,9 @@ wherever counts matter; an ω class makes its source an infinite emitter.
 Cycles are *geometric*: an arrow-id sequence up to rotation, stored in the
 canonical rotation whose first arrow id is lexicographically smallest.
 Their enumeration, and the search for any one cycle, live in
-:mod:`leavitt.cycles`; the strongly connected components it reads come from
-Tarjan's algorithm (1972) here, which the bit index shares.
-The cycles without exits need no enumeration: every vertex on one emits
-exactly one arrow, so they are vertex-disjoint and one walk along the map
-"vertex -> its only arrow" finds them all in linear time.  That walk,
-:func:`out_one_walk`, also records where each vertex's run stops (a line point's
-at a sink); line points, simple projectives and no-exit cycles all read it.
+:mod:`leavitt.cycles`.  The cycles without exit, the line points, the bit
+index's ancestors and Johnson's search all read the strongly connected
+components, built once per digraph (:attr:`Digraph.components`).
 
 Vertex sets inside the structural analyses are int masks over a
 :class:`~leavitt.bitindex.BitIndex`, which a digraph builds on first use and
@@ -105,6 +101,22 @@ class Digraph:
         """The vertex bit index, built on first use and kept (g is immutable)."""
         from .bitindex import BitIndex
         return BitIndex(self)
+
+    @functools.cached_property
+    def components(self) -> list[tuple[tuple[str, ...], GeometricCycle | None]]:
+        """The strongly connected components, sinks first (Tarjan 1972), so every
+        arrow ends in its own component or an earlier one; each with its cycle
+        when its internal arrow classes form one, being as many as its vertices."""
+        succ = {v: [a.target for a in out] for v, out in self._out.items()}
+        out = []
+        for vs in _strong_components(self.vertices, succ):
+            inside, cycle = set(vs), None
+            if sum(w in inside for v in vs for w in succ[v]) == len(vs):
+                # Tarjan pops a component in reverse discovery order: back along one cycle
+                cycle = GeometricCycle.of([next(a.id for a in self._out[v] if a.target in inside)
+                                           for v in reversed(vs)])
+            out.append((tuple(vs), cycle))
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, Digraph) and self.name == other.name
@@ -198,39 +210,20 @@ class VertexInfo:
     leak: bool = False  # provably False on every finite digraph
 
 
-def out_one_walk(g: Digraph, only_arrow: Mapping[str, ArrowClass] | None = None
-                 ) -> tuple[dict[str, str | None], list[list[str]]]:
-    """One walk along the map "vertex -> target of its only arrow".
-
-    ``only_arrow`` maps each vertex that emits exactly one arrow to that arrow
-    (by default, in g).  Returns, per vertex of g, where its run stops: the
-    first vertex off the map (itself when it is off the map), or None when the
-    run ends on a cycle of the map; and those cycles, as lists of arrow ids.
-    Each vertex is stepped from once, so the walk is linear and iterative.
-    """
-    if only_arrow is None:
-        only_arrow = {v: out[0] for v, out in g._out.items()
-                      if len(out) == 1 and out[0].multiplicity == 1}
-    stop: dict[str, str | None] = {}
-    cycles: list[list[str]] = []
-    for v in g.vertices:
-        run: dict[str, str] = {}  # this run's vertices and their arrows' ids, in order
-        while v in only_arrow and v not in stop and v not in run:
-            run[v] = only_arrow[v].id
-            v = only_arrow[v].target
-        if v in run:  # the run closed up on itself
-            cycles.append(list(run.values())[list(run).index(v):])
-            end = None
-        else:
-            end = stop.setdefault(v, v)
-        stop.update(dict.fromkeys(run, end))
-    return stop, cycles
+def drains(g: Digraph) -> dict[str, str | None]:
+    """Per vertex, the sink its run along only arrows ends at, or None: one pass
+    over the components from the sinks, where a target not passed yet is on a cycle."""
+    drain: dict[str, str | None] = {}
+    for v in (v for vs, _ in g.components for v in vs):
+        out = g._out[v]
+        only = len(out) == 1 and out[0].multiplicity == 1
+        drain[v] = drain.get(out[0].target) if only else (None if out else v)
+    return drain
 
 
 def classify_vertices(g: Digraph) -> dict[str, VertexInfo]:
-    """Each vertex's kind; v is a line point when its run along the only
-    arrows stops at a sink (:func:`out_one_walk`)."""
-    stop, _ = out_one_walk(g)
+    """Each vertex's kind; a line point drains to a sink (:func:`drains`)."""
+    drain = drains(g)
     out = {}
     for v, arrows in g._out.items():
         deg = sum(a.multiplicity for a in arrows)
@@ -240,7 +233,7 @@ def classify_vertices(g: Digraph) -> dict[str, VertexInfo]:
             branch_vertex=deg >= 2,
             infinite_emitter=is_omega(deg),
             regular=0 < deg < OMEGA,
-            line_point=stop[v] is not None and not g._out[stop[v]],
+            line_point=drain[v] is not None,
         )
     return out
 
@@ -321,16 +314,23 @@ def _strong_components(vs: Sequence[str], succ: Mapping[str, list[str]]) -> Iter
                     yield comp
 
 
-def no_exit_cycles(g: Digraph, only_arrow: Mapping[str, ArrowClass] | None = None,
+def _quotient_out_degree(arrows: Iterable[ArrowClass], h, primed) -> int | float:
+    """The out-degree in Γ/(H, S) of the vertex ``arrows`` leave: a class into H
+    leaves no copy, ω or not, and one into ``primed`` = B_H∖S leaves two."""
+    return sum(a.multiplicity * (1 + (a.target in primed)) for a in arrows if a.target not in h)
+
+
+def no_exit_cycles(g: Digraph, h=frozenset(), primed=frozenset(),
                    limit: int | None = None) -> list[GeometricCycle]:
-    """Cycles along which every vertex emits only the cycle's arrow, in the
-    order of :func:`~leavitt.cycles.enumerate_cycles`: the cycles of
-    :func:`out_one_walk`, over ``only_arrow`` (by default, g's vertices of
-    out-degree one)."""
-    _, cycles = out_one_walk(g, only_arrow)
+    """Cycles of Γ/(H, S) (by default, of g) with no exit there, for an
+    admissible (H, S) with ``primed`` = B_H∖S, sorted as in
+    :func:`~leavitt.cycles.enumerate_cycles`.  Other classes leaving one end
+    in H, so it is a single-cycle component with out-degree 1 in Γ/(H, S)."""
+    cycles = [cycle for vs, cycle in g.components if cycle is not None
+              and all(_quotient_out_degree(g._out[v], h, primed) == 1 for v in vs)]
     if limit is not None and len(cycles) > limit:
         raise ResourceLimitError(f"digraph {g.name} has more than {limit} cycles")
-    return sorted(map(GeometricCycle.of, cycles), key=lambda c: (len(c.arrows), c.arrows))
+    return sorted(cycles, key=lambda c: (len(c.arrows), c.arrows))
 
 
 # -- hereditary and saturated sets ---------------------------------------------

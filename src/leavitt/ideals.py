@@ -1,5 +1,7 @@
 """Graded ideals: admissible pairs (H, S), their order and quotient out-degrees.
 
+The cycles without exit of Γ/(H, S) are single-cycle components of g, which
+:func:`~leavitt.digraph.no_exit_cycles` reads off once the pair is checked.
 Presentations (H, S, β, θ) live in :mod:`leavitt.presentations`, and the
 pairs' enumeration, lattice and strata census in :mod:`leavitt.lattice`.
 """
@@ -8,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .digraph import ArrowClass, Digraph, GeometricCycle, OMEGA, is_omega, no_exit_cycles
+from .digraph import Digraph, GeometricCycle, _quotient_out_degree, no_exit_cycles
 from .errors import NotAdmissibleError, UnknownVertexError
 from .records import record
 
@@ -80,31 +82,7 @@ def quotient_out_degree(g: Digraph, h: frozenset[str], primed: frozenset[str],
     return _quotient_out_degree(g.out_arrows(v), h, primed)
 
 
-def _quotient_out_degree(arrows: Iterable[ArrowClass], h: frozenset[str],
-                         primed: frozenset[str]) -> int | float:
-    """:func:`quotient_out_degree` of the vertex that ``arrows`` leave."""
-    total = 0
-    for a in arrows:
-        copies = (a.target not in h) + (a.target in primed)
-        if copies and is_omega(a.multiplicity):
-            return OMEGA
-        total += copies * a.multiplicity
-    return total
-
-
 def no_exit_quotient_cycles(g: Digraph, pair: AdmissiblePair,
                             limit: int = 10_000) -> list[GeometricCycle]:
-    """Cycles of Γ/(H, S) with no exit there, as cycles of g (arrow ids survive)."""
-    return _no_exit_quotient_cycles(g, pair, ensure_admissible(g, pair), limit)
-
-
-def _no_exit_quotient_cycles(g: Digraph, pair: AdmissiblePair, primed: frozenset[str],
-                             limit: int) -> list[GeometricCycle]:
-    """:func:`no_exit_quotient_cycles` of a pair known to be admissible, with
-    ``primed`` = B_H∖S.  The ids come from ``g.vertices``, so each adjacency
-    list is read as it is, with no vertex check or copy."""
-    out = g._out
-    return no_exit_cycles(g, {
-        v: next(a for a in out[v] if a.target not in pair.h)
-        for v in g.vertices
-        if v not in pair.h and _quotient_out_degree(out[v], pair.h, primed) == 1}, limit=limit)
+    """:func:`~leavitt.digraph.no_exit_cycles` of Γ/(H, S), once (H, S) is checked."""
+    return no_exit_cycles(g, pair.h, ensure_admissible(g, pair), limit)

@@ -19,9 +19,9 @@ import operator
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Sequence
 
-from .digraph import Digraph, GeometricCycle, enumerate_hereditary_saturated
+from .digraph import Digraph, GeometricCycle, enumerate_hereditary_saturated, no_exit_cycles
 from .errors import FieldMismatchError, MeetJoinFailureError, ResourceLimitError
-from .ideals import AdmissiblePair, _no_exit_quotient_cycles
+from .ideals import AdmissiblePair
 from .records import record
 
 if TYPE_CHECKING:
@@ -242,7 +242,7 @@ def enumerate_strata(g: Digraph, field: Field, max_deg: int,
     for pair, (h, s) in zip(_pairs(g, masks), masks):
         # the pairs are admissible by construction: no ensure_admissible here
         primed = bits.members(bits.breaking(h) & ~s)
-        cycles = sorted(_no_exit_quotient_cycles(g, pair, primed, limit),
+        cycles = sorted(no_exit_cycles(g, pair.h, primed, limit),
                         key=lambda c: c.arrows)
         for r in range(len(cycles) + 1):
             per_beta = max_deg ** r

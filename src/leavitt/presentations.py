@@ -14,9 +14,9 @@ from collections.abc import Mapping
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .digraph import Digraph, GeometricCycle, cycle_vertices
+from .digraph import Digraph, GeometricCycle, _quotient_out_degree, cycle_vertices
 from .errors import InvalidIdealError, ParseError
-from .ideals import AdmissiblePair, quotient_out_degree
+from .ideals import AdmissiblePair
 from .records import record, replace
 
 if TYPE_CHECKING:
@@ -98,7 +98,8 @@ def validate_ideal(g: Digraph, j: IdealPresentation) -> IdealValidation:
         if any(bad):
             violations.append(f"cycle {j.label_of(c)} has a class of multiplicity != 1")
             continue
-        if any(quotient_out_degree(g, j.pair.h, primed, v) != 1 for v in vs):
+        # cycle_vertices checked the ids: read each adjacency list as it is
+        if any(_quotient_out_degree(g._out[v], j.pair.h, primed) != 1 for v in vs):
             violations.append(f"cycle {j.label_of(c)} has an exit in the quotient")
 
     for c in j.beta:

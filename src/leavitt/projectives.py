@@ -16,7 +16,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Mapping
 
 from .digraph import (
-    Digraph, GeometricCycle, OMEGA, cycle_vertices, is_omega, no_exit_cycles, out_one_walk)
+    Digraph, GeometricCycle, OMEGA, cycle_vertices, drains, is_omega, no_exit_cycles)
 from .errors import NotAcyclicError, NotRowFiniteError, ParseError
 from .records import record
 
@@ -178,12 +178,12 @@ class SimpleClass:
 
 def classify_simple_projectives(g: Digraph) -> tuple[SimpleClass, ...]:
     """One isomorphism class of simple projectives per sink; members are the
-    line points whose run along the only arrows stops there (:func:`out_one_walk`)."""
-    stop, _ = out_one_walk(g)
+    line points that drain to it (:func:`~leavitt.digraph.drains`)."""
     terminal: dict[str, list[str]] = {v: [] for v, out in g._out.items() if not out}
+    drain = drains(g)
     for v in g.vertices:
-        if stop[v] in terminal:
-            terminal[stop[v]].append(v)
+        if drain[v] is not None:
+            terminal[drain[v]].append(v)
     return tuple(SimpleClass(sink, tuple(members)) for sink, members in terminal.items())
 
 

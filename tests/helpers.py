@@ -12,13 +12,15 @@ import operator
 import pkgutil
 from collections import Counter
 from fractions import Fraction
+from typing import Mapping
 
 from hypothesis import strategies as st
 
 import leavitt
 from leavitt import (
     cli, cycles, dimension, fields, ktheory, morphisms, presentations, projectives, records)
-from leavitt.digraph import OMEGA, Digraph, is_hereditary, is_omega, is_saturated
+from leavitt.digraph import (
+    OMEGA, ArrowClass, Digraph, GeometricCycle, is_hereditary, is_omega, is_saturated)
 from leavitt.errors import (
     FieldMismatchError,
     MeetJoinFailureError,
@@ -169,6 +171,66 @@ def walk_simple_classes(g: Digraph) -> tuple:
         terminal[cur].append(v)
     return tuple(projectives.SimpleClass(sink, tuple(members))
                  for sink, members in terminal.items())
+
+
+def out_one_walk(g: Digraph, only_arrow: Mapping[str, ArrowClass] | None = None
+                 ) -> tuple[dict[str, str | None], list[list[str]]]:
+    """One walk along the map "vertex -> target of its only arrow".
+
+    ``only_arrow`` maps each vertex that emits exactly one arrow to that arrow
+    (by default, in g).  Returns, per vertex of g, where its run stops: the
+    first vertex off the map (itself when it is off the map), or None when the
+    run ends on a cycle of the map; and those cycles, as lists of arrow ids.
+    Each vertex is stepped from once, so the walk is linear and iterative.
+    """
+    if only_arrow is None:
+        only_arrow = {v: out[0] for v, out in g._out.items()
+                      if len(out) == 1 and out[0].multiplicity == 1}
+    stop: dict[str, str | None] = {}
+    cycles: list[list[str]] = []
+    for v in g.vertices:
+        run: dict[str, str] = {}  # this run's vertices and their arrows' ids, in order
+        while v in only_arrow and v not in stop and v not in run:
+            run[v] = only_arrow[v].id
+            v = only_arrow[v].target
+        if v in run:  # the run closed up on itself
+            cycles.append(list(run.values())[list(run).index(v):])
+            end = None
+        else:
+            end = stop.setdefault(v, v)
+        stop.update(dict.fromkeys(run, end))
+    return stop, cycles
+
+
+def looped_quotient_out_degree(arrows, h: frozenset[str], primed: frozenset[str]):
+    """The out-degree in Γ/(H, S) of the vertex ``arrows`` leave, class by class:
+    a class into H leaves no copy, so its multiplicity (ω too) never counts."""
+    total = 0
+    for a in arrows:
+        copies = (a.target not in h) + (a.target in primed)
+        if copies:
+            total += copies * a.multiplicity
+    return total
+
+
+def out_one_walk_answers(g: Digraph, h: frozenset[str] = frozenset(),
+                         primed: frozenset[str] = frozenset()) -> tuple:
+    """What the walk gave, as the structural analyses read it before the
+    components: per vertex of g its line point flag, the simple classes, and
+    the no-exit cycles of Γ/(H, S) over the map of its out-degree-one vertices."""
+    stop, _ = out_one_walk(g)
+    line_points = {v: stop[v] is not None and not g._out[stop[v]] for v in g.vertices}
+    terminal: dict[str, list[str]] = {v: [] for v, out in g._out.items() if not out}
+    for v in g.vertices:
+        if stop[v] in terminal:
+            terminal[stop[v]].append(v)
+    simples = tuple(projectives.SimpleClass(sink, tuple(members))
+                    for sink, members in terminal.items())
+    only_arrow = {v: next(a for a in g._out[v] if a.target not in h) for v in g.vertices
+                  if v not in h and looped_quotient_out_degree(g._out[v], h, primed) == 1}
+    _, cycles = out_one_walk(g, only_arrow)
+    no_exit = sorted(map(GeometricCycle.of, cycles), key=lambda c: (len(c.arrows), c.arrows))
+    return line_points, simples, no_exit
 
 
 def recursive_paths_ending_at(g: Digraph, v: str, skip_arrows: frozenset[str],

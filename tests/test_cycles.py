@@ -1,4 +1,4 @@
-"""The cycle search and the no-exit walk against their exhaustive oracles."""
+"""The cycle search and the cycles without exit against their exhaustive oracles."""
 
 import random
 import subprocess

@@ -1,7 +1,7 @@
 import pytest
 
 from leavitt import lattice
-from leavitt.digraph import Digraph, GeometricCycle, enumerate_hereditary_saturated
+from leavitt.digraph import OMEGA, Digraph, GeometricCycle, enumerate_hereditary_saturated
 from leavitt.errors import (
     FieldMismatchError,
     NotAdmissibleError,
@@ -202,6 +202,16 @@ class TestNoExitQuotientCycles:
     def test_breaking_quotient_exit_counts(self, breaking):
         # no cycles at all, but the call must respect the pair machinery
         assert no_exit_quotient_cycles(breaking, AdmissiblePair.of({"h"})) == []
+
+    def test_omega_class_into_h_leaves_no_exit(self):
+        # v ∈ S keeps only its loop in Γ/(H, S): the ω class into H counts
+        # nothing, where 0 · ω once made v's out-degree NaN and the loop an exit
+        g = Digraph("bl", ["v", "h"], [("c", "v", "v"), ("om", "v", "h", OMEGA)])
+        pair = AdmissiblePair.of({"h"}, {"v"})
+        (c,) = no_exit_quotient_cycles(g, pair)
+        assert c.label() == "(c)"
+        assert validate_ideal(g, ideal(F3, {"h"}, {"v"}, [c], {c: Polynomial.of(F3, [1, 1])})).valid
+        assert no_exit_quotient_cycles(g, AdmissiblePair.of({"h"})) == []  # c' to v' is an exit
 
 
 class TestStrata:

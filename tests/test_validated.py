@@ -213,12 +213,29 @@ def test_strata_does_not_recheck_the_pairs_it_enumerated(monkeypatch):
     small, large = _strata_counts(monkeypatch, 1), _strata_counts(monkeypatch, 4)
     assert large["records"] > 10 * small["records"]
     for counts in (small, large):
-        # the no-exit walk reads the adjacency of ids taken from g.vertices:
+        # the no-exit cycles read the adjacency of ids taken from g.vertices:
         # no vertex check, per vertex or per pair, and no out_arrows copy
         assert counts["check_vertices"] == counts["out_arrows"] == 0
         assert counts["is_hereditary"] == counts["is_saturated"] == 0
         assert counts["breaking_vertices"] == counts["ensure_admissible"] == 0
         assert counts["no_exit_quotient_cycles"] == 0
+
+
+@pytest.mark.parametrize("loops", [1, 6])
+def test_validation_checks_the_ids_of_beta_once(monkeypatch, loops):
+    # cycle_vertices checks each β cycle's arrow ids, so the exits of its
+    # vertices are read unchecked: H ∪ S is the one vertex check, for any number of loops
+    g = Digraph("loops", [f"v{i}" for i in range(loops)],
+                [(f"c{i}", f"v{i}", f"v{i}") for i in range(loops)])
+    beta = tuple(GeometricCycle.of([f"c{i}"]) for i in range(loops))
+    f3 = Field.gf(3)
+    j = IdealPresentation(field=f3, pair=AdmissiblePair.of(()), beta=beta,
+                          theta={c: Polynomial.of(f3, [1, 1]) for c in beta})
+    counts: Counter = Counter()
+    for method in ("check_vertices", "out_arrows"):
+        monkeypatch.setattr(Digraph, method, counted(counts, method, getattr(Digraph, method)))
+    assert validate_ideal(g, j).valid
+    assert counts["check_vertices"] == 1 and counts["out_arrows"] == 0
 
 
 def component_union(kinds: str) -> Digraph:

@@ -1,6 +1,7 @@
-"""The one walk along the out-degree-one map and the iterative path counts,
-against the per-vertex walks and recursive counts they replaced (oracles in
-``helpers``), and on paths long enough that those ran quadratic or out of stack."""
+"""The strongly connected components that every cycle question reads, and the
+iterative path counts, against the walks and recursive counts they replaced
+(oracles in ``helpers``), and on paths long enough that those ran quadratic or
+out of stack."""
 
 from collections import Counter
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     digraphs,
+    out_one_walk_answers,
     per_item_end,
     recursive_paths_ending_at,
     recursive_sink_multiset,
@@ -34,7 +36,7 @@ from leavitt.dimension import (
 )
 from leavitt.errors import UnsupportedShapeError
 from leavitt.fields import Field, Polynomial
-from leavitt.ideals import no_exit_quotient_cycles
+from leavitt.ideals import ensure_admissible, no_exit_quotient_cycles
 from leavitt.io import serialize_digraph
 from leavitt.ktheory import ProjectivePresentation, VertexGen
 from leavitt.lattice import enumerate_admissible_pairs
@@ -95,6 +97,29 @@ def test_no_exit_cycles_equal_the_definition(data):
     assert no_exit_cycles(g) == all_cycles_no_exit(g, g.out_degree)
     pair = data.draw(st.sampled_from(enumerate_admissible_pairs(g)))
     assert no_exit_quotient_cycles(g, pair) == quotient_oracle(g, pair)
+
+
+@settings(max_examples=200)
+@given(g=digraphs(max_vertices=8))
+def test_components_answer_what_the_walk_did(g):
+    comps = g.components
+    rank = {v: k for k, (vs, _) in enumerate(comps) for v in vs}
+    assert sorted(v for vs, _ in comps for v in vs) == sorted(g.vertices)
+    assert all(rank[a.target] <= rank[a.source] for a in g.arrows)  # sinks first
+    inside: list[list] = [[] for _ in comps]
+    for info in enumerate_cycles(g):
+        inside[rank[g.arrow(info.cycle.arrows[0]).source]].append(info.cycle)
+    assert [cycle for _, cycle in comps] == [c[0] if len(c) == 1 else None for c in inside]
+    graphs = [g]  # and each admissible pair's quotient
+    for pair in enumerate_admissible_pairs(g):
+        primed = ensure_admissible(g, pair)
+        assert no_exit_cycles(g, pair.h, primed) == out_one_walk_answers(g, pair.h, primed)[2]
+        graphs.append(graded_quotient(g, pair).digraph)
+    for graph in graphs:
+        line_points, simples, no_exit = out_one_walk_answers(graph)
+        assert {v: i.line_point for v, i in classify_vertices(graph).items()} == line_points
+        assert classify_simple_projectives(graph) == simples
+        assert no_exit_cycles(graph) == no_exit
 
 
 @settings(max_examples=200)
@@ -226,7 +251,8 @@ def count_list_reads(g: Digraph, counts: Counter):
     g._out, g._in = Lists(g._out), Lists(g._in)
 
 
-@pytest.mark.parametrize("classify", [classify_vertices, classify_simple_projectives])
+@pytest.mark.parametrize("classify", [classify_vertices, classify_simple_projectives,
+                                      no_exit_cycles, lambda g: g.bits.ancestors])
 def test_a_path_reads_linearly_many_adjacency_lists(classify):
     n = 1000
     g = path_graph(n)
