@@ -33,8 +33,8 @@ _EXPORTS = {
     "laurent": ("LaurentElement", "crt_profile", "laurent_normalize"),
     "morphisms": ("DigraphMorphism", "check_admissible_morphism"),
     "presentations": ("IdealPresentation", "graded_part", "validate_ideal"),
-    "projectives": ("acyclic_decomposition", "classify_fgips", "classify_simple_projectives",
-                    "end_finite_dim", "is_orthogonal", "monoid_congruent", "monoid_presentation"),
+    "projectives": ("classify_fgips", "classify_simple_projectives", "end_finite_dim",
+                    "is_orthogonal", "monoid_congruent", "monoid_presentation"),
     "quotients": (
         "IsoCertificate", "QuotientResult", "cycle_to_loop", "decide_lpa_quotient",
         "graded_quotient", "iso_certificate", "radical_quotient", "sever",

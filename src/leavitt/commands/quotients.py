@@ -1,6 +1,6 @@
 """``quotient``, ``decide``, ``sever``, ``certificate``, ``radical`` and
 ``dim``: the commands on a digraph and one ideal presentation.  Only ``dim``
-loads ``dimension`` and the cycles, and without an ideal no ``quotients``."""
+loads ``dimension``, and without an ideal no ``quotients``."""
 
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ def radical(rep: Reporter, args, g, j):
 def dim(rep: Reporter, args, g, j):
     from ..dimension import dimension_blocks
 
-    blocks = dimension_blocks(g, j, limit=args.limits["maxCycles"])
+    blocks = dimension_blocks(g, j)
     rep.emit(f"{blocks.total_dimension} = {blocks.describe()}",
              record="dimension", total=blocks.total_dimension,
              blocks=[[size, copies] for size, copies in blocks.blocks])

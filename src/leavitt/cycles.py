@@ -6,8 +6,9 @@ from Johnson's circuit search (1975), iterative and lazy, inside each
 nontrivial strongly connected component of
 :attr:`~leavitt.digraph.Digraph.components`; a cycle is exclusive when it is
 its component's single cycle.  :func:`find_any_cycle` is a single
-depth-first search for one cycle, for acyclicity checks.  Only ``analyze``,
-``dim`` and the acyclicity checks of ``projectives`` load this module.
+depth-first search for one cycle.  Only ``analyze`` loads this module to
+answer; ``dim`` and End(P) in ``projectives`` load it only when they fail,
+to name a cycle that makes the answer infinite.
 """
 
 from __future__ import annotations

@@ -3,12 +3,16 @@
 When the graded quotient is row-finite and has no cycle outside β, the
 quotient is a direct sum of matrix algebras (:class:`MatrixDecomposition`),
 one M_n(v) per sink and deg θ(C) copies of M_|P_C| per C ∈ β, where the
-sizes count paths; otherwise :func:`dimension_blocks` raises.  The
+sizes count paths; otherwise :func:`dimension_blocks` raises.  Whether it is
+finite is read off the strongly connected components
+(:attr:`~leavitt.digraph.Digraph.components`), which the digraph builds once:
+every component holding an arrow class must be a single β cycle.  The
 counts come from one iterative depth-first pass against the arrows with one
 memo per call, so :func:`dimension_blocks` counts the paths into all sinks
 in linear time.  End(P) in ``projectives`` reads the same counts.
-:func:`dimension_blocks` imports the cycle enumeration when it runs, and the
-ideal presentations and the graded quotient only when given an ideal.
+:func:`dimension_blocks` imports the search for one cycle only to name one in
+a component with several, and the ideal presentations and the graded
+quotient only when given an ideal.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable
 
-from .digraph import Digraph, GeometricCycle, cycle_vertices, is_omega
+from .digraph import Digraph, cycle_vertices, is_omega
 from .errors import UnsupportedShapeError
 from .records import record
 
@@ -57,18 +61,6 @@ def _paths_ending_at(g: Digraph, roots: Iterable[str], starts: Counter,
     return memo
 
 
-def partial_cycle_path_count(g: Digraph, cycle: GeometricCycle) -> int:
-    """|P_C|: paths ending at the base vertex that do not traverse the full cycle.
-
-    Each such path is an off-cycle prefix into some cycle vertex followed by
-    the unique partial run to the base, so the count is the sum over cycle
-    vertices of the off-cycle path counts into them.
-    """
-    vertices = cycle_vertices(g, cycle)
-    counts = _paths_ending_at(g, vertices, Counter(g.vertices), frozenset(cycle.arrows))
-    return sum(counts[w] for w in vertices)
-
-
 @record
 class MatrixDecomposition:
     """Sorted (block size, copies) pairs of a direct sum of matrix algebras."""
@@ -87,16 +79,15 @@ class MatrixDecomposition:
         return " ⊕ ".join(f"{copies} × M_{size}" for size, copies in self.blocks) or "0"
 
 
-def dimension_blocks(g: Digraph, j: IdealPresentation | None = None,
-                     limit: int = 10_000) -> MatrixDecomposition:
+def dimension_blocks(g: Digraph, j: IdealPresentation | None = None) -> MatrixDecomposition:
     """Matrix blocks of the quotient: M_n(v) per sink, deg θ(C) × M_|P_C| per C ∈ β.
 
     So dim = Σ_sinks n(v)² + Σ_{C∈β} deg θ(C)·|P_C|², over the graded
     quotient when an ideal is given, over g itself (which must then be
-    acyclic) otherwise.  ``limit`` bounds the cycle enumeration.
+    acyclic) otherwise.  A component holding an arrow class that is not a β
+    cycle is named by one of its cycles: the component's only one, or the
+    first one a depth-first search meets.
     """
-    from .cycles import enumerate_cycles
-
     if j is not None:
         from .presentations import validated_ideal
         from .quotients import _graded_quotient
@@ -109,10 +100,16 @@ def dimension_blocks(g: Digraph, j: IdealPresentation | None = None,
         beta = ()
     if not work.is_row_finite:
         raise UnsupportedShapeError(f"{work.name} has an ω class; dimension is infinite")
-    cycles = {info.cycle for info in enumerate_cycles(work, limit=limit)}
-    stray = sorted(c.label() for c in cycles - set(beta))
+    stray, in_beta = [], set(beta)
+    for vs, cycle in work.components:
+        if cycle is None and (len(vs) > 1 or any(a.target == vs[0] for a in work._out[vs[0]])):
+            from .cycles import find_any_cycle  # several cycles: name the first one met
+            cycle = find_any_cycle(work.full_subgraph(vs))
+        if cycle is not None and cycle not in in_beta:
+            stray.append(cycle.label())
     if stray:
-        raise UnsupportedShapeError(f"unsevered cycle(s) {', '.join(stray)} in {work.name}")
+        raise UnsupportedShapeError(
+            f"unsevered cycle(s) {', '.join(sorted(stray))} in {work.name}")
     # β cycles have no exit, so no path into a sink or into another cycle uses
     # a β arrow: one pass without them counts every n(v) and |P_C| at once
     sinks, on_cycles = work.sinks(), [cycle_vertices(work, c) for c in beta]

@@ -113,10 +113,6 @@ class NotRowFiniteError(LeavittError):
     pass
 
 
-class NotAcyclicError(LeavittError):
-    pass
-
-
 class MalformedMorphismError(LeavittError):
     pass
 

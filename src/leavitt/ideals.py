@@ -1,4 +1,4 @@
-"""Graded ideals: admissible pairs (H, S), their order and quotient out-degrees.
+"""Graded ideals: admissible pairs (H, S), their order and the cycles without exit.
 
 The cycles without exit of Γ/(H, S) are single-cycle components of g, which
 :func:`~leavitt.digraph.no_exit_cycles` reads off once the pair is checked.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .digraph import Digraph, GeometricCycle, _quotient_out_degree, no_exit_cycles
+from .digraph import Digraph, GeometricCycle, no_exit_cycles
 from .errors import NotAdmissibleError, UnknownVertexError
 from .records import record
 
@@ -70,16 +70,6 @@ def pair_order(g: Digraph, a: AdmissiblePair, b: AdmissiblePair) -> bool:
     ensure_admissible(g, a)
     ensure_admissible(g, b)
     return a.h <= b.h and (a.h | a.s) <= (b.h | b.s)
-
-
-def quotient_out_degree(g: Digraph, h: frozenset[str], primed: frozenset[str],
-                        v: str) -> int | float:
-    """Out-degree of a surviving vertex in Γ/(H, S) without building the quotient.
-
-    Classes with target outside H survive; classes with target in
-    ``primed`` = B_H∖S are duplicated toward the primed sink.
-    """
-    return _quotient_out_degree(g.out_arrows(v), h, primed)
 
 
 def no_exit_quotient_cycles(g: Digraph, pair: AdmissiblePair,

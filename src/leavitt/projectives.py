@@ -4,8 +4,9 @@ The monoid has one generator per vertex and one relation v = Σ targets per
 regular vertex, with a bounded rewrite search as a congruence oracle.  Here
 too are the presentation format, orthogonality to an ideal, the simple and
 the finitely generated indecomposable projectives, and End(P).  What needs
-the generators (``ktheory``), the ideals, ``cycles`` or the path counts of
-``dimension`` imports them when it runs, so ``monoid``, ``fgip`` and
+the generators (``ktheory``), the ideals or the path counts of ``dimension``
+imports them when it runs, and End(P) the search for one cycle (``cycles``)
+only to name the cycle that makes it infinite, so ``monoid``, ``fgip`` and
 ``simples`` load none of them.
 """
 
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from .digraph import (
     Digraph, GeometricCycle, OMEGA, cycle_vertices, drains, is_omega, no_exit_cycles)
-from .errors import NotAcyclicError, NotRowFiniteError, ParseError
+from .errors import NotRowFiniteError, ParseError
 from .records import record
 
 if TYPE_CHECKING:
@@ -248,14 +249,3 @@ def end_finite_dim(g: Digraph, p: ProjectivePresentation) -> EndVerdict:
     counts = _paths_ending_at(g, sinks, starts, outside)
     return EndVerdict(True, decomposition=MatrixDecomposition.of(counts[w] for w in sinks))
 
-
-def acyclic_decomposition(g: Digraph) -> MatrixDecomposition:
-    """One M_{n(v)} block per sink of a finite acyclic row-finite digraph."""
-    from .cycles import find_any_cycle
-    from .dimension import dimension_blocks
-
-    _require_row_finite(g)
-    cyc = find_any_cycle(g)
-    if cyc is not None:
-        raise NotAcyclicError(f"{g.name} contains the cycle {cyc.label()}")
-    return dimension_blocks(g)

@@ -20,7 +20,8 @@ import leavitt
 from leavitt import (
     cli, cycles, dimension, fields, ktheory, morphisms, presentations, projectives, records)
 from leavitt.digraph import (
-    OMEGA, ArrowClass, Digraph, GeometricCycle, is_hereditary, is_omega, is_saturated)
+    OMEGA, ArrowClass, Digraph, GeometricCycle, cycle_vertices, is_hereditary, is_omega,
+    is_saturated)
 from leavitt.errors import (
     FieldMismatchError,
     MeetJoinFailureError,
@@ -273,6 +274,40 @@ def recursive_sink_multiset(g: Digraph, v: str, memo: dict) -> Counter:
                 out[w] += a.multiplicity * k
     memo[v] = out
     return out
+
+
+def enumerated_dimension_blocks(g: Digraph, j: presentations.IdealPresentation | None = None,
+                                limit: int = 10_000) -> dimension.MatrixDecomposition:
+    """``dimension.dimension_blocks`` as it was before it read the components:
+    every cycle of the quotient is enumerated, and each one outside β is named."""
+    from leavitt.cycles import enumerate_cycles
+
+    if j is not None:
+        from leavitt.presentations import validated_ideal
+        from leavitt.quotients import _graded_quotient
+
+        valid = validated_ideal(g, j)
+        work = _graded_quotient(g, j.pair.h, valid.primed).digraph
+        beta = j.beta
+    else:
+        work = g
+        beta = ()
+    if not work.is_row_finite:
+        raise UnsupportedShapeError(f"{work.name} has an ω class; dimension is infinite")
+    cycles = {info.cycle for info in enumerate_cycles(work, limit=limit)}
+    stray = sorted(c.label() for c in cycles - set(beta))
+    if stray:
+        raise UnsupportedShapeError(f"unsevered cycle(s) {', '.join(stray)} in {work.name}")
+    # β cycles have no exit, so no path into a sink or into another cycle uses
+    # a β arrow: one pass without them counts every n(v) and |P_C| at once
+    sinks, on_cycles = work.sinks(), [cycle_vertices(work, c) for c in beta]
+    counts = dimension._paths_ending_at(
+        work, [*sinks, *(w for vs in on_cycles for w in vs)],
+        Counter(work.vertices), frozenset(a for c in beta for a in c.arrows))
+    sizes = [counts[v] for v in sinks]
+    for c, vs in zip(beta, on_cycles):
+        sizes += [sum(counts[w] for w in vs)] * j.theta[c].degree
+    return dimension.MatrixDecomposition.of(sizes)
 
 
 def rescan_fiber_violations(m: morphisms.DigraphMorphism) -> list[str]:

@@ -14,13 +14,13 @@ from leavitt.digraph import (
     is_hereditary,
     is_saturated,
 )
-from leavitt.dimension import quotient_dimension
+from leavitt.dimension import dimension_blocks, quotient_dimension
 from leavitt.fields import Field, Polynomial, is_dlf
 from leavitt.ideals import AdmissiblePair, pair_order
 from leavitt.ktheory import ProjectivePresentation, VertexGen, galois_phi, galois_psi
 from leavitt.lattice import enumerate_admissible_pairs, enumerate_strata
 from leavitt.presentations import IdealPresentation
-from leavitt.projectives import acyclic_decomposition, is_orthogonal
+from leavitt.projectives import is_orthogonal
 from leavitt.quotients import (
     cycle_to_loop,
     decide_lpa_quotient,
@@ -52,7 +52,7 @@ def test_criterion_01_ek_reproduction(ek):
         severed = sever(ek, j).digraph
         assert len(severed.vertices) == 6
         assert len(severed.sinks()) == 3
-        assert acyclic_decomposition(severed).blocks == ((4, 3),)
+        assert dimension_blocks(severed).blocks == ((4, 3),)
         assert quotient_dimension(ek, j) == 48
         assert quotient_dimension(severed) == 48
 

@@ -277,15 +277,17 @@ class TestCliBehavior:
         assert run_cli("analyze", cpath("loop"),
                        env_extra={"LPA_LIMITS": "maxCycles=²"}) == (2, "")
 
-    def test_dim_respects_max_cycles(self, tmp_path):
+    def test_dim_ignores_max_cycles(self, tmp_path):
+        # dim lists no cycles, so only analyze and fgip meet the bound
         graph, ideal = tmp_path / "two.graph", tmp_path / "two.ideal"
         graph.write_text("digraph two\nvertex a\nvertex b\narrow e a a\narrow f b b\n")
         ideal.write_text("ideal j\nfield Q\ncycle C: e\ncycle D: f\n"
                          "poly C: 1 -1\npoly D: 1 -1\n")
-        assert run_cli("dim", str(graph), str(ideal)) == (0, "2 = 2 × M_1\n")
-        for args in (("analyze", str(graph)), ("fgip", str(graph)),
-                     ("dim", str(graph), str(ideal))):
-            assert run_cli("--max-cycles", "1", *args)[0] == 4, args
+        for bounded in (lambda *args: run_cli("--max-cycles", "1", *args),
+                        lambda *args: run_cli(*args, env_extra={"LPA_LIMITS": "maxCycles=1"})):
+            assert bounded("dim", str(graph), str(ideal)) == (0, "2 = 2 × M_1\n")
+            assert bounded("analyze", str(graph))[0] == 4
+            assert bounded("fgip", str(graph))[0] == 4
 
     def test_flag_overrides_env(self):
         code, _ = run_cli("analyze", "--max-cycles", "10", cpath("sq3"),

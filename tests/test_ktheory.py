@@ -10,12 +10,12 @@ from leavitt.digraph import (
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
 )
-from leavitt.dimension import MatrixDecomposition, quotient_dimension
+from leavitt.dimension import MatrixDecomposition, dimension_blocks
 from leavitt.errors import (
     InvalidIdealError,
     MalformedGeneratorsError,
-    NotAcyclicError,
     NotRowFiniteError,
+    UnsupportedShapeError,
 )
 from leavitt.fields import Field, Polynomial
 from leavitt.ideals import AdmissiblePair, pair_order
@@ -31,7 +31,6 @@ from leavitt.lattice import enumerate_admissible_pairs
 from leavitt.presentations import IdealPresentation
 from leavitt.projectives import (
     CongruenceVerdict,
-    acyclic_decomposition,
     classify_fgips,
     classify_simple_projectives,
     end_finite_dim,
@@ -41,6 +40,7 @@ from leavitt.projectives import (
 )
 
 from conftest import corpus_graphs, load_graph, load_ideal
+from helpers import enumerated_dimension_blocks
 
 Q = Field.rationals()
 
@@ -316,32 +316,30 @@ class TestEndFiniteDim:
 
 
 class TestAcyclicDecomposition:
+    # one M_n(v) block per sink of an acyclic digraph
     def test_ek_severed(self):
-        d = acyclic_decomposition(load_graph("ek-severed"))
+        d = dimension_blocks(load_graph("ek-severed"))
         assert d.blocks == ((4, 3),) and d.total_dimension == 48
         assert d.describe() == "3 × M_4"
 
     def test_single_vertex(self):
-        assert acyclic_decomposition(Digraph("s", ["v"], [])).blocks == ((1, 1),)
+        assert dimension_blocks(Digraph("s", ["v"], [])).blocks == ((1, 1),)
 
     def test_fork(self):
-        d = acyclic_decomposition(load_graph("fork"))
+        d = dimension_blocks(load_graph("fork"))
         assert d.blocks == ((2, 2),) and d.total_dimension == 8
 
-    def test_cyclic_rejected(self, sq3):
-        with pytest.raises(NotAcyclicError):
-            acyclic_decomposition(sq3)
-
     def test_omega_rejected(self, breaking):
-        with pytest.raises(NotRowFiniteError):
-            acyclic_decomposition(breaking)
+        with pytest.raises(UnsupportedShapeError):
+            dimension_blocks(breaking)
 
     def test_matches_quotient_dimension(self):
+        # and the enumeration-based check, on every acyclic corpus graph
         from leavitt.cycles import find_any_cycle
         for g in corpus_graphs().values():
             if not g.is_row_finite or find_any_cycle(g) is not None:
                 continue
-            assert acyclic_decomposition(g).total_dimension == quotient_dimension(g)
+            assert dimension_blocks(g) == enumerated_dimension_blocks(g)
 
 
 class TestPresentationValidation:

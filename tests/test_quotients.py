@@ -3,7 +3,7 @@ import pytest
 from helpers import SinkBlockRepresentation, label_isomorphic
 from leavitt.cycles import enumerate_cycles
 from leavitt.digraph import Digraph, GeometricCycle
-from leavitt.dimension import dimension_blocks, partial_cycle_path_count, quotient_dimension
+from leavitt.dimension import dimension_blocks, quotient_dimension
 from leavitt.errors import (
     CycleHasExitError,
     CyclesNotDisjointError,
@@ -315,8 +315,8 @@ class TestDimension:
             quotient_dimension(breaking)
 
     def test_partial_cycle_count_ek(self, ek):
-        cyc = GeometricCycle.of(["e", "f", "g", "h"])
-        assert partial_cycle_path_count(ek, cyc) == 4
+        # one β cycle of deg θ = 3 and |P_C| = 4
+        assert dimension_blocks(ek, load_ideal("ek-ideal-Q")).blocks == ((4, 3),)
 
     def test_sever_consistency_on_corpus(self):
         # severing turns each cycle block deg·|P_C|² into deg sinks with n = |P_C|

@@ -31,8 +31,8 @@ EXPORTED = {
     laurent: ("LaurentElement", "crt_profile", "laurent_normalize"),
     morphisms: ("DigraphMorphism", "check_admissible_morphism"),
     presentations: ("IdealPresentation", "graded_part", "validate_ideal"),
-    projectives: ("acyclic_decomposition", "classify_fgips", "classify_simple_projectives",
-                  "end_finite_dim", "is_orthogonal", "monoid_congruent", "monoid_presentation"),
+    projectives: ("classify_fgips", "classify_simple_projectives", "end_finite_dim",
+                  "is_orthogonal", "monoid_congruent", "monoid_presentation"),
     quotients: ("IsoCertificate", "QuotientResult", "cycle_to_loop", "decide_lpa_quotient",
                 "graded_quotient", "iso_certificate", "radical_quotient", "sever"),
 }
@@ -134,7 +134,7 @@ def test_a_command_loads_only_its_own_family(name):
     if name in IDEAL_COMMANDS:
         assert not {"leavitt.morphisms", "leavitt.ktheory", "leavitt.projectives"} & modules
     if name == "dim":
-        assert ENUMERATIONS & modules == {"leavitt.cycles", "leavitt.dimension"}
+        assert ENUMERATIONS & modules == {"leavitt.dimension"}
     elif name in IDEAL_COMMANDS:
         assert not ENUMERATIONS & modules
     if name == "strata":
@@ -174,18 +174,19 @@ runpy.run_module("leavitt.cli", run_name="__main__", alter_sys=True)
 LATTICE_LINES_PROBE = "ran = []" + LATTICE_PROBE + COUNT_LINES
 
 #: Ceilings on the lines each SAMPLE_ARGS command compiles: the counts measured
-#: once every cycle question read one strongly connected condensation
-#: (``radical`` reads an ideal over ℚ, so it also compiles ``rationals``).  A
-#: change that compiles less lowers them; none raises one.
+#: once ``dim`` decided finiteness from the strongly connected components and
+#: stopped compiling the cycle search on success (``radical`` reads an ideal
+#: over ℚ, so it also compiles ``rationals``).  A change that compiles less
+#: lowers them; none raises one.
 COMPILED_BEFORE = {
-    "analyze": 1702, "closure": 1553, "dot": 1381, "check-morphism": 1467,
-    "quotient": 2875, "decide": 2875, "sever": 2875, "certificate": 2875, "radical": 3065,
-    "dim": 1692, "strata": 2063, "orth": 2928, "end": 1941,
-    "monoid": 1641, "fgip": 1641, "simples": 1641,
+    "analyze": 1699, "closure": 1549, "dot": 1377, "check-morphism": 1463,
+    "quotient": 2861, "decide": 2861, "sever": 2861, "certificate": 2861, "radical": 3051,
+    "dim": 1536, "strata": 2049, "orth": 2904, "end": 1924,
+    "monoid": 1627, "fgip": 1627, "simples": 1627,
 }
 #: The lines the library call compiles: the graded ideals, the pair lattice and
 #: the Galois maps (2,147 with the presentations and projectives).
-LATTICE_COMPILED = 1621
+LATTICE_COMPILED = 1607
 
 
 def compiled(code: str, *args: str) -> int:
@@ -227,11 +228,18 @@ def test_orth_loads_the_pair_order_without_the_lattice():
 
 
 def test_dim_without_an_ideal_loads_no_ideal_code():
-    # the golden dim ek-severed.graph reads only the cycles and the path counts
+    # the golden dim ek-severed.graph reads only the components and the path counts
     modules = loaded(CLI_PROBE, "dim", cpath("ek-severed"))
-    assert {"leavitt.cycles", "leavitt.dimension"} <= modules
+    assert "leavitt.dimension" in modules and "leavitt.cycles" not in modules
     assert not {"leavitt.fields", "leavitt.scalars", "leavitt.quotients", "leavitt.ideals",
                 "leavitt.presentations"} & modules
+
+
+def test_dim_with_an_ideal_loads_no_cycle_search():
+    # the cycle search names a cycle only when the dimension is infinite
+    modules = loaded(CLI_PROBE, "dim", cpath("ek"), cpath("ek-ideal-Q"))
+    assert {"leavitt.dimension", "leavitt.quotients"} <= modules
+    assert "leavitt.cycles" not in modules
 
 
 def test_strata_loads_no_quotients():

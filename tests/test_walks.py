@@ -3,6 +3,7 @@ iterative path counts, against the walks and recursive counts they replaced
 (oracles in ``helpers``), and on paths long enough that those ran quadratic or
 out of stack."""
 
+import re
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     digraphs,
+    enumerated_dimension_blocks,
     out_one_walk_answers,
     per_item_end,
     recursive_paths_ending_at,
@@ -19,6 +21,7 @@ from helpers import (
     walk_is_line_point,
     walk_simple_classes,
 )
+from leavitt import io
 from leavitt.cycles import enumerate_cycles
 from leavitt.digraph import (
     OMEGA,
@@ -28,13 +31,8 @@ from leavitt.digraph import (
     is_omega,
     no_exit_cycles,
 )
-from leavitt.dimension import (
-    MatrixDecomposition,
-    _paths_ending_at,
-    dimension_blocks,
-    partial_cycle_path_count,
-)
-from leavitt.errors import UnsupportedShapeError
+from leavitt.dimension import MatrixDecomposition, _paths_ending_at, dimension_blocks
+from leavitt.errors import ResourceLimitError, UnsupportedShapeError
 from leavitt.fields import Field, Polynomial
 from leavitt.ideals import ensure_admissible, no_exit_quotient_cycles
 from leavitt.io import serialize_digraph
@@ -45,9 +43,9 @@ from leavitt.presentations import IdealPresentation
 from leavitt.projectives import classify_simple_projectives, end_finite_dim
 from leavitt.quotients import graded_quotient
 
-from test_cycles import all_cycles_no_exit, quotient_oracle
+from test_cycles import all_cycles_no_exit, complete, quotient_oracle
 from test_io_cli import run_cli
-from test_validated import counted
+from test_validated import count_calls, counted
 
 
 F5 = Field.gf(5)
@@ -136,10 +134,6 @@ def test_path_counts_equal_the_recursion(data):
         return [counts[v] for v in roots]
 
     assert outcome(iterative) == outcome(lambda: recursive_counts(g, roots, skip))
-    for c in no_exit_cycles(g):
-        assert outcome(lambda: partial_cycle_path_count(g, c)) == outcome(
-            lambda: sum(recursive_counts(g, [a.source for a in map(g.arrow, c.arrows)],
-                                         frozenset(c.arrows))))
 
 
 @settings(max_examples=200)
@@ -179,6 +173,46 @@ def test_dimension_blocks_of_an_ideal_equal_the_recursion(data):
         sizes += [sum(recursive_counts(work, cycle_vertices(work, c), frozenset(c.arrows)))
                   ] * theta[c].degree
     assert dimension_blocks(g, j) == MatrixDecomposition.of(sizes)
+
+
+def cycle_labels(message: str) -> list[str]:
+    """The cycle labels an ``unsevered cycle(s) ... in NAME`` error names."""
+    return re.findall(r"\([^()]*\)", message.split("cycle(s) ", 1)[1].rsplit(" in ", 1)[0])
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_dimension_blocks_equal_the_enumeration(data):
+    # on g, and with β every no-exit cycle of the quotient by each admissible
+    # pair; the enumeration named every cycle outside β, the components name
+    # one cycle per component that holds any
+    g = data.draw(digraphs(max_vertices=8))
+    cases = [(None, g)]
+    for pair in enumerate_admissible_pairs(g):
+        beta = tuple(no_exit_quotient_cycles(g, pair))
+        theta = {c: data.draw(st.sampled_from(THETAS)) for c in beta}
+        cases.append((IdealPresentation(field=F5, pair=pair, beta=beta, theta=theta),
+                      graded_quotient(g, pair).digraph))
+    for j, work in cases:
+        try:
+            expected = outcome(lambda: enumerated_dimension_blocks(g, j))
+        except ResourceLimitError:
+            continue
+        got = outcome(lambda: dimension_blocks(g, j))
+        listed = cycle_labels(expected) if str(expected).startswith("error: unsevered") else []
+        component = {v: k for k, (vs, _) in enumerate(work.components) for v in vs}
+
+        def where(label):
+            return component[work.arrow(label[1:-1].split()[0]).source]
+
+        offending = Counter(map(where, listed))
+        if all(k == 1 for k in offending.values()):
+            assert got == expected
+            continue
+        named = cycle_labels(got)
+        assert got == f"error: unsevered cycle(s) {', '.join(named)} in {work.name}"
+        assert named == sorted(named) and set(named) <= set(listed)
+        assert sorted(map(where, named)) == sorted(offending)
 
 
 @settings(max_examples=200)
@@ -277,3 +311,25 @@ def test_end_with_every_vertex_an_item_reads_linearly_many_adjacency_lists(tail)
     assert verdict.witness == {"sink": None, "loop": "cycle (x) reachable from v0",
                                "omega": "ω class x reachable from v0"}[tail]
     assert 0 < counts["lists"] <= 8 * n  # a reach per item reads about n²/2
+
+
+def test_dim_on_a_complete_digraph_names_one_cycle_and_lists_none(tmp_path, monkeypatch,
+                                                                   capsys):
+    # K_n has more cycles than any bound, yet its one component shows dim is infinite
+    calls = count_calls(monkeypatch, ("enumerate_cycles",))
+    parse, reads = io.parse_digraph, {}
+
+    def parse_counting_reads(text, path=None):
+        g = parse(text, path)
+        count_list_reads(g, reads.setdefault(g.name, Counter()))
+        return g
+
+    monkeypatch.setattr(io, "parse_digraph", parse_counting_reads)
+    for n in (30, 60):
+        graph = tmp_path / f"k{n}.graph"
+        graph.write_text(complete(n, f"k{n}"))
+        assert run_cli("dim", str(graph)) == (3, "")
+        assert capsys.readouterr().err == \
+            f"validation error: unsevered cycle(s) (ek0k1 ek1k0) in k{n}\n"
+    assert calls["enumerate_cycles"] == 0
+    assert 0 < reads["k60"]["lists"] <= 2.5 * reads["k30"]["lists"]
