@@ -1,9 +1,8 @@
 """The vertices of a digraph as the bits of an int, and its adjacency as masks.
 
 :attr:`leavitt.digraph.Digraph.bits` builds a :class:`BitIndex` on first use.
-The hereditary saturated closure (:meth:`BitIndex.close`), the breaking
-vertices B_H (:meth:`BitIndex.breaking`) and the hereditary and saturated
-tests (:meth:`BitIndex.leaving`) are then word operations on int masks;
+The hereditary saturated closure (:meth:`BitIndex.close`) and the breaking vertices
+B_H (:meth:`BitIndex.breaking`) are then word operations on int masks;
 :meth:`BitIndex.ids` and :meth:`BitIndex.members` read a mask's ids back.
 """
 
@@ -154,13 +153,6 @@ class BitIndex:
                     new |= low
                 waiting ^= low
         return h
-
-    def leaving(self, h: int) -> int:
-        """The vertices with an arrow into the complement of h."""
-        pred, out = self.pred, 0
-        for i in _positions(self.everything & ~h):
-            out |= pred[i]
-        return out
 
     def breaking(self, h: int) -> int:
         """B_H of a hereditary h: the infinite emitters u ∉ H whose ω classes

@@ -13,22 +13,20 @@ index's ancestors and Johnson's search all read the strongly connected
 components, built once per digraph (:attr:`Digraph.components`).
 
 Vertex sets inside the structural analyses are int masks over a
-:class:`~leavitt.bitindex.BitIndex`, which a digraph builds on first use and
-keeps (:attr:`Digraph.bits`): one bit per vertex, and per vertex the masks of
-its successors, its predecessors and the targets of its ω classes.  The
-hereditary saturated closure, the enumeration of closed sets and the
-breaking vertices B_H are then word operations on those masks; the public
-functions take and return ``frozenset``s of ids, or the masks themselves
-where they say so.  ``bitindex`` loads on the first use of the index, so a
-command that never needs it does not compile it.
+:class:`~leavitt.bitindex.BitIndex` (:attr:`Digraph.bits`), built on first use
+by what asks many set questions of one digraph: the enumerations, the closure,
+:func:`breaking_vertices` and the Galois map ψ.  The closure, the closed sets
+and B_H are then word operations on masks of successors, predecessors and ω
+targets; the public functions take and return ``frozenset``s of ids, or the
+masks where they say so.  Validating one ideal reads only the arrows at its H
+(:func:`~leavitt.ideals.admissibility`), so ``quotient``, ``decide``, ``dim``
+and the like never load ``bitindex``.
 
 Digraph morphisms and their admissibility check live in
-:mod:`leavitt.morphisms`, the cycle enumeration in :mod:`leavitt.cycles`,
-and the arrow instances a corner generator leaves out in
-:mod:`leavitt.ktheory`, so commands that never use them do not compile
-them.  All values are immutable after construction and every
-analysis is a pure function, so everything here is safe to share across
-threads.
+:mod:`leavitt.morphisms`, and the arrow instances a corner generator leaves
+out in :mod:`leavitt.ktheory`, so commands that never use them do not
+compile them.  All values are immutable after construction and every
+analysis is a pure function, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -342,6 +340,7 @@ def hereditary_saturated_closure(g: Digraph, xs: Iterable[str]) -> frozenset[str
     return bits.members(bits.close(0, bits.mask(set(xs))))
 
 
+# The reference predicates, read off every arrow; ideals.admissibility reads those at H.
 def is_hereditary(g: Digraph, hs: frozenset[str] | set[str]) -> bool:
     return all(a.target in hs for a in g.arrows if a.source in hs)
 

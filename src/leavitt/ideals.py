@@ -1,5 +1,6 @@
 """Graded ideals: admissible pairs (H, S), their order and the cycles without exit.
 
+A pair is checked by one walk over the arrows at H (:func:`admissibility`).
 The cycles without exit of Γ/(H, S) are single-cycle components of g, which
 :func:`~leavitt.digraph.no_exit_cycles` reads off once the pair is checked.
 Presentations (H, S, β, θ) live in :mod:`leavitt.presentations`, and the
@@ -10,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .digraph import Digraph, GeometricCycle, no_exit_cycles
-from .errors import NotAdmissibleError, UnknownVertexError
+from .digraph import Digraph, GeometricCycle, is_omega, no_exit_cycles
+from .errors import NotAdmissibleError
 from .records import record
 
 
@@ -45,23 +46,30 @@ class AdmissiblePair:
         return "({%s}, {%s})" % (",".join(sorted(self.h)), ",".join(sorted(self.s)))
 
 
-def ensure_admissible(g: Digraph, pair: AdmissiblePair) -> frozenset[str]:
-    """B_H∖S, the vertices that get a primed sink; raises unless (H, S) is admissible.
+def admissibility(g: Digraph, hs: frozenset[str]) -> tuple[bool, bool, frozenset[str]]:
+    """(H hereditary, H saturated, B_H), reading the out- and in-lists of H and the
+    out-lists of the u ∉ H feeding it: H is not saturated when such a u without ω
+    class has all its arrows in H; B_H holds those whose ω classes, not all arrows, end in H."""
+    out = g._out
+    hereditary = all(a.target in hs for v in hs for a in out[v])
+    saturated, breaking = True, []
+    for u in {a.source for v in hs for a in g._in[v]} - hs:
+        arrows = out[u]
+        escaping = [a for a in arrows if a.target not in hs]
+        if not any(is_omega(a.multiplicity) for a in arrows):
+            saturated = saturated and bool(escaping)
+        elif escaping and not any(is_omega(a.multiplicity) for a in escaping):
+            breaking.append(u)
+    return hereditary, saturated, frozenset(breaking)
 
-    One pass on ``g.bits``: the ids of H and S, then H hereditary (no member
-    of H has an arrow leaving H) and saturated (every regular vertex outside
-    H has one), then S ⊆ B_H."""
-    bits = g.bits
-    try:
-        h, s = bits.mask(pair.h), bits.mask(pair.s)
-    except UnknownVertexError:
-        g.check_vertices(pair.h | pair.s)  # names the smallest unknown id of H ∪ S
-        raise
-    leaving = bits.leaving(h)
-    if not leaving & h and not bits.regular & ~h & ~leaving:
-        bb = bits.breaking(h)
-        if not s & ~bb:
-            return bits.members(bb & ~s)
+
+def ensure_admissible(g: Digraph, pair: AdmissiblePair) -> frozenset[str]:
+    """B_H∖S, the vertices that get a primed sink; raises unless (H, S) is
+    admissible: the ids of H and S first, then :func:`admissibility`."""
+    g.check_vertices(pair.h | pair.s)  # names the smallest unknown id of H ∪ S
+    hereditary, saturated, breaking = admissibility(g, pair.h)
+    if hereditary and saturated and pair.s <= breaking:
+        return breaking - pair.s
     raise NotAdmissibleError(f"{pair.label()} is not admissible in {g.name}")
 
 

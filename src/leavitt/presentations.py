@@ -3,7 +3,9 @@
 (H, S) is an admissible pair of :mod:`leavitt.ideals`, β a set of cycles
 with no exit in the graded quotient, and θ(C) has constant term 1 for C ∈ β;
 β = ∅ is a graded ideal.  Validation collects violations; only dangling ids
-raise.  Entry points validate once, through :func:`validated_ideal`, and
+raise.  It reads (H, S) off :func:`~leavitt.ideals.admissibility`, which walks
+only the arrows at H, and the arrows of β's vertices, so it builds no bit
+index.  Entry points validate once, through :func:`validated_ideal`, and
 workers reuse its :class:`ValidatedIdeal`.  The parser imports ``fields``.
 Projective presentations stay in :mod:`leavitt.ktheory`.
 """
@@ -16,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .digraph import Digraph, GeometricCycle, _quotient_out_degree, cycle_vertices
 from .errors import InvalidIdealError, ParseError
-from .ideals import AdmissiblePair
+from .ideals import AdmissiblePair, admissibility
 from .records import record, replace
 
 if TYPE_CHECKING:
@@ -63,17 +65,14 @@ def validate_ideal(g: Digraph, j: IdealPresentation) -> IdealValidation:
             g.arrow(aid)
 
     violations: list[str] = []
-    bits = g.bits
-    h = bits.mask(j.pair.h)
-    leaving = bits.leaving(h)
-    if leaving & h:
+    hereditary, saturated, bb = admissibility(g, j.pair.h)
+    if not hereditary:
         violations.append("H is not hereditary")
-    if bits.regular & ~h & ~leaving:
+    if not saturated:
         violations.append("H is not saturated")
     h_ok = not violations
     primed: frozenset[str] = frozenset()
     if h_ok:
-        bb = bits.members(bits.breaking(h))
         for v in sorted(j.pair.s - bb):
             violations.append(f"S contains {v}, which is not a breaking vertex of H")
         primed = bb - j.pair.s

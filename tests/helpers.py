@@ -736,14 +736,29 @@ def closure_enumerate_hereditary_saturated(g: Digraph, limit: int = 10_000) -> l
 
 
 def scan_breaking_vertices(g: Digraph, hs) -> frozenset[str]:
-    """B_H of a hereditary H by reading every vertex's arrow classes."""
+    """B_H by reading the arrow classes of every vertex outside H."""
     out = set()
     for v in g.vertices:
+        if v in hs:
+            continue
         escaping = [a.multiplicity for a in g._out[v] if a.target not in hs]
         if (escaping and not any(map(is_omega, escaping))
                 and any(is_omega(a.multiplicity) for a in g._out[v])):
             out.add(v)
     return frozenset(out)
+
+
+def mask_admissibility(g: Digraph, hs) -> tuple[bool, bool, frozenset[str]]:
+    """(H hereditary, H saturated, B_H) on the bit index, as validation read
+    them before it walked only the arrows at H: the vertices with an arrow
+    leaving H are the predecessors of its complement, built for every vertex."""
+    bits = g.bits
+    h, leaving = bits.mask(hs), 0
+    for v in g.vertices:
+        if not bits.bit[v] & h:
+            leaving |= bits.pred[bits.bit[v].bit_length() - 1]
+    return (not leaving & h, not bits.regular & ~h & ~leaving,
+            bits.members(bits.breaking(h)))
 
 
 def bitset_lattice_tables(g: Digraph, elements):

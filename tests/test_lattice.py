@@ -26,6 +26,7 @@ from helpers import (
     digraphs,
     exhaustive_degree_census,
     fixpoint_closure,
+    mask_admissibility,
     scan_breaking_vertices,
     search_lattice_tables,
     sweep_hereditary_saturated,
@@ -42,7 +43,12 @@ from leavitt.digraph import (
 )
 from leavitt.errors import MeetJoinFailureError, NotAdmissibleError, ResourceLimitError
 from leavitt.fields import Field
-from leavitt.ideals import AdmissiblePair, ensure_admissible, no_exit_quotient_cycles
+from leavitt.ideals import (
+    AdmissiblePair,
+    admissibility,
+    ensure_admissible,
+    no_exit_quotient_cycles,
+)
 from leavitt.io import serialize_digraph
 from leavitt.ktheory import galois_phi, galois_psi
 from leavitt.lattice import _CellTable, enumerate_admissible_pairs, pair_lattice
@@ -116,6 +122,8 @@ class TestAgainstOracles:
         assert sets == closure_enumerate_hereditary_saturated(g)  # the order too
         for h in sets:
             assert breaking_vertices(g, h) == scan_breaking_vertices(g, h)
+            assert admissibility(g, h) == mask_admissibility(g, h) \
+                == (True, True, scan_breaking_vertices(g, h))
         pairs = enumerate_admissible_pairs(g)
         assert pairs == sorted([AdmissiblePair(h, frozenset(s)) for h in sets
                                 for s in powerset(sorted(scan_breaking_vertices(g, h)))],
@@ -125,6 +133,9 @@ class TestAgainstOracles:
         subsets = st.sets(st.sampled_from(g.vertices)) if g.vertices else st.just(set())
         seeds, h, s = data.draw(subsets), data.draw(subsets), data.draw(subsets)
         assert hereditary_saturated_closure(g, seeds) == fixpoint_closure(g, seeds)
+        # any H: not hereditary, not saturated, or fed by ω classes into its sinks
+        assert admissibility(g, h) == mask_admissibility(g, h) \
+            == (is_hereditary(g, h), is_saturated(g, h), scan_breaking_vertices(g, h))
         closed = is_hereditary(g, h) and is_saturated(g, h)
         admissible = closed and s <= scan_breaking_vertices(g, h)
         try:

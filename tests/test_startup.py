@@ -105,6 +105,17 @@ def test_bit_index_loads_on_first_use():
     assert "leavitt.bitindex" not in loaded(CLI_PROBE, "dot", cpath("sq2"))
 
 
+@pytest.mark.parametrize("args", [
+    *[(name, *SAMPLE_ARGS[name]) for name in ("quotient", "decide", "sever", "certificate",
+                                              "radical")],
+    ("dim", cpath("ek"), cpath("ek-ideal-Q")),
+], ids=lambda args: args[0])
+def test_an_ideal_command_loads_no_bit_index(args):
+    # validation walks only the arrows at H; nothing else asks a set question
+    modules = loaded(CLI_PROBE, *args)
+    assert "leavitt.presentations" in modules and "leavitt.bitindex" not in modules
+
+
 def test_decide_loads_no_ktheory(bare):
     text = loaded(CLI_PROBE, "decide", cpath("sq5"), cpath("ch2-ideal-F3"))
     assert "leavitt.quotients" in text and "leavitt.ktheory" not in text
@@ -174,19 +185,20 @@ runpy.run_module("leavitt.cli", run_name="__main__", alter_sys=True)
 LATTICE_LINES_PROBE = "ran = []" + LATTICE_PROBE + COUNT_LINES
 
 #: Ceilings on the lines each SAMPLE_ARGS command compiles: the counts measured
-#: once ``dim`` decided finiteness from the strongly connected components and
-#: stopped compiling the cycle search on success (``radical`` reads an ideal
-#: over ℚ, so it also compiles ``rationals``).  A change that compiles less
-#: lowers them; none raises one.
+#: once validation walked only the arrows at H and stopped compiling the bit
+#: index (``radical`` reads an ideal over ℚ, so it also compiles ``rationals``).
+#: A change that compiles less lowers them; none raises one.
 COMPILED_BEFORE = {
-    "analyze": 1699, "closure": 1549, "dot": 1377, "check-morphism": 1463,
-    "quotient": 2861, "decide": 2861, "sever": 2861, "certificate": 2861, "radical": 3051,
-    "dim": 1536, "strata": 2049, "orth": 2904, "end": 1924,
-    "monoid": 1627, "fgip": 1627, "simples": 1627,
+    "analyze": 1690, "closure": 1540, "dot": 1376, "check-morphism": 1462,
+    "quotient": 2695, "decide": 2695, "sever": 2695, "certificate": 2695, "radical": 2885,
+    "dim": 1535, "strata": 2048, "orth": 2902, "end": 1923,
+    "monoid": 1626, "fgip": 1626, "simples": 1626,
 }
+#: ``dim`` with an ideal also compiles the presentations and the graded quotient.
+DIM_WITH_AN_IDEAL_COMPILED = 3011
 #: The lines the library call compiles: the graded ideals, the pair lattice and
 #: the Galois maps (2,147 with the presentations and projectives).
-LATTICE_COMPILED = 1607
+LATTICE_COMPILED = 1606
 
 
 def compiled(code: str, *args: str) -> int:
@@ -199,6 +211,11 @@ def compiled(code: str, *args: str) -> int:
 @pytest.mark.parametrize("name", list(SAMPLE_ARGS))
 def test_no_command_compiles_more_than_before(name):
     assert compiled(LINES_PROBE, name, *SAMPLE_ARGS[name]) <= COMPILED_BEFORE[name]
+
+
+def test_dim_with_an_ideal_compiles_no_more_than_its_ceiling():
+    assert compiled(LINES_PROBE, "dim", cpath("ek"), cpath("ek-ideal-Q")) \
+        <= DIM_WITH_AN_IDEAL_COMPILED
 
 
 def test_lattice_library_call_compiles_no_more_than_its_ceiling():
