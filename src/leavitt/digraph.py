@@ -79,20 +79,20 @@ class Digraph:
             a if isinstance(a, ArrowClass) else ArrowClass(*a) for a in arrows)
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError(f"digraph {name}: duplicate vertex id")
-        vs = set(self.vertices)
-        self._by_id: dict[str, ArrowClass] = {}
-        self._out: dict[str, list[ArrowClass]] = {v: [] for v in self.vertices}
-        self._in: dict[str, list[ArrowClass]] = {v: [] for v in self.vertices}
+        by_id: dict[str, ArrowClass] = {}
+        out: dict[str, list[ArrowClass]] = {v: [] for v in self.vertices}
+        in_: dict[str, list[ArrowClass]] = {v: [] for v in self.vertices}
         for a in self.arrows:
-            if a.id in self._by_id:
+            if a.id in by_id:
                 raise ValueError(f"digraph {name}: duplicate arrow id {a.id}")
-            if a.source not in vs:
+            if a.source not in out:
                 raise ValueError(f"digraph {name}: arrow {a.id} has undeclared source {a.source}")
-            if a.target not in vs:
+            if a.target not in out:
                 raise ValueError(f"digraph {name}: arrow {a.id} has undeclared target {a.target}")
-            self._by_id[a.id] = a
-            self._out[a.source].append(a)
-            self._in[a.target].append(a)
+            by_id[a.id] = a
+            out[a.source].append(a)
+            in_[a.target].append(a)
+        self._by_id, self._out, self._in = by_id, out, in_
 
     @functools.cached_property
     def bits(self) -> BitIndex:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable
 
-from .digraph import Digraph, cycle_vertices, is_omega
+from .digraph import Digraph, cycle_vertices
 from .errors import UnsupportedShapeError
 from .records import record
 
@@ -32,25 +32,26 @@ def _paths_ending_at(g: Digraph, roots: Iterable[str], starts: Counter,
                      skip_arrows: frozenset[str] = frozenset()) -> dict[str, int]:
     """Count of paths ending at each vertex the roots are reached from against
     the arrows, each path counted ``starts[its source]`` times (multiplicities
-    expanded, ``skip_arrows`` left out): one iterative depth-first pass, one memo."""
+    expanded, ``skip_arrows`` left out): one iterative depth-first pass, one memo.
+
+    Precondition: what the roots are reached from, without ``skip_arrows``, is
+    acyclic and row-finite.  Both callers check that first (:func:`dimension_blocks`
+    rejects ω classes and stray cycles, ``end`` peels the reach from its sinks),
+    so no ω class or cycle is looked for here.
+    """
     memo: dict[str, int] = {}
     for root in roots:
         # the vertices on the current path, last on top, each with its in-arrows
         # still to read, its count so far and the multiplicity it was entered by
-        path = {} if root in memo else {root: [iter(g.in_arrows(root)), starts[root], 1]}
+        path = {} if root in memo else {root: [iter(g._in[root]), starts[root], 1]}
         while path:
             frame = path[next(reversed(path))]
             for a in frame[0]:
                 if a.id in skip_arrows:
                     continue
-                if is_omega(a.multiplicity):
-                    raise UnsupportedShapeError(f"ω class {a.id} makes path counts infinite")
                 u = a.source
-                if u in path:
-                    raise UnsupportedShapeError(
-                        f"a cycle feeds {u} in {g.name}; path counts are infinite")
                 if u not in memo:
-                    path[u] = [iter(g.in_arrows(u)), starts[u], a.multiplicity]
+                    path[u] = [iter(g._in[u]), starts[u], a.multiplicity]
                     break
                 frame[1] += a.multiplicity * memo[u]
             else:

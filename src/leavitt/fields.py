@@ -1,28 +1,21 @@
-"""Exact scalar and polynomial arithmetic over ℚ and 𝔽p.
+"""Exact polynomial arithmetic over ℚ and 𝔽p.
 
-Scalars are plain Python values: ``int`` residues in ``[0, p)`` over a prime
-field and ``fractions.Fraction`` over the rationals (always in lowest terms
-with positive denominator).  A :class:`Field` value carries the choice of
-field and performs all scalar arithmetic, parsing and printing; it lives in
-:mod:`leavitt.scalars`, with the primality test of its characteristic, so
-that parsing a field header compiles no polynomial code, and this module
-re-exports it.
+Scalars are plain values: ``int`` residues in ``[0, p)`` over 𝔽p and
+``fractions.Fraction`` in lowest terms over ℚ.  :class:`Field`, re-exported
+from :mod:`leavitt.scalars` so that a field header compiles no polynomial
+code, does all scalar arithmetic, parsing and printing.  Polynomials are
+dense coefficient tuples, low degree first, with a nonzero trailing
+coefficient (the empty tuple is zero); every value is immutable.  The Laurent
+ring 𝔽[x, x⁻¹] lives in :mod:`leavitt.laurent`, which no command loads.
 
-Polynomials are dense coefficient tuples, low degree first, with a nonzero
-trailing coefficient; the empty tuple is the zero polynomial.  Everything
-is immutable and safe to share.  The Laurent ring 𝔽[x, x⁻¹] built on these
-polynomials lives in :mod:`leavitt.laurent`, which no command loads.
-
-Over 𝔽p, roots come from g = gcd(f, xᵖ − x), computed by square-and-multiply
-modulo f, which Cantor–Zassenhaus equal-degree splitting breaks into its
-linear factors; fields too small to repay that are swept residue by residue.
-Either way the cost is polynomial in deg f and log p, and every multiplicity
-is read by exact deflation.  Everything particular to ℚ (``Fraction``
-scalars, the parsing of ``a/b``, roots by p-adic lifting and the squarefree
-part by a primitive remainder sequence) lives in :mod:`leavitt.rationals`,
-which this module imports inside its ℚ branches only: work over 𝔽p loads
-neither it nor ``fractions``, ``decimal`` and ``numbers``.  There is
-deliberately no general polynomial factorization here.
+Over 𝔽p, roots come from g = gcd(f, xᵖ − x), split into linear factors by
+Cantor–Zassenhaus (small fields are swept residue by residue), in time
+polynomial in deg f and log p, with multiplicities by exact deflation.  The
+roots over ℚ (p-adic lifting) and the squarefree part (a primitive remainder
+sequence) live in :mod:`leavitt.rationals`, which ℚ imports on first use
+(``Field._rationals``): work over 𝔽p loads neither it nor ``fractions``.
+Over ℚ a θ is put in primitive integer form once, and degree 1 needs none.
+There is deliberately no general polynomial factorization here.
 """
 
 from __future__ import annotations
@@ -372,13 +365,19 @@ def find_roots(f: Polynomial) -> RootMultiset:
     """All roots of f in its coefficient field, with multiplicities by deflation."""
     if f.is_zero:
         raise ZeroPolynomialError("cannot find roots of the zero polynomial")
-    field = f.field
-    if field.is_prime_field:
-        roots, unfactored = _roots_mod_p(f.coeffs, field.p)
+    if f.field.is_prime_field:
+        roots, unfactored = _roots_mod_p(f.coeffs, f.field.p)
     else:
-        from .rationals import roots as rational_roots
-        roots, unfactored = rational_roots(f.coeffs)
+        roots, unfactored = f.field._rationals.roots(f.coeffs)
     return RootMultiset(tuple(roots), unfactored)
+
+
+def _verdict(roots, unfactored: int) -> DlfVerdict:
+    """The dlf verdict on (root, multiplicity) pairs and an unfactored degree."""
+    repeated = next((r for r, m in roots if m > 1), None)
+    if repeated is not None or unfactored:
+        return DlfVerdict(False, (), repeated, unfactored)  # by position: no keyword binding
+    return DlfVerdict(True, tuple(r for r, _ in roots), None, 0)
 
 
 def is_dlf(f: Polynomial) -> DlfVerdict:
@@ -388,13 +387,7 @@ def is_dlf(f: Polynomial) -> DlfVerdict:
     if f.degree < 1:
         raise ConstantPolynomialError("dlf test needs degree >= 1")
     rm = find_roots(f)
-    repeated = next((r for r, m in rm.roots if m > 1), None)
-    if repeated is not None:
-        return DlfVerdict(False, repeated_root=repeated,
-                          unfactored_degree=rm.unfactored_degree)
-    if rm.unfactored_degree:
-        return DlfVerdict(False, unfactored_degree=rm.unfactored_degree)
-    return DlfVerdict(True, roots=tuple(r for r, _ in rm.roots))
+    return _verdict(rm.roots, rm.unfactored_degree)
 
 
 def _pth_root(f: Polynomial) -> Polynomial:
@@ -430,13 +423,22 @@ def _radical(f: Polynomial) -> Polynomial:
 
 def squarefree_part(f: Polynomial) -> Polynomial:
     """Product of the distinct irreducible factors of f, normalized so g(0) = 1."""
+    return _squarefree_part(f)[0]
+
+
+def squarefree_verdict(f: Polynomial) -> tuple[Polynomial, DlfVerdict]:
+    """The squarefree part g of f and is_dlf(g), over ℚ from one integer form."""
+    g, form = _squarefree_part(f)
+    return g, _verdict(*f.field._rationals.form_roots(form)) if form else is_dlf(g)
+
+
+def _squarefree_part(f: Polynomial) -> tuple[Polynomial, list[int] | None]:
     if f.is_zero or f.degree < 1:
         raise ConstantPolynomialError("squarefree part needs degree >= 1")
     if f.constant_term == 0:
         raise ZeroConstantTermError("squarefree part needs f(0) != 0")
     if f.field.is_prime_field:
         g = _radical(f)
-        return g.scale(f.field.inv(g.constant_term))
-    # over Q (characteristic 0) the radical is f / gcd(f, f′)
-    from .rationals import squarefree
-    return Polynomial.of(f.field, squarefree(f.coeffs))
+        return g.scale(f.field.inv(g.constant_term)), None
+    coeffs, form = f.field._rationals.squarefree(f.coeffs)  # f / gcd(f, f′), its form
+    return Polynomial(f.field, tuple(coeffs)), form

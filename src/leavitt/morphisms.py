@@ -13,7 +13,6 @@ from typing import Mapping
 
 from .digraph import Digraph, classify_vertices
 from .errors import MalformedMorphismError, ParseError
-from .io import _lines
 from .records import record
 
 
@@ -85,8 +84,10 @@ def parse_morphism_file(text: str, path: str | None = None):
     graphs: tuple[str, str] | None = None
     vmap: dict[str, str] = {}
     emap: dict[str, str] = {}
-    for no, line in _lines(text):
-        parts = line.split()
+    for no, raw in enumerate(text.splitlines(), 1):
+        parts = raw.partition("#")[0].split()
+        if not parts:
+            continue
         kw = parts[0]
         if kw == "morphism":
             if len(parts) != 2:

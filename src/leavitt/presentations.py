@@ -6,8 +6,9 @@ with no exit in the graded quotient, and θ(C) has constant term 1 for C ∈ β;
 raise.  It reads (H, S) off :func:`~leavitt.ideals.admissibility`, which walks
 only the arrows at H, and the arrows of β's vertices, so it builds no bit
 index.  Entry points validate once, through :func:`validated_ideal`, and
-workers reuse its :class:`ValidatedIdeal`.  The parser imports ``fields``.
-Projective presentations stay in :mod:`leavitt.ktheory`.
+workers reuse its :class:`ValidatedIdeal`.  The parser (which imports
+``fields``) checks each line once, and reads each θ token once into its
+canonical scalar, so θ is built with no second coercion pass.
 """
 
 from __future__ import annotations
@@ -149,16 +150,16 @@ def graded_part(j: IdealPresentation) -> IdealPresentation:
 def parse_ideal(text: str, path: str | None = None,
                 field_override: Field | None = None) -> IdealPresentation:
     from .fields import Field, Polynomial
-    from .io import _lines
 
     name = None
     field: Field | None = None
-    h: list[str] = []
-    s: list[str] = []
+    pair: dict[str, list[str]] = {"H": [], "S": []}
     by_label: dict[str, GeometricCycle] = {}
     raw_polys: list[tuple[int, str, list[str]]] = []
-    for no, line in _lines(text):
-        parts = line.split()
+    for no, raw in enumerate(text.splitlines(), 1):
+        parts = raw.partition("#")[0].split()
+        if not parts:
+            continue
         kw = parts[0]
         if kw == "ideal":
             if len(parts) != 2:
@@ -171,10 +172,8 @@ def parse_ideal(text: str, path: str | None = None,
                 field = Field.from_header(parts[1])
             except ValueError as exc:
                 raise ParseError(str(exc), no, path) from None
-        elif kw == "H":
-            h.extend(parts[1:])
-        elif kw == "S":
-            s.extend(parts[1:])
+        elif kw in pair:
+            pair[kw].extend(parts[1:])
         elif kw == "cycle":
             if len(parts) < 3 or not parts[1].endswith(":"):
                 raise ParseError("expected: cycle <cid>: <arrow ids>", no, path)
@@ -197,14 +196,15 @@ def parse_ideal(text: str, path: str | None = None,
     for no, cid, tokens in raw_polys:
         if cid not in by_label:
             raise ParseError(f"poly for unknown cycle {cid!r}", no, path)
-        try:
-            coeffs = [field.parse_scalar(t) for t in tokens]
+        try:  # each token read once into its canonical scalar, so no coercion follows
+            coeffs = list(map(field.parse_scalar, tokens))
         except ValueError as exc:
             raise ParseError(str(exc), no, path) from None
-        theta[by_label[cid]] = Polynomial.of(field, coeffs)
-    j = IdealPresentation(field=field, pair=AdmissiblePair.of(h, s),
-                          beta=tuple(by_label.values()),
-                          theta=theta, labels=labels, name=name)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        theta[by_label[cid]] = Polynomial(field, tuple(coeffs))
+    j = IdealPresentation(field, AdmissiblePair.of(pair["H"], pair["S"]),
+                          tuple(by_label.values()), theta, labels, name)
     if field_override is not None and field_override != field:
         j = cast_ideal(j, field_override)
     return j
@@ -220,15 +220,9 @@ def cast_ideal(j: IdealPresentation, field: Field) -> IdealPresentation:
 
 def serialize_ideal(j: IdealPresentation) -> str:
     lines = [f"ideal {j.name}", f"field {j.field.header()}"]
-    if j.pair.h:
-        lines.append("H " + " ".join(sorted(j.pair.h)))
-    if j.pair.s:
-        lines.append("S " + " ".join(sorted(j.pair.s)))
-    for c in j.beta:
-        lines.append(f"cycle {j.label_of(c)}: " + " ".join(c.arrows))
-    for c in j.beta:
-        if c in j.theta:
-            poly = j.theta[c]
-            coeffs = " ".join(j.field.format_scalar(x) for x in poly.coeffs)
-            lines.append(f"poly {j.label_of(c)}: {coeffs}")
+    lines += [f"{k} {' '.join(sorted(v))}" for k, v in (("H", j.pair.h), ("S", j.pair.s)) if v]
+    lines += [f"cycle {j.label_of(c)}: " + " ".join(c.arrows) for c in j.beta]
+    for c in (c for c in j.beta if c in j.theta):
+        coeffs = " ".join(map(j.field.format_scalar, j.theta[c].coeffs))
+        lines.append(f"poly {j.label_of(c)}: {coeffs}")
     return "\n".join(lines) + "\n"

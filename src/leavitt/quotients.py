@@ -44,7 +44,7 @@ from .errors import (
     InternalConsistencyError,
     NotDlfError,
 )
-from .fields import DlfVerdict, Polynomial, is_dlf, squarefree_part
+from .fields import DlfVerdict, Polynomial, is_dlf, squarefree_verdict
 from .ideals import AdmissiblePair, ensure_admissible
 from .presentations import IdealPresentation, ValidatedIdeal, validated_ideal
 from .records import record, replace
@@ -312,10 +312,9 @@ def radical_quotient(g: Digraph, j: IdealPresentation) -> RadicalResult:
     violations: list[str] = []
     for c in j.beta:
         f = j.theta[c]
-        sf = squarefree_part(f)
+        sf, verdict = squarefree_verdict(f)
         new_theta[c] = sf
         drops.append((j.label_of(c), f.degree - sf.degree))
-        verdict = is_dlf(sf)
         if not verdict.is_dlf:
             violations.append(
                 f"{j.label_of(c)}: squarefree part is not split "

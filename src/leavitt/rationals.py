@@ -1,17 +1,13 @@
 """Arithmetic over ℚ: the rational half of :mod:`leavitt.fields`.
 
-Scalars over ℚ are ``fractions.Fraction`` values, always in lowest terms with
-a positive denominator.  :class:`~leavitt.scalars.Field` and the root and
-squarefree functions of ``fields`` import this module inside their ℚ branches
-only, so a computation over 𝔽p loads neither it nor ``fractions`` (and with
-it ``decimal`` and ``numbers``).
-
-Roots: the roots of the primitive integer form modulo a small prime are
-Newton-lifted p-adically until a bound on a·r (a the leading coefficient)
-fixes each candidate, and multiplicities are read by exact deflation, all on
-plain integer lists; the cost is polynomial in the degree and the
-coefficients' bit size (Loos 1983).  The squarefree part is f / gcd(f, f′)
-by a primitive remainder sequence on the same integer form.
+Scalars are ``fractions.Fraction`` values in lowest terms; a ℚ
+:class:`~leavitt.scalars.Field` imports this module on its first scalar
+operation, so work over 𝔽p loads neither it nor ``fractions``.  An ideal
+file's token is checked and read once, into the Fraction of its integers
+(:func:`parse`).  A θ of degree 1 is read off its coefficients; any other is
+put in primitive integer form once, whose roots mod a small prime are
+Newton-lifted p-adically (Loos 1983) and whose squarefree part comes from a
+primitive remainder sequence, all on integer lists.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from .errors import FieldMismatchError, InternalConsistencyError
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def coerce(x) -> Fraction:
@@ -38,24 +34,20 @@ def coerce(x) -> Fraction:
     raise FieldMismatchError(f"cannot coerce {x!r} into Q")
 
 
-def inverse(a) -> Fraction:
-    return 1 / Fraction(a)
-
-
 def parse(token: str) -> Fraction:
-    """:meth:`~leavitt.fields.Field.parse_scalar` over ℚ."""
-    if not _RATIONAL.fullmatch(token):
+    """:meth:`~leavitt.fields.Field.parse_scalar` over ℚ: the token's one match
+    gives its integers, and the Fraction is made from them in lowest terms."""
+    match = _RATIONAL.fullmatch(token)
+    if match is None:
         raise ValueError(f"bad rational {token!r}: expected a or a/b in decimal digits")
-    try:
-        return Fraction(token)
+    num, den = match.groups()
+    try:  # int() refuses more than 4,300 digits, and Fraction a zero denominator
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {token!r}: {exc}") from None
 
 
-# -- roots by p-adic lifting on integer coefficient lists -------------------------
-#
-# Lists are low degree first with no trailing zero, as in fields, but hold
-# arbitrary integers.
+# -- roots by p-adic lifting on integer lists, low degree first, no trailing zero --
 
 #: Primes at which the roots of f mod p must all be simple before the exact
 #: squarefree part of f is taken instead; only a repeated rational root (or
@@ -66,9 +58,7 @@ LIFTING_PRIME_TRIES = 8
 def _primitive(coeffs: Iterable[int]) -> list[int]:
     """The coefficients divided by their content, with a positive leading one."""
     coeffs = list(coeffs)
-    content = gcd(*coeffs)
-    if coeffs[-1] < 0:
-        content = -content
+    content = gcd(*coeffs) if coeffs[-1] > 0 else -gcd(*coeffs)
     return [c // content for c in coeffs]
 
 
@@ -81,16 +71,14 @@ def _integer_form(coeffs: Iterable[Fraction]) -> list[int]:
 
 def _exact_quotient(f: list[int], d: list[int]) -> list[int]:
     """f / d over ℤ; fails loudly unless d divides f with an integer quotient."""
-    rem = list(f)
-    n = len(d) - 1
+    rem, n = list(f), len(d) - 1
     quo = [0] * (len(f) - n)
     for i in range(len(quo) - 1, -1, -1):
-        c, r = divmod(rem[i + n], d[-1])
+        quo[i], r = divmod(rem[i + n], d[-1])
         if r:
             raise InternalConsistencyError(f"{d} does not divide {f} over Z")
-        quo[i] = c
         for j in range(n):
-            rem[i + j] -= c * d[j]
+            rem[i + j] -= quo[i] * d[j]
     if any(rem[:n]):
         raise InternalConsistencyError(f"{d} does not divide {f} over Z")
     return quo
@@ -120,71 +108,88 @@ def _vanishes(f: list[int], u: int, v: int) -> bool:
     return acc == 0
 
 
+def _at(g: list[int], r: int, m: int) -> tuple[int, int]:
+    """(g(r), g′(r)) mod m, in one Horner pass."""
+    val = der = 0
+    for c in reversed(g):
+        der = (der * r + val) % m
+        val = (val * r + c) % m
+    return val, der
+
+
 def _lift(g: list[int], r: int, p: int, bound: int) -> tuple[int, int]:
     """(root, pᵏ): a simple root r of g mod p Newton-lifted until pᵏ > bound."""
     m = p
     while m <= bound:
         m *= m
-        val = der = 0
-        for c in reversed(g):
-            der = (der * r + val) % m
-            val = (val * r + c) % m
+        val, der = _at(g, r, m)
         r = (r - val * pow(der, -1, m)) % m
     return r, m
 
 
-def _root_candidates(f: list[int]) -> list[Fraction]:
-    """Candidates covering every rational root of a primitive f.
+def _root_candidates(f: list[int]) -> list[tuple[int, int]]:
+    """Coprime (u, v), v > 0, covering every rational root u/v of a primitive f.
 
-    Degree 1 is answered directly.  Otherwise take the first prime p ∤ a = lc(f)
-    at which f's roots mod p are all simple (after LIFTING_PRIME_TRIES
-    failures, those of the exact squarefree part g, which has finitely many
-    bad primes); each lifts to a unique p-adic root r.  A rational root u/v
-    has v | a, so y = a·u/v is an integer with |y| ≤ B = |a| + max|fᵢ|
-    (Cauchy), read off as the symmetric residue of a·r mod pᵏ > 2B.  Roots
-    mod p that come from no rational root give candidates at which f does
-    not vanish.
+    At the first prime p ∤ a = lc(f) where f's roots mod p are all simple (or,
+    after LIFTING_PRIME_TRIES failures, those of the squarefree part g), each
+    lifts to a p-adic root r.  A rational root u/v has v | a, so y = a·u/v is
+    an integer with |y| ≤ B = |a| + max|fᵢ| (Cauchy): the symmetric residue
+    of a·r mod pᵏ > 2B.  A root mod p from no rational root gives a candidate
+    at which f does not vanish.  The residues are swept: every prime tried
+    but the last divides a or disc(g), or is among the first tries, so p
+    stays polynomial in the bit size.
     """
     if len(f) <= 2:
-        return [Fraction(-f[0], f[1])] if len(f) == 2 else []
+        return [(-f[0], f[1])] if len(f) == 2 else []
     a, g = f[-1], f
-    primes = (n for n in itertools.count(2) if scalars._is_prime(n) and a % n)
+    primes = (n for n in itertools.count(2) if a % n and scalars._is_prime(n))
     for tries, p in enumerate(primes):
         if tries == LIFTING_PRIME_TRIES:
             g = _squarefree(f)
-        residues, _ = fields._roots_mod_p(tuple(c % p for c in g), p)
-        if all(m == 1 for _, m in residues):
+        at = [_at(g, r, p) for r in range(p)]
+        residues = [r for r, (val, _) in enumerate(at) if not val]
+        if all(at[r][1] for r in residues):
             break
     bound = 2 * (abs(a) + max(map(abs, f)))
     out = []
-    for r, _ in residues:
+    for r in residues:
         r, m = _lift(g, r, p, bound)
         y = a * r % m
-        out.append(Fraction(y - m if 2 * y > m else y, a))
+        y = y - m if 2 * y > m else y
+        d = gcd(y, a)
+        out.append((y // d, a // d))
     return out
 
 
 def roots(coeffs: tuple[Fraction, ...]) -> tuple[list[tuple[Fraction, int]], int]:
-    """(roots ascending with multiplicities, unfactored degree) of a nonzero f over ℚ.
-
-    Strips xᵏ, passes to the primitive integer form, lifts its roots mod p
-    to rational candidates, then deflates while a candidate is a root.
-    """
+    """(roots ascending with multiplicities, unfactored degree) of a nonzero f over ℚ:
+    for degree > 1, strip xᵏ and take those of the integer form (:func:`form_roots`)."""
+    if len(coeffs) == 2:
+        return [(-coeffs[0] / coeffs[1], 1)], 0
     k = next(i for i, c in enumerate(coeffs) if c)
-    found = [(ZERO, k)] if k else []
-    rem = _integer_form(coeffs[k:])
-    for root in _root_candidates(rem):
-        u, v, m = root.numerator, root.denominator, 0
+    return form_roots(_integer_form(coeffs[k:]), k)
+
+
+def form_roots(rem: list[int], k: int = 0) -> tuple[list[tuple[Fraction, int]], int]:
+    """:func:`roots` of xᵏ times a primitive integer form with a nonzero constant
+    term: its roots mod p lift to candidates, each deflated while it is a root,
+    ordered by a·u/v (a the leading coefficient) before any Fraction is made."""
+    a, found = rem[-1], [(0, 0, 1, k)] if k else []
+    for u, v in _root_candidates(rem):
+        m = 0
         while len(rem) > 1 and _vanishes(rem, u, v):
             rem = _exact_quotient(rem, [-u, v])
             m += 1
         if m:
-            found.append((root, m))
-    found.sort(key=lambda rm: rm[0])
-    return found, len(rem) - 1
+            found.append((u * (a // v), u, v, m))
+    found.sort()
+    return [(Fraction(u, v), m) for _, u, v, m in found], len(rem) - 1
 
 
-def squarefree(coeffs: tuple[Fraction, ...]) -> list[Fraction]:
-    """f / gcd(f, f′) scaled to constant term 1, for f with f(0) ≠ 0 (so g(0) ≠ 0)."""
+def squarefree(coeffs: tuple[Fraction, ...]) -> tuple[list[Fraction], list[int] | None]:
+    """f / gcd(f, f′) scaled to constant term 1, for f(0) ≠ 0, and the primitive
+    integer form it came from (None at degree 1, where the part is f itself)."""
+    if len(coeffs) == 2:
+        return [ONE, coeffs[1] / coeffs[0]], None
     g = _squarefree(_integer_form(coeffs))
-    return [Fraction(c, g[0]) for c in g]
+    return [Fraction(c, g[0]) for c in g], g

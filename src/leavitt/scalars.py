@@ -6,8 +6,10 @@ a prime field, ``fractions.Fraction`` over the rationals.  A characteristic
 is accepted only if it is prime, which deterministic Miller–Rabin decides
 below :data:`MILLER_RABIN_BOUND`.  This module holds no polynomial code, so
 reading ``--field F<p>`` compiles none; :mod:`leavitt.fields` re-exports
-:class:`Field`, and the ℚ branches import :mod:`leavitt.rationals` only when
-they run.
+:class:`Field`.  ℚ imports :mod:`leavitt.rationals` on its first scalar
+operation and keeps it (``Field._rationals``), so work over 𝔽p, or over ℚ
+with no scalar, loads neither it nor ``fractions``, and no ℚ operation runs
+an import statement.
 """
 
 from __future__ import annotations
@@ -96,6 +98,13 @@ class Field:
         raise ValueError(f"unrecognized field header {text!r}")
 
     @property
+    def _rationals(self):
+        """:mod:`leavitt.rationals`, imported on first use and then kept on the class."""
+        from . import rationals
+        type(self)._rationals = rationals  # no instance state, so a Field still pickles
+        return rationals
+
+    @property
     def is_prime_field(self) -> bool:
         return self.p is not None
 
@@ -106,23 +115,16 @@ class Field:
 
     @property
     def zero(self) -> Scalar:
-        if self.p is not None:
-            return 0
-        from .rationals import ZERO
-        return ZERO
+        return 0 if self.p is not None else self._rationals.ZERO
 
     @property
     def one(self) -> Scalar:
-        if self.p is not None:
-            return 1
-        from .rationals import ONE
-        return ONE
+        return 1 if self.p is not None else self._rationals.ONE
 
     def coerce(self, x) -> Scalar:
         """Normalize an int/Fraction (or a scalar from another field) into this field."""
         if self.p is None:
-            from .rationals import coerce
-            return coerce(x)
+            return self._rationals.coerce(x)
         if isinstance(x, bool):
             raise FieldMismatchError(f"cannot coerce {x!r} into F{self.p}")
         if isinstance(x, int):
@@ -150,8 +152,7 @@ class Field:
         if a == 0:
             raise DivisionByZeroError("inverse of zero")
         if self.p is None:
-            from .rationals import inverse
-            return inverse(a)
+            return self._rationals.ONE / a
         return pow(a, self.p - 2, self.p)
 
     # -- text form ---------------------------------------------------------
@@ -163,8 +164,7 @@ class Field:
         coefficient has no more digits than its token (no ``1e4000``).
         """
         if self.p is None:
-            from .rationals import parse
-            return parse(token)
+            return self._rationals.parse(token)
         if not (token.isascii() and token.isdigit()):
             raise ValueError(f"bad residue {token!r}: expected a decimal integer in [0, {self.p})")
         value = int(token)

@@ -10,9 +10,11 @@ import itertools
 import math
 import operator
 import pkgutil
+import re
 from collections import Counter
 from fractions import Fraction
-from typing import Mapping
+from math import gcd, lcm
+from typing import Iterable, Mapping
 
 from hypothesis import strategies as st
 
@@ -24,11 +26,14 @@ from leavitt.digraph import (
     is_saturated)
 from leavitt.errors import (
     FieldMismatchError,
+    InternalConsistencyError,
     MeetJoinFailureError,
+    ParseError,
     ResourceLimitError,
     UnsupportedShapeError,
 )
-from leavitt.fields import Field, Polynomial, RootMultiset
+from leavitt.fields import DlfVerdict, Field, Polynomial, RootMultiset
+from leavitt.scalars import _is_prime
 
 
 # -- label isomorphism (structure match ignoring id names) ------------------------
@@ -257,6 +262,36 @@ def recursive_paths_ending_at(g: Digraph, v: str, skip_arrows: frozenset[str],
     active.discard(v)
     memo[key] = total
     return total
+
+
+def guarded_paths_ending_at(g: Digraph, roots, starts: Counter,
+                            skip_arrows: frozenset[str] = frozenset()) -> dict[str, int]:
+    """``dimension._paths_ending_at`` as it was before its callers checked its
+    precondition: the same pass, raising on an ω class or a cycle it meets."""
+    memo: dict[str, int] = {}
+    for root in roots:
+        path = {} if root in memo else {root: [iter(g.in_arrows(root)), starts[root], 1]}
+        while path:
+            frame = path[next(reversed(path))]
+            for a in frame[0]:
+                if a.id in skip_arrows:
+                    continue
+                if is_omega(a.multiplicity):
+                    raise UnsupportedShapeError(f"ω class {a.id} makes path counts infinite")
+                u = a.source
+                if u in path:
+                    raise UnsupportedShapeError(
+                        f"a cycle feeds {u} in {g.name}; path counts are infinite")
+                if u not in memo:
+                    path[u] = [iter(g.in_arrows(u)), starts[u], a.multiplicity]
+                    break
+                frame[1] += a.multiplicity * memo[u]
+            else:
+                v, (_, total, multiplicity) = path.popitem()
+                memo[v] = total
+                if path:
+                    path[next(reversed(path))][1] += multiplicity * total
+    return memo
 
 
 def recursive_sink_multiset(g: Digraph, v: str, memo: dict) -> Counter:
@@ -886,3 +921,214 @@ def dataclass_twin(cls: type) -> type:
                                       namespace=namespace)
     twin.__module__, twin.__qualname__ = cls.__module__, cls.__qualname__
     return twin
+
+
+# -- the one-pass readers' predecessors: parse, then check in Digraph(...); ℚ roots
+# and squarefree parts as taken before degree 1 was read off and the integer
+# form was kept --------------------------------------------------------------------
+
+def init_parse_digraph(text: str, path: str | None = None) -> Digraph:
+    """The digraph parser that collected the lines, then built ``Digraph(...)``,
+    which checked and indexed them a second time."""
+    name = None
+    vertices: list[str] = []
+    arrows: list[tuple] = []
+    seen_v: set[str] = set()
+    seen_a: set[str] = set()
+    for no, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        kw = parts[0]
+        if kw == "digraph":
+            if name is not None:
+                raise ParseError("duplicate digraph header", no, path)
+            if len(parts) != 2:
+                raise ParseError("expected: digraph <name>", no, path)
+            name = parts[1]
+        elif kw == "vertex":
+            if len(parts) != 2:
+                raise ParseError("expected: vertex <id>", no, path)
+            if parts[1] in seen_v:
+                raise ParseError(f"duplicate vertex id {parts[1]!r}", no, path)
+            seen_v.add(parts[1])
+            vertices.append(parts[1])
+        elif kw == "arrow":
+            if len(parts) not in (4, 5):
+                raise ParseError("expected: arrow <id> <src> <dst> [<k>|omega]", no, path)
+            aid, src, dst = parts[1:4]
+            if aid in seen_a:
+                raise ParseError(f"duplicate arrow id {aid!r}", no, path)
+            seen_a.add(aid)
+            mult: int | float = 1
+            if len(parts) == 5:
+                if parts[4] == "omega":
+                    mult = OMEGA
+                elif parts[4].isascii() and parts[4].isdigit() and int(parts[4]) >= 1:
+                    mult = int(parts[4])
+                else:
+                    raise ParseError(f"bad multiplicity {parts[4]!r}", no, path)
+            if src not in seen_v:
+                raise ParseError(f"arrow {aid!r}: undeclared source {src!r}", no, path)
+            if dst not in seen_v:
+                raise ParseError(f"arrow {aid!r}: undeclared target {dst!r}", no, path)
+            arrows.append((aid, src, dst, mult))
+        else:
+            raise ParseError(f"unrecognized keyword {kw!r}", no, path)
+    if name is None:
+        raise ParseError("missing digraph header", None, path)
+    return Digraph(name, vertices, arrows)
+
+
+_FRACTION_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def fraction_parse(token: str) -> Fraction:
+    """A ℚ token read by ``Fraction(token)`` after the syntax check."""
+    if not _FRACTION_TOKEN.fullmatch(token):
+        raise ValueError(f"bad rational {token!r}: expected a or a/b in decimal digits")
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {token!r}: {exc}") from None
+
+
+LIFTING_PRIME_TRIES = 8
+ZERO = Fraction(0)
+
+def _primitive(coeffs: Iterable[int]) -> list[int]:
+    """The coefficients divided by their content, with a positive leading one."""
+    coeffs = list(coeffs)
+    content = gcd(*coeffs)
+    if coeffs[-1] < 0:
+        content = -content
+    return [c // content for c in coeffs]
+
+
+def _integer_form(coeffs: Iterable[Fraction]) -> list[int]:
+    """The primitive integer multiple of a list of rationals (see _primitive)."""
+    coeffs = list(coeffs)
+    denom = lcm(*(c.denominator for c in coeffs))
+    return _primitive(c.numerator * (denom // c.denominator) for c in coeffs)
+
+
+def _exact_quotient(f: list[int], d: list[int]) -> list[int]:
+    """f / d over ℤ; fails loudly unless d divides f with an integer quotient."""
+    rem = list(f)
+    n = len(d) - 1
+    quo = [0] * (len(f) - n)
+    for i in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[i + n], d[-1])
+        if r:
+            raise InternalConsistencyError(f"{d} does not divide {f} over Z")
+        quo[i] = c
+        for j in range(n):
+            rem[i + j] -= c * d[j]
+    if any(rem[:n]):
+        raise InternalConsistencyError(f"{d} does not divide {f} over Z")
+    return quo
+
+
+def _squarefree(f: list[int]) -> list[int]:
+    """f / gcd(f, f′) for primitive f, by the primitive remainder sequence."""
+    a, b = f, _primitive([i * c for i, c in enumerate(f)][1:])
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):
+            c, shift = r[-1], len(r) - len(b)
+            r = [x * b[-1] for x in r]
+            for j, y in enumerate(b):
+                r[shift + j] -= c * y
+            fields._trim(r)
+        a, b = b, _primitive(r) if r else []
+    return f if b else _exact_quotient(f, a)
+
+
+def _vanishes(f: list[int], u: int, v: int) -> bool:
+    """f(u/v) = 0, by Horner on the homogeneous form Σ fᵢ uⁱ v^(n−i)."""
+    acc, w = 0, 1
+    for c in reversed(f):
+        acc = acc * u + c * w
+        w *= v
+    return acc == 0
+
+
+def _lift(g: list[int], r: int, p: int, bound: int) -> tuple[int, int]:
+    """(root, pᵏ): a simple root r of g mod p Newton-lifted until pᵏ > bound."""
+    m = p
+    while m <= bound:
+        m *= m
+        val = der = 0
+        for c in reversed(g):
+            der = (der * r + val) % m
+            val = (val * r + c) % m
+        r = (r - val * pow(der, -1, m)) % m
+    return r, m
+
+
+def _root_candidates(f: list[int]) -> list[Fraction]:
+    """Candidates covering every rational root of a primitive f.
+
+    Degree 1 is answered directly.  Otherwise take the first prime p ∤ a = lc(f)
+    at which f's roots mod p are all simple (after LIFTING_PRIME_TRIES
+    failures, those of the exact squarefree part g, which has finitely many
+    bad primes); each lifts to a unique p-adic root r.  A rational root u/v
+    has v | a, so y = a·u/v is an integer with |y| ≤ B = |a| + max|fᵢ|
+    (Cauchy), read off as the symmetric residue of a·r mod pᵏ > 2B.  Roots
+    mod p that come from no rational root give candidates at which f does
+    not vanish.
+    """
+    if len(f) <= 2:
+        return [Fraction(-f[0], f[1])] if len(f) == 2 else []
+    a, g = f[-1], f
+    primes = (n for n in itertools.count(2) if _is_prime(n) and a % n)
+    for tries, p in enumerate(primes):
+        if tries == LIFTING_PRIME_TRIES:
+            g = _squarefree(f)
+        residues, _ = fields._roots_mod_p(tuple(c % p for c in g), p)
+        if all(m == 1 for _, m in residues):
+            break
+    bound = 2 * (abs(a) + max(map(abs, f)))
+    out = []
+    for r, _ in residues:
+        r, m = _lift(g, r, p, bound)
+        y = a * r % m
+        out.append(Fraction(y - m if 2 * y > m else y, a))
+    return out
+
+
+def lifted_roots(coeffs: tuple[Fraction, ...]) -> tuple[list[tuple[Fraction, int]], int]:
+    """(roots ascending with multiplicities, unfactored degree) of a nonzero f over ℚ.
+
+    Strips xᵏ, passes to the primitive integer form, lifts its roots mod p
+    to rational candidates, then deflates while a candidate is a root.
+    """
+    k = next(i for i, c in enumerate(coeffs) if c)
+    found = [(ZERO, k)] if k else []
+    rem = _integer_form(coeffs[k:])
+    for root in _root_candidates(rem):
+        u, v, m = root.numerator, root.denominator, 0
+        while len(rem) > 1 and _vanishes(rem, u, v):
+            rem = _exact_quotient(rem, [-u, v])
+            m += 1
+        if m:
+            found.append((root, m))
+    found.sort(key=lambda rm: rm[0])
+    return found, len(rem) - 1
+
+
+def lifted_squarefree(coeffs: tuple[Fraction, ...]) -> list[Fraction]:
+    """f / gcd(f, f′) scaled to constant term 1, for f with f(0) ≠ 0 (so g(0) ≠ 0)."""
+    g = _squarefree(_integer_form(coeffs))
+    return [Fraction(c, g[0]) for c in g]
+
+
+def keyword_verdict(rm: RootMultiset) -> DlfVerdict:
+    """The dlf verdict as ``is_dlf`` built it from ``find_roots``, by keyword."""
+    repeated = next((r for r, m in rm.roots if m > 1), None)
+    if repeated is not None:
+        return DlfVerdict(False, repeated_root=repeated, unfactored_degree=rm.unfactored_degree)
+    if rm.unfactored_degree:
+        return DlfVerdict(False, unfactored_degree=rm.unfactored_degree)
+    return DlfVerdict(True, roots=tuple(r for r, _ in rm.roots))

@@ -202,6 +202,36 @@ SAMPLE_ARGS = {
 }
 
 
+#: What int() says of a decimal string past its 4,300-digit limit.
+LONG_INT = ("Exceeds the limit (4300 digits) for integer string conversion: value has 5000 "
+            "digits; use sys.set_int_max_str_digits() to increase the limit")
+
+#: A malformed digraph for each check of parse_digraph, and where and why it fails.
+BAD_GRAPHS = {
+    "second-header": ("digraph g\nvertex a\ndigraph h\n", ":line 3: duplicate digraph header"),
+    "header-arity": ("digraph g h\n", ":line 1: expected: digraph <name>"),
+    "vertex-arity": ("digraph g\nvertex a b\n", ":line 2: expected: vertex <id>"),
+    "arrow-arity": ("digraph g\nvertex a\narrow e a\n",
+                    ":line 3: expected: arrow <id> <src> <dst> [<k>|omega]"),
+    "duplicate-vertex": ("digraph g\nvertex a\nvertex b\nvertex a\n",
+                         ":line 4: duplicate vertex id 'a'"),
+    "duplicate-arrow": ("digraph g\nvertex a\narrow e a a\narrow e a a\n",
+                        ":line 4: duplicate arrow id 'e'"),
+    "duplicate-arrow-first": ("digraph g\nvertex a\narrow e a a\narrow e a b 0\n",
+                              ":line 4: duplicate arrow id 'e'"),
+    "bad-multiplicity": ("digraph g\nvertex a\narrow e a a 0\n", ":line 3: bad multiplicity '0'"),
+    "multiplicity-before-source": ("digraph g\nvertex a\narrow e b c x\n",
+                                   ":line 3: bad multiplicity 'x'"),
+    "undeclared-source": ("digraph g\nvertex a\narrow e b a\n",
+                          ":line 3: arrow 'e': undeclared source 'b'"),
+    "undeclared-target": ("digraph g\nvertex a\narrow e a b\n",
+                          ":line 3: arrow 'e': undeclared target 'b'"),
+    "unknown-keyword": ("digraph g\nvertex a\nedge e a a\n",
+                        ":line 3: unrecognized keyword 'edge'"),
+    "missing-header": ("# no header\nvertex a\n", ": missing digraph header"),
+}
+
+
 class TestCliGolden:
     @pytest.mark.parametrize("args,expected", GOLDEN,
                              ids=[e for _, e in GOLDEN])
@@ -436,12 +466,37 @@ class TestCliBehavior:
         assert run_cli("decide", *extra, cpath("loop"), str(path)) == (2, "")
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("token", ["1e1", "1_0", "١٢", "1.5", "3/-4", "0x10"])
+    @pytest.mark.parametrize("token", ["1e1", "1_0", "١٢", "1.5", "3/-4", "0x10", "+-1"])
     def test_rational_coefficients_are_ascii_fractions(self, tmp_path, capsys, token):
         path = tmp_path / "j.ideal"
         path.write_text(f"ideal j\nfield Q\ncycle C: e\npoly C: 1 {token}\n")
         assert run_cli("decide", cpath("loop"), str(path)) == (2, "")
-        assert f"{path}:line 4: bad rational {token!r}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {path}:line 4: bad rational {token!r}: "
+                                           "expected a or a/b in decimal digits\n")
+
+    @pytest.mark.parametrize("token,reason", [
+        ("3/0", "Fraction(3, 0)"),
+        ("-7/00", "Fraction(-7, 0)"),
+        ("7" * 5000, LONG_INT),
+        ("-" + "7" * 5000, LONG_INT),
+        ("1/" + "7" * 5000, LONG_INT),
+    ], ids=["zero-denominator", "signed-zero-denominator", "long-numerator",
+            "long-negative-numerator", "long-denominator"])
+    def test_rational_coefficients_that_make_no_fraction(self, tmp_path, capsys, token, reason):
+        path = tmp_path / "j.ideal"
+        path.write_text(f"ideal j\nfield Q\ncycle C: e\npoly C: 1 {token}\n")
+        assert run_cli("decide", cpath("loop"), str(path)) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:line 4: bad rational {token!r}: {reason}\n"
+
+    @pytest.mark.parametrize("name", list(BAD_GRAPHS))
+    def test_digraph_parse_errors(self, tmp_path, capsys, name):
+        # the first failing check of the first failing line is reported, with its line
+        text, where = BAD_GRAPHS[name]
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        assert run_cli("decide", str(path), cpath("complex-ideal-F5")) == (2, "")
+        assert capsys.readouterr().err == f"error: {path}{where}\n"
 
     def test_unknown_vertex_message_is_deterministic(self):
         errs = set()
