@@ -14,13 +14,13 @@ components, built once per digraph (:attr:`Digraph.components`).
 
 Vertex sets inside the structural analyses are int masks over a
 :class:`~leavitt.bitindex.BitIndex` (:attr:`Digraph.bits`), built on first use
-by what asks many set questions of one digraph: the enumerations, the closure,
-:func:`breaking_vertices` and the Galois map ψ.  The closure, the closed sets
-and B_H are then word operations on masks of successors, predecessors and ω
-targets; the public functions take and return ``frozenset``s of ids, or the
-masks where they say so.  Validating one ideal reads only the arrows at its H
-(:func:`~leavitt.ideals.admissibility`), so ``quotient``, ``decide``, ``dim``
-and the like never load ``bitindex``.
+by what asks many set questions of one digraph: the enumerations, the closure
+and the Galois map ψ.  The closure, the closed sets and B_H are then word
+operations on masks of successors, predecessors and ω targets; the public
+functions take and return ``frozenset``s of ids, or the masks where they say
+so.  Validating one ideal, and :func:`breaking_vertices` of one H, read only
+the arrows at H (:func:`~leavitt.ideals.admissibility`), so ``quotient``,
+``decide``, ``dim`` and the like never load ``bitindex``.
 
 Digraph morphisms and their admissibility check live in
 :mod:`leavitt.morphisms`, and the arrow instances a corner generator leaves
@@ -275,10 +275,6 @@ def cycle_vertices(g: Digraph, cycle: GeometricCycle) -> tuple[str, ...]:
     return sources
 
 
-def base_vertex(g: Digraph, cycle: GeometricCycle) -> str:
-    return g.arrow(cycle.arrows[0]).source
-
-
 def _strong_components(vs: Sequence[str], succ: Mapping[str, list[str]]) -> Iterator[list[str]]:
     """Tarjan's strongly connected components of the digraph induced on vs."""
     inside, index, low, stack, on_stack, work = set(vs), {}, {}, [], set(), []
@@ -395,12 +391,13 @@ def enumerate_hereditary_saturated(g: Digraph, limit: int = 10_000, *,
 
 def breaking_vertices(g: Digraph, hs: Iterable[str]) -> frozenset[str]:
     """Infinite emitters with finitely many, but at least one, arrows into V∖H."""
-    hs = set(hs)
+    from .ideals import admissibility  # reads the arrows at H
+    hs = frozenset(hs)
     g.check_vertices(hs)
-    if not is_hereditary(g, hs):
+    hereditary, _, breaking = admissibility(g, hs)
+    if not hereditary:
         raise NotHereditaryError(f"{sorted(hs)} is not hereditary in {g.name}")
-    bits = g.bits
-    return bits.members(bits.breaking(bits.mask(hs)))
+    return breaking
 
 
 # -- DOT export ------------------------------------------------------------------

@@ -41,12 +41,13 @@ def parse_digraph(text: str, path: str | None = None) -> Digraph:
                 raise ParseError(f"duplicate arrow id {aid!r}", no, path)
             mult: int | float = 1
             if len(parts) == 5:
-                if parts[4] == "omega":
-                    mult = OMEGA
-                elif parts[4].isascii() and parts[4].isdigit() and int(parts[4]) >= 1:
-                    mult = int(parts[4])
-                else:
-                    raise ParseError(f"bad multiplicity {parts[4]!r}", no, path)
+                k = parts[4]
+                try:  # int() refuses more than 4,300 digits
+                    mult = OMEGA if k == "omega" else int(k) if k.isascii() and k.isdigit() else 0
+                except ValueError as exc:
+                    raise ParseError(f"bad multiplicity {k!r}: {exc}", no, path) from None
+                if mult < 1:
+                    raise ParseError(f"bad multiplicity {k!r}", no, path)
             if src not in out:
                 raise ParseError(f"arrow {aid!r}: undeclared source {src!r}", no, path)
             if dst not in out:

@@ -138,12 +138,10 @@ def parse_presentation(text: str, path: str | None = None) -> ProjectivePresenta
             rest = line[len("corner "):].strip()
             if "{" not in rest or not rest.endswith("}"):
                 raise ParseError("expected: corner <v> {e#i, ...}", no, path)
-            vertex, braced = rest.split("{", 1)
-            vertex = vertex.strip()
+            vertex, body = (part.strip() for part in rest[:-1].split("{", 1))
             if not vertex:
                 raise ParseError("corner line is missing the vertex", no, path)
             z = set()
-            body = braced[:-1].strip()
             for token in ([] if not body else body.split(",")):
                 token = token.strip()
                 if "#" not in token:
@@ -151,7 +149,10 @@ def parse_presentation(text: str, path: str | None = None) -> ProjectivePresenta
                 aid, idx = token.rsplit("#", 1)
                 if not (idx.isascii() and idx.isdigit()):
                     raise ParseError(f"bad instance index in {token!r}", no, path)
-                z.add((aid, int(idx)))
+                try:  # int() refuses more than 4,300 digits
+                    z.add((aid, int(idx)))
+                except ValueError as exc:
+                    raise ParseError(f"bad instance index in {token!r}: {exc}", no, path) from None
             items.append(CornerGen(vertex, frozenset(z)))
         else:
             raise ParseError("expected a 'P:' or 'corner' line", no, path)
@@ -161,12 +162,12 @@ def parse_presentation(text: str, path: str | None = None) -> ProjectivePresenta
 def is_orthogonal(g: Digraph, p: ProjectivePresentation, j: IdealPresentation) -> bool:
     """Hom(P, L/J) = 0: P ⊥ J ⇔ trace(P) ⊆ J ⇔ ψ(P) ≼ (H, S), as trace(P) is graded."""
     from .ideals import pair_order
-    from .ktheory import galois_psi, validate_presentation
+    from .ktheory import galois_psi
     from .presentations import validated_ideal
 
-    p = validate_presentation(g, p)
+    psi = galois_psi(g, p)  # validates P, so its errors come before J's
     validated_ideal(g, j)
-    return pair_order(g, galois_psi(g, p), j.pair)
+    return pair_order(g, psi, j.pair)
 
 
 # -- module classifications --------------------------------------------------------------

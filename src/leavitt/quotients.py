@@ -22,22 +22,18 @@ Fresh-id scheme: primed ids append a prime character, split ids append
 
 Contract: each public (digraph, ideal) entry point validates once, through
 :func:`~leavitt.presentations.validated_ideal`, and builds the graded
-quotient, the dlf verdicts and the severed digraph at most once per call;
-the one worker, :func:`sever_validated`, severs a validated ideal with its
-cached B_H∖S: the radical j′ unchecked, or from the graded quotient built.
+quotient, the dlf verdicts and the severed digraph at most once per call.
+The one worker, :func:`sever_validated`, takes only the validated ideal: it
+builds Γ/(H, S) from the cached B_H∖S, mints every split id, and records on
+the severed result what each generator of Γ/(H, S) becomes in Γ//J.  The
+certificate attaches roots and scalars to those images and names no id.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .digraph import (
-    ArrowClass,
-    Digraph,
-    GeometricCycle,
-    base_vertex,
-    cycle_vertices,
-)
+from .digraph import ArrowClass, Digraph, GeometricCycle, cycle_vertices
 from .errors import (
     CycleHasExitError,
     CyclesNotDisjointError,
@@ -55,10 +51,15 @@ if TYPE_CHECKING:
 
 @record
 class QuotientResult:
-    """A constructed digraph plus, for every new id, where it came from."""
+    """A constructed digraph plus, for every new id, where it came from.
+
+    Only severing fills ``images``: for each generator of Γ/(H, S), in its
+    order, ``(kind, id, image ids)`` with kind "vertex", "arrow" or "cycle"
+    (a β cycle's first arrow, whose image is its cycle's sinks)."""
 
     digraph: Digraph
     provenance: Mapping[str, str]
+    images: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
 
 
 def _fresh(name: str, taken: set[str]) -> str:
@@ -139,11 +140,6 @@ def cycle_to_loop(g: Digraph, cycles: Iterable[GeometricCycle]) -> QuotientResul
     return QuotientResult(Digraph(g.name, g.vertices, arrows), provenance)
 
 
-def split_sink_ids(base: str, degree: int) -> list[str]:
-    """Fresh sink ids for a cycle severed at ``base``: ``<base>.1 .. <base>.d``."""
-    return [f"{base}.{j}" for j in range(1, degree + 1)]
-
-
 def sever(g: Digraph, j: IdealPresentation) -> QuotientResult:
     """Γ//J: graded quotient, cycles to loops, loops into deg θ(C) sinks.
 
@@ -152,50 +148,62 @@ def sever(g: Digraph, j: IdealPresentation) -> QuotientResult:
     return sever_validated(validated_ideal(g, j))
 
 
-def sever_validated(valid: ValidatedIdeal, q1: QuotientResult | None = None) -> QuotientResult:
-    """:func:`sever` for a validated presentation, from its graded quotient q1 if built."""
+def sever_validated(valid: ValidatedIdeal) -> QuotientResult:
+    """:func:`sever` for a validated presentation, from the graded quotient it
+    builds, with what each generator of that quotient becomes (``images``)."""
     g, j = valid.graph, valid.ideal
-    q1 = q1 or _graded_quotient(g, j.pair.h, valid.primed)
+    q1 = _graded_quotient(g, j.pair.h, valid.primed)
     work = q1.digraph
-    provenance = dict(q1.provenance)
     # each cycle's first arrow is the one the rewrite turns into a loop, and
     # severing deletes that loop; it takes no id and leaves its own free
     first_arrows = {c.arrows[0] for c in j.beta}
-    for aid in first_arrows:
-        provenance.pop(aid, None)
 
     # ids are minted per cycle, sinks first and then copies of the arrows into
-    # the base, which fixes the id a collision reports; vertices and arrows are
-    # then replaced in place in one pass
+    # the base, which fixes the id a collision reports
     taken = set(work.vertices) | {a.id for a in work.arrows if a.id not in first_arrows}
-    sinks_of: dict[str, list[str]] = {}
-    copies_of: dict[str, list[ArrowClass]] = {aid: [] for aid in first_arrows}  # id -> replacement
+    sinks_of: dict[str, tuple[str, ...]] = {}  # base -> its sinks
+    copies_of: dict[str, list[ArrowClass]] = {}  # arrow into a base -> its copies
+    minted: dict[str, str] = {}  # the provenance of the new ids
     for cycle in j.beta:
-        base = base_vertex(work, cycle)
-        sinks = [_fresh(s, taken) for s in split_sink_ids(base, j.theta[cycle].degree)]
-        sinks_of[base] = sinks
-        provenance.pop(base, None)
-        for jdx, s in enumerate(sinks, 1):
-            provenance[s] = f"cycle-sink {base} root {jdx}"
+        base = work.arrow(cycle.arrows[0]).source
+        sinks_of[base] = sinks = tuple(_fresh(f"{base}.{jdx}", taken)
+                                       for jdx in range(1, j.theta[cycle].degree + 1))
+        minted.update((s, f"cycle-sink {base} root {jdx}") for jdx, s in enumerate(sinks, 1))
         for a in work.in_arrows(base):
             if a.id == cycle.arrows[0]:
                 continue
             if a.source == base:
                 raise InternalConsistencyError(
                     f"unexpected second loop {a.id} at severed vertex {base}")
-            provenance.pop(a.id, None)
             copies_of[a.id] = []
             for jdx, s in enumerate(sinks, 1):
                 copy_id = _fresh(f"{a.id}.{jdx}", taken)
                 copies_of[a.id].append(ArrowClass(copy_id, a.source, s, a.multiplicity))
-                provenance[copy_id] = f"split-arrow {a.id} copy {jdx}"
-    vertices = [s for v in work.vertices for s in sinks_of.get(v, [v])]
-    arrows = [c for a in work.arrows for c in copies_of.get(a.id, [a])]
+                minted[copy_id] = f"split-arrow {a.id} copy {jdx}"
+
+    # Γ//J and the images, in one pass over the generators of Γ/(H, S)
+    vertices: list[str] = []
+    arrows: list[ArrowClass] = []
+    images = []
+    for v in work.vertices:
+        ids = sinks_of.get(v, (v,))
+        vertices += ids
+        images.append(("vertex", v, ids))
+    for a in work.arrows:
+        if a.id in first_arrows:
+            images.append(("cycle", a.id, sinks_of[a.source]))
+            continue
+        copies = copies_of.get(a.id, [a])
+        arrows += copies
+        images.append(("arrow", a.id, tuple(c.id for c in copies)))
     digraph = Digraph(g.name, vertices, arrows)
+    # the replaced generators leave the provenance and the minted ids join it
+    provenance = {x: origin for x, origin in q1.provenance.items() if x not in first_arrows
+                  and x not in sinks_of and x not in copies_of} | minted
     missing = (set(digraph.vertices) | {a.id for a in digraph.arrows}) ^ set(provenance)
     if missing:
         raise InternalConsistencyError(f"provenance does not cover {sorted(missing)}")
-    return QuotientResult(digraph, provenance)
+    return QuotientResult(digraph, provenance, tuple(images))
 
 
 @record
@@ -207,12 +215,12 @@ class CycleDlfReport:
 
 @record
 class DecideResult:
-    """Dlf verdict per β cycle; if all hold, Γ//J and the graded quotient it is built from."""
+    """Dlf verdict per β cycle; if all hold, Γ//J with the images of the
+    generators of Γ/(H, S), from which the certificate is read."""
 
     is_lpa: bool
     reports: tuple[CycleDlfReport, ...]
     severed: QuotientResult | None
-    quotient: QuotientResult | None = None
 
     def failing(self) -> tuple[CycleDlfReport, ...]:
         return tuple(r for r in self.reports if not r.verdict.is_dlf)
@@ -224,8 +232,7 @@ def decide_lpa_quotient(g: Digraph, j: IdealPresentation) -> DecideResult:
     reports = tuple(CycleDlfReport(j.label_of(c), c, is_dlf(j.theta[c])) for c in j.beta)
     if not all(r.verdict.is_dlf for r in reports):
         return DecideResult(False, reports, None)
-    q1 = _graded_quotient(g, j.pair.h, valid.primed)
-    return DecideResult(True, reports, sever_validated(valid, q1), q1)
+    return DecideResult(True, reports, sever_validated(valid))
 
 
 @record
@@ -254,39 +261,21 @@ class IsoCertificate:
 
 
 def iso_certificate(g: Digraph, j: IdealPresentation) -> IsoCertificate:
-    # severing mints the ids the images name, and raises on a collision
-    decision = decide_lpa_quotient(g, j)
+    """Severing's images, with the field's one on each vertex and arrow and
+    the sorted roots of θ(C) on the sinks of each cycle C."""
+    decision = decide_lpa_quotient(g, j)  # severing raises on an id collision
     if not decision.is_lpa:
         bad = ", ".join(f"{r.label}: {r.verdict.describe(j.field)}" for r in decision.failing())
         raise NotDlfError(f"no certificate: {bad}")
-    quotient = decision.quotient.digraph
-    roots_of = {r.cycle: sorted(r.verdict.roots) for r in decision.reports}
-    base_of = {c: base_vertex(quotient, c) for c in j.beta}
-    bases = {b: c for c, b in base_of.items()}
-    first_arrows = {c.arrows[0]: c for c in j.beta}
+    report_of = {r.cycle.arrows[0]: r for r in decision.reports}
     one = j.field.one
-
     entries: list[CertEntry] = []
-    for v in quotient.vertices:
-        if v in bases:
-            c = bases[v]
-            sinks = split_sink_ids(v, len(roots_of[c]))
-            entries.append(CertEntry("vertex", v, tuple((one, s) for s in sinks)))
+    for kind, generator, ids in decision.severed.images:
+        if kind == "cycle":
+            r = report_of[generator]
+            entries.append(CertEntry(kind, r.label, tuple(zip(sorted(r.verdict.roots), ids))))
         else:
-            entries.append(CertEntry("vertex", v, ((one, v),)))
-    for a in quotient.arrows:
-        if a.id in first_arrows:
-            c = first_arrows[a.id]
-            sinks = split_sink_ids(base_of[c], len(roots_of[c]))
-            entries.append(CertEntry(
-                "cycle", j.label_of(c),
-                tuple(zip(roots_of[c], sinks))))
-        elif a.target in bases:
-            c = bases[a.target]
-            copies = [f"{a.id}.{jdx}" for jdx in range(1, len(roots_of[c]) + 1)]
-            entries.append(CertEntry("arrow", a.id, tuple((one, e) for e in copies)))
-        else:
-            entries.append(CertEntry("arrow", a.id, ((one, a.id),)))
+            entries.append(CertEntry(kind, generator, tuple((one, x) for x in ids)))
     return IsoCertificate(tuple(entries))
 
 

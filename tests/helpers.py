@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import leavitt
 from leavitt import (
-    cli, cycles, dimension, fields, ktheory, morphisms, presentations, projectives, records)
+    cli, cycles, dimension, fields, ideals, ktheory, lattice, morphisms, presentations,
+    projectives, quotients, records)
 from leavitt.digraph import (
     OMEGA, ArrowClass, Digraph, GeometricCycle, cycle_vertices, is_hereditary, is_omega,
     is_saturated)
@@ -28,6 +29,7 @@ from leavitt.errors import (
     FieldMismatchError,
     InternalConsistencyError,
     MeetJoinFailureError,
+    NotDlfError,
     ParseError,
     ResourceLimitError,
     UnsupportedShapeError,
@@ -660,6 +662,73 @@ def digraphs(draw, max_vertices: int = 12) -> Digraph:
         arrows += [(f"w{i}", u, f"v{n}", OMEGA) for i, u in enumerate(feeders)]
         vs.append(f"v{n}")
     return Digraph("random", vs, arrows)
+
+
+@st.composite
+def planted_ideals(draw, max_vertices: int = 6):
+    """(g, j): a drawn digraph, with up to two more cycles of one to three
+    fresh vertices each fed by an arrow from a drawn vertex, and j on one of
+    its admissible pairs.  β is a set of the no-exit cycles of Γ/(H, S), and
+    each θ(C) a product of one to three distinct linear factors with constant
+    term 1 over 𝔽5, 𝔽7 or ℚ: a dlf ideal."""
+    g = draw(digraphs(max_vertices))
+    vertices, arrows = list(g.vertices), list(g.arrows)
+    for k in range(draw(st.integers(0, 2)) if g.vertices else 0):
+        ring = [f"c{k}_{i}" for i in range(draw(st.integers(1, 3)))]
+        vertices += ring
+        arrows += [ArrowClass(f"r{k}_{i}", v, ring[(i + 1) % len(ring)])
+                   for i, v in enumerate(ring)]
+        arrows.append(ArrowClass(f"f{k}", draw(st.sampled_from(g.vertices)), ring[0]))
+    g = Digraph(g.name, vertices, arrows)
+    pair = draw(st.sampled_from(lattice.enumerate_admissible_pairs(g)))
+    cycles = ideals.no_exit_quotient_cycles(g, pair)
+    beta = draw(st.lists(st.sampled_from(cycles), min_size=1, unique=True)) if cycles else []
+    field = draw(st.sampled_from([Field.gf(5), Field.gf(7), Field.rationals()]))
+    scalars = (st.integers(1, field.p - 1) if field.p else
+               st.fractions(-9, 9, max_denominator=4).filter(bool))
+    theta = {}
+    for c in beta:
+        f = Polynomial.from_roots(field, draw(st.lists(scalars, min_size=1, max_size=3,
+                                                       unique=True)))
+        theta[c] = f.scale(field.inv(f.constant_term))
+    return g, presentations.IdealPresentation(field, pair, tuple(beta), theta, name="planted")
+
+
+# -- the certificate re-derived from the graded quotient, as it was built before
+#    severing recorded what each generator becomes -----------------------------------
+
+def rederived_certificate(g: Digraph, j: presentations.IdealPresentation
+                          ) -> quotients.IsoCertificate:
+    """Generator images read off a graded quotient of its own: the sinks of a
+    cycle C at base v are ``v.1 .. v.d`` and the copies of an arrow a into v
+    ``a.1 .. a.d``, with d the number of roots of θ(C)."""
+    decision = quotients.decide_lpa_quotient(g, j)
+    if not decision.is_lpa:
+        bad = ", ".join(f"{r.label}: {r.verdict.describe(j.field)}" for r in decision.failing())
+        raise NotDlfError(f"no certificate: {bad}")
+    quotient = quotients.graded_quotient(g, j.pair).digraph
+    roots_of = {r.cycle: sorted(r.verdict.roots) for r in decision.reports}
+    base_of = {c: quotient.arrow(c.arrows[0]).source for c in j.beta}
+    bases = {b: c for c, b in base_of.items()}
+    first_arrows = {c.arrows[0]: c for c in j.beta}
+    one = j.field.one
+
+    def split(x: str, c: GeometricCycle) -> list[str]:
+        return [f"{x}.{k}" for k in range(1, len(roots_of[c]) + 1)]
+
+    entries: list[quotients.CertEntry] = []
+    for v in quotient.vertices:
+        image = split(v, bases[v]) if v in bases else [v]
+        entries.append(quotients.CertEntry("vertex", v, tuple((one, x) for x in image)))
+    for a in quotient.arrows:
+        if a.id in first_arrows:
+            c = first_arrows[a.id]
+            entries.append(quotients.CertEntry(
+                "cycle", j.label_of(c), tuple(zip(roots_of[c], split(base_of[c], c)))))
+        else:
+            image = split(a.id, bases[a.target]) if a.target in bases else [a.id]
+            entries.append(quotients.CertEntry("arrow", a.id, tuple((one, x) for x in image)))
+    return quotients.IsoCertificate(tuple(entries))
 
 
 # -- hereditary saturated sets and the pair lattice by exhaustive search, and the

@@ -216,6 +216,17 @@ class TestBreakingVertices:
         with pytest.raises(NotHereditaryError):
             breaking_vertices(sq2, {"u"})
 
+    def test_unknown_id_before_hereditary(self, sq2):
+        # {u} is not hereditary either: the unknown id is named first
+        with pytest.raises(UnknownVertexError, match="'zz'"):
+            breaking_vertices(sq2, {"u", "zz"})
+
+    def test_reads_the_arrows_at_h_without_the_bit_index(self, breaking):
+        assert breaking_vertices(breaking, {"h"}) == {"v"}
+        with pytest.raises(NotHereditaryError):
+            breaking_vertices(breaking, {"v"})
+        assert "bits" not in vars(breaking)
+
 
 class TestReachability:
     def test_successors(self, sq3):

@@ -137,6 +137,14 @@ class TestPresentationFormat:
         assert err.value.line == 2 and err.value.path == str(pres)
         assert run_cli("end", cpath("path2"), str(pres)) == (2, "")
 
+    def test_long_instance_index(self, tmp_path, capsys):
+        # past int()'s digit limit an index is a parse error, with int()'s reason
+        pres, token = tmp_path / "p.pres", "e#" + "7" * 5000
+        pres.write_text(f"# corner\ncorner a {{{token}}}\n")
+        assert run_cli("end", cpath("path2"), str(pres)) == (2, "")
+        assert capsys.readouterr().err == \
+            f"error: {pres}:line 2: bad instance index in {token!r}: {LONG_INT}\n"
+
 
 def run_cli(*args, env_extra=None):
     """Run the CLI in-process; returns (exit code, stdout)."""
@@ -229,6 +237,8 @@ BAD_GRAPHS = {
     "unknown-keyword": ("digraph g\nvertex a\nedge e a a\n",
                         ":line 3: unrecognized keyword 'edge'"),
     "missing-header": ("# no header\nvertex a\n", ": missing digraph header"),
+    "long-multiplicity": ("digraph g\nvertex a\narrow e a a " + "7" * 5000 + "\n",
+                          f":line 3: bad multiplicity {'7' * 5000!r}: {LONG_INT}"),
 }
 
 

@@ -41,6 +41,8 @@ from leavitt.projectives import (
 
 from conftest import corpus_graphs, load_graph, load_ideal
 from helpers import enumerated_dimension_blocks
+from test_io_cli import SAMPLE_ARGS, cpath, run_cli
+from test_validated import count_calls
 
 Q = Field.rationals()
 
@@ -214,6 +216,20 @@ class TestOrthogonality:
                                 beta=(c1,), theta={c1: Polynomial.of(Q, [2, 1])})
         with pytest.raises(InvalidIdealError):
             is_orthogonal(sq2, ProjectivePresentation.of([]), bad)
+        with pytest.raises(MalformedGeneratorsError):  # P is checked before J
+            is_orthogonal(sq2, ProjectivePresentation.of([CornerGen("u", frozenset())]), bad)
+
+    def test_orth_validates_p_once(self, monkeypatch, tmp_path, capsys):
+        counts = count_calls(monkeypatch, ("validate_presentation",))
+        assert run_cli("orth", *SAMPLE_ARGS["orth"]) == (0, "orthogonal: true\n")
+        monkeypatch.undo()
+        assert counts["validate_presentation"] == 1
+        # a bad P and a bad J: P is reported
+        pres, ideal = tmp_path / "p.pres", tmp_path / "j.ideal"
+        pres.write_text("corner u {}\n")
+        ideal.write_text("ideal j\nfield Q\ncycle C: c\npoly C: 2 1\n")
+        assert run_cli("orth", cpath("sq2"), str(ideal), str(pres)) == (3, "")
+        assert capsys.readouterr().err == "validation error: corner at u has empty Z\n"
 
 
 class TestSimpleProjectives:

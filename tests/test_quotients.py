@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
-from helpers import SinkBlockRepresentation, label_isomorphic
+from helpers import SinkBlockRepresentation, label_isomorphic, planted_ideals, rederived_certificate
 from leavitt.cycles import enumerate_cycles
 from leavitt.digraph import Digraph, GeometricCycle
 from leavitt.dimension import dimension_blocks, quotient_dimension
@@ -8,6 +9,7 @@ from leavitt.errors import (
     CycleHasExitError,
     CyclesNotDisjointError,
     InvalidIdealError,
+    LeavittError,
     NotDlfError,
     UnsupportedShapeError,
 )
@@ -230,6 +232,30 @@ class TestCertificate:
             assert vertex_gens == list(quotient.vertices)
             arrow_like = [e for e in cert.entries if e.kind != "vertex"]
             assert len(arrow_like) == len(quotient.arrows)
+
+    def test_severing_records_the_images(self, loop):
+        severed = sever(loop, load_ideal("complex-ideal-F5"))
+        assert severed.images == (("vertex", "v", ("v.1", "v.2")), ("cycle", "e", ("v.1", "v.2")))
+        assert graded_quotient(loop, AdmissiblePair.of(())).images == ()
+
+    def test_equals_the_rederived_certificate_on_corpus(self):
+        certified = 0
+        for g, j in corpus_ideal_pairs():
+            try:
+                expected = rederived_certificate(g, j)
+            except LeavittError as exc:
+                with pytest.raises(type(exc)):
+                    iso_certificate(g, j)
+                continue
+            assert iso_certificate(g, j) == expected, (g.name, j.name)
+            certified += 1
+        assert certified >= 7  # the dlf pairs
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted=planted_ideals())
+    def test_equals_the_rederived_certificate_on_planted_ideals(self, planted):
+        g, j = planted
+        assert iso_certificate(g, j) == rederived_certificate(g, j)
 
     def test_graded_certificate_is_identity(self, breaking):
         j = load_ideal("breaking-ideal")

@@ -4,7 +4,8 @@ at n and 2n, so a gate does not depend on the machine.
 Families: sq chains with a cut ideal, whose (H, S) check reads only the
 arrows at H, so its work does not grow with the chain at all, and the ideal
 commands build no bit index over the whole digraph; and cut sq chains with a
-ℚ θ on every surviving loop, whose ideal commands do work linear in n.
+ℚ θ on every surviving loop, whose ideal commands (``decide``, ``radical``,
+``sever`` and ``certificate``) do work linear in n.
 """
 
 import sys
@@ -107,7 +108,7 @@ def python_calls(*args) -> int:
     return calls["call"]
 
 
-@pytest.mark.parametrize("command", ["decide", "radical"])
+@pytest.mark.parametrize("command", ["decide", "radical", "sever", "certificate"])
 def test_rational_ideal_commands_on_a_cut_chain_do_linear_work(command, tmp_path):
     paths = []
     for n in (40, 1000, 2000):
