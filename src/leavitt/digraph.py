@@ -25,8 +25,9 @@ the arrows at H (:func:`~leavitt.ideals.admissibility`), so ``quotient``,
 Digraph morphisms and their admissibility check live in
 :mod:`leavitt.morphisms`, and the arrow instances a corner generator leaves
 out in :mod:`leavitt.ktheory`, so commands that never use them do not
-compile them.  All values are immutable after construction and every
-analysis is a pure function, so everything here is safe to share across threads.
+compile them.  All values are immutable after construction but one: the memo
+of admitted pairs, append-only and idempotent.  Every analysis is a pure
+function, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -69,30 +70,39 @@ class ArrowClass:
 
 
 class Digraph:
-    """Immutable finite digraph with ordered vertices and arrow classes."""
+    """Immutable finite digraph with ordered vertices and arrow classes; it
+    remembers B_H∖S of each (H, S) it admitted (:func:`~leavitt.ideals.ensure_admissible`)."""
 
     def __init__(self, name: str, vertices: Iterable[str],
                  arrows: Iterable[ArrowClass | tuple]):
-        self.name = name
-        self.vertices: tuple[str, ...] = tuple(vertices)
-        self.arrows: tuple[ArrowClass, ...] = tuple(
-            a if isinstance(a, ArrowClass) else ArrowClass(*a) for a in arrows)
-        if len(set(self.vertices)) != len(self.vertices):
+        vertices = tuple(vertices)
+        arrows = tuple(a if isinstance(a, ArrowClass) else ArrowClass(*a) for a in arrows)
+        declared, ids = set(vertices), set()
+        if len(declared) != len(vertices):
             raise ValueError(f"digraph {name}: duplicate vertex id")
-        by_id: dict[str, ArrowClass] = {}
-        out: dict[str, list[ArrowClass]] = {v: [] for v in self.vertices}
-        in_: dict[str, list[ArrowClass]] = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            if a.id in by_id:
+        for a in arrows:
+            if a.id in ids:
                 raise ValueError(f"digraph {name}: duplicate arrow id {a.id}")
-            if a.source not in out:
+            if a.source not in declared:
                 raise ValueError(f"digraph {name}: arrow {a.id} has undeclared source {a.source}")
-            if a.target not in out:
+            if a.target not in declared:
                 raise ValueError(f"digraph {name}: arrow {a.id} has undeclared target {a.target}")
-            by_id[a.id] = a
+            ids.add(a.id)
+        self._index(name, vertices, arrows)
+
+    @classmethod
+    def trusted(cls, name: str, vertices: tuple[str, ...], arrows: tuple[ArrowClass, ...]):
+        """``Digraph(name, vertices, arrows)`` unchecked, for what is known to pass its checks."""
+        return cls.__new__(cls)._index(name, vertices, arrows)
+
+    def _index(self, name, vertices, arrows) -> Digraph:
+        self.name, self.vertices, self.arrows, self._admitted = name, vertices, arrows, {}
+        self._by_id = {a.id: a for a in arrows}
+        self._out, self._in = out, in_ = {v: [] for v in vertices}, {v: [] for v in vertices}
+        for a in arrows:
             out[a.source].append(a)
             in_[a.target].append(a)
-        self._by_id, self._out, self._in = by_id, out, in_
+        return self
 
     @functools.cached_property
     def bits(self) -> BitIndex:
@@ -189,7 +199,7 @@ class Digraph:
         """Restriction to ws, keeping every class with both endpoints inside."""
         ws = set(ws)
         self.check_vertices(ws)
-        return Digraph(
+        return Digraph.trusted(
             name if name is not None else self.name,
             tuple(v for v in self.vertices if v in ws),
             tuple(a for a in self.arrows if a.source in ws and a.target in ws))
@@ -244,16 +254,13 @@ class GeometricCycle:
 
     arrows: tuple[str, ...]
 
-    @staticmethod
-    def canonical_rotation(arrows: Sequence[str]) -> tuple[str, ...]:
-        k = min(range(len(arrows)), key=lambda i: arrows[i])
-        return tuple(arrows[k:]) + tuple(arrows[:k])
-
     @classmethod
     def of(cls, arrows: Sequence[str]) -> "GeometricCycle":
+        """The cycle of ``arrows``, rotated to start at its smallest arrow id."""
         if not arrows:
             raise ValueError("a cycle needs at least one arrow")
-        return cls(cls.canonical_rotation(list(arrows)))
+        k = min(range(len(arrows)), key=arrows.__getitem__)
+        return cls(tuple(arrows[k:]) + tuple(arrows[:k]))
 
     def __len__(self):
         return len(self.arrows)
@@ -408,12 +415,8 @@ def to_dot(g: Digraph) -> str:
     for v in g.vertices:
         lines.append(f'  "{v}";')
     for a in g.arrows:
-        if is_omega(a.multiplicity):
-            label = f"{a.id} (ω)"
-        elif a.multiplicity != 1:
-            label = f"{a.id} (x{a.multiplicity})"
-        else:
-            label = a.id
+        k = a.multiplicity
+        label = a.id + (" (ω)" if is_omega(k) else "" if k == 1 else f" (x{k})")
         lines.append(f'  "{a.source}" -> "{a.target}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

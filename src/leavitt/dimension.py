@@ -91,10 +91,10 @@ def dimension_blocks(g: Digraph, j: IdealPresentation | None = None) -> MatrixDe
     """
     if j is not None:
         from .presentations import validated_ideal
-        from .quotients import _graded_quotient
+        from .quotients import graded_quotient
 
-        valid = validated_ideal(g, j)
-        work = _graded_quotient(g, j.pair.h, valid.primed).digraph
+        validated_ideal(g, j)  # g then admits (H, S), so the quotient checks nothing again
+        work = graded_quotient(g, j.pair).digraph
         beta = j.beta
     else:
         work = g

@@ -1,14 +1,15 @@
 """Graded ideals: admissible pairs (H, S), their order and the cycles without exit.
 
-A pair is checked by one walk over the arrows at H (:func:`admissibility`).
-The cycles without exit of Γ/(H, S) are single-cycle components of g, which
-:func:`~leavitt.digraph.no_exit_cycles` reads off once the pair is checked.
+A pair is checked once per digraph, which remembers it, by one walk over the
+arrows at H (:func:`admissibility`).  The cycles without exit of Γ/(H, S) are
+single-cycle components of g (:func:`~leavitt.digraph.no_exit_cycles`).
 Presentations (H, S, β, θ) live in :mod:`leavitt.presentations`, and the
 pairs' enumeration, lattice and strata census in :mod:`leavitt.lattice`.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Iterable
 
 from .digraph import Digraph, GeometricCycle, is_omega, no_exit_cycles
@@ -19,13 +20,10 @@ from .records import record
 def __getattr__(name):
     # bench/ reads these names here, where they once were; forwarding them
     # keeps fields and lattice out of the commands that never use them
-    if name == "is_dlf":
-        from .fields import is_dlf
-        return is_dlf
-    if name in ("pair_lattice", "enumerate_strata"):
-        from . import lattice
-        return getattr(lattice, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = {"is_dlf": "fields", "pair_lattice": "lattice", "enumerate_strata": "lattice"}
+    if name not in home:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{home[name]}", __package__), name)
 
 
 @record
@@ -64,13 +62,15 @@ def admissibility(g: Digraph, hs: frozenset[str]) -> tuple[bool, bool, frozenset
 
 
 def ensure_admissible(g: Digraph, pair: AdmissiblePair) -> frozenset[str]:
-    """B_H∖S, the vertices that get a primed sink; raises unless (H, S) is
-    admissible: the ids of H and S first, then :func:`admissibility`."""
-    g.check_vertices(pair.h | pair.s)  # names the smallest unknown id of H ∪ S
-    hereditary, saturated, breaking = admissibility(g, pair.h)
-    if hereditary and saturated and pair.s <= breaking:
-        return breaking - pair.s
-    raise NotAdmissibleError(f"{pair.label()} is not admissible in {g.name}")
+    """B_H∖S, the vertices that get a primed sink, as g remembers it; a pair g
+    has not admitted yet is checked: the ids of H and S, then :func:`admissibility`."""
+    if pair not in g._admitted:
+        g.check_vertices(pair.h | pair.s)  # names the smallest unknown id of H ∪ S
+        hereditary, saturated, breaking = admissibility(g, pair.h)
+        if not (hereditary and saturated and pair.s <= breaking):
+            raise NotAdmissibleError(f"{pair.label()} is not admissible in {g.name}")
+        g._admitted[pair] = breaking - pair.s
+    return g._admitted[pair]
 
 
 def pair_order(g: Digraph, a: AdmissiblePair, b: AdmissiblePair) -> bool:

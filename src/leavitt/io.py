@@ -8,9 +8,9 @@ lives with its type, so only the commands that read or write one compile it:
 ideals in :mod:`leavitt.presentations`, quotients and certificates in
 :mod:`leavitt.quotients`, morphisms in :mod:`leavitt.morphisms` and
 projective presentations in :mod:`leavitt.projectives`.  Each check of a
-digraph file runs once, on its line: :func:`parse_digraph` files every arrow
-under its id, source and target as it passes, so neither ``Digraph(...)``
-nor ``ArrowClass`` checks parsed text again (library callers keep both).
+digraph file runs once, on its line, so :func:`parse_digraph` builds the
+digraph with :meth:`Digraph.trusted <leavitt.digraph.Digraph.trusted>`, and
+neither ``Digraph(...)`` nor ``ArrowClass`` checks parsed text again.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from .errors import ParseError
 # -- digraphs ---------------------------------------------------------------------
 
 def parse_digraph(text: str, path: str | None = None) -> Digraph:
-    """The digraph of ``text``, checked and indexed in one pass over its lines."""
+    """The digraph of ``text``, checked in one pass over its lines, then indexed."""
     name = None
+    vertices: dict[str, None] = {}  # the declared vertices, in order
     by_id: dict[str, ArrowClass] = {}
-    out: dict[str, list[ArrowClass]] = {}  # the declared vertices, in order
-    in_: dict[str, list[ArrowClass]] = {}
     new, put = object.__new__, object.__setattr__
     for no, raw in enumerate(text.splitlines(), 1):
         parts = raw.partition("#")[0].split()
@@ -48,24 +47,21 @@ def parse_digraph(text: str, path: str | None = None) -> Digraph:
                     raise ParseError(f"bad multiplicity {k!r}: {exc}", no, path) from None
                 if mult < 1:
                     raise ParseError(f"bad multiplicity {k!r}", no, path)
-            if src not in out:
+            if src not in vertices:
                 raise ParseError(f"arrow {aid!r}: undeclared source {src!r}", no, path)
-            if dst not in out:
+            if dst not in vertices:
                 raise ParseError(f"arrow {aid!r}: undeclared target {dst!r}", no, path)
-            # ArrowClass(aid, src, dst, mult) with its fields set in order, unchecked
-            by_id[aid] = a = new(ArrowClass)
+            by_id[aid] = a = new(ArrowClass)  # ArrowClass(aid, src, dst, mult), unchecked
             put(a, "id", aid)
             put(a, "source", src)
             put(a, "target", dst)
             put(a, "multiplicity", mult)
-            out[src].append(a)
-            in_[dst].append(a)
         elif kw == "vertex":
             if len(parts) != 2:
                 raise ParseError("expected: vertex <id>", no, path)
-            if parts[1] in out:
+            if parts[1] in vertices:
                 raise ParseError(f"duplicate vertex id {parts[1]!r}", no, path)
-            out[parts[1]], in_[parts[1]] = [], []
+            vertices[parts[1]] = None
         elif kw == "digraph":
             if name is not None:
                 raise ParseError("duplicate digraph header", no, path)
@@ -76,10 +72,7 @@ def parse_digraph(text: str, path: str | None = None) -> Digraph:
             raise ParseError(f"unrecognized keyword {kw!r}", no, path)
     if name is None:
         raise ParseError("missing digraph header", None, path)
-    g = Digraph.__new__(Digraph)  # what Digraph.__init__ builds, checked as it was built
-    g.name, g.vertices, g.arrows = name, tuple(out), tuple(by_id.values())
-    g._by_id, g._out, g._in = by_id, out, in_
-    return g
+    return Digraph.trusted(name, tuple(vertices), tuple(by_id.values()))
 
 
 def serialize_digraph(g: Digraph, provenance: dict | None = None) -> str:
@@ -88,7 +81,7 @@ def serialize_digraph(g: Digraph, provenance: dict | None = None) -> str:
         k = a.multiplicity
         tail = " omega" if is_omega(k) else "" if k == 1 else f" {k}"
         lines.append(f"arrow {a.id} {a.source} {a.target}{tail}")
-    if provenance:
-        ids = [*g.vertices, *(a.id for a in g.arrows)]
-        lines += [f"# provenance: {x} <- {provenance[x]}" for x in ids]
+    if provenance:  # keyed by (kind, id), as a vertex and an arrow may share an id
+        keys = [*(("vertex", v) for v in g.vertices), *(("arrow", a.id) for a in g.arrows)]
+        lines += [f"# provenance: {x} <- {provenance[kind, x]}" for kind, x in keys]
     return "\n".join(lines) + "\n"

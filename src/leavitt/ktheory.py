@@ -166,6 +166,8 @@ def galois_psi(g: Digraph, x: ProjectivePresentation | Iterable[Generator]) -> A
             if forced or not bits.mask({a.target for a in arrows}) & ~h:
                 h = bits.close(h, forced or bits.bit[item.vertex])
                 grown = True
-    # H is closed, so B_H needs no check; it lies outside H
-    s = bits.mask({item.vertex for item in corners}) & bits.breaking(h)
-    return AdmissiblePair(bits.members(h), bits.members(s))
+    breaking = bits.breaking(h)  # H is closed, so B_H needs no check; it lies outside H
+    s = bits.mask({item.vertex for item in corners}) & breaking
+    pair = AdmissiblePair(bits.members(h), bits.members(s))
+    g._admitted[pair] = bits.members(breaking & ~s)  # g admits the pair it found
+    return pair

@@ -37,13 +37,16 @@ def _preorder_key(m: int) -> int:
 
 
 def _pairs(g: Digraph, masks: list[tuple[int, int]]) -> list[AdmissiblePair]:
-    """The pairs of (H, S) masks on ``g.bits``; pairs with one H share its set."""
-    members, out, last = g.bits.members, [], None
+    """The pairs of (H, S) masks on ``g.bits``, which g remembers as admitted with
+    their B_H∖S; pairs with one H share its set."""
+    bits, admitted, out, last = g.bits, g._admitted, [], None
     empty = frozenset()
     for h, s in masks:
         if h != last:
-            last, h_set = h, members(h)
-        out.append(AdmissiblePair(h_set, members(s) if s else empty))
+            last, h_set, breaking = h, bits.members(h), bits.members(bits.breaking(h))
+        pair = AdmissiblePair(h_set, bits.members(s) if s else empty)
+        admitted[pair] = breaking - pair.s
+        out.append(pair)
     return out
 
 
@@ -236,13 +239,9 @@ def enumerate_strata(g: Digraph, field: Field, max_deg: int,
     p, census = field.p, functools.cache(functools.partial(_degree_census, field))
     # by |β|: each degree tuple with its parameter and dlf counts, built once
     rows: dict[int, list[tuple[tuple[int, ...], int, int]]] = {0: [((), 1, 1)]}
-    bits = g.bits
     records: list[StratumRecord] = []
-    masks = enumerate_admissible_pairs(g, limit, masks=True)
-    for pair, (h, s) in zip(_pairs(g, masks), masks):
-        # the pairs are admissible by construction: no ensure_admissible here
-        primed = bits.members(bits.breaking(h) & ~s)
-        cycles = sorted(no_exit_cycles(g, pair.h, primed, limit),
+    for pair in enumerate_admissible_pairs(g, limit):  # g remembers each B_H∖S
+        cycles = sorted(no_exit_cycles(g, pair.h, g._admitted[pair], limit),
                         key=lambda c: c.arrows)
         for r in range(len(cycles) + 1):
             per_beta = max_deg ** r

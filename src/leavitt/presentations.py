@@ -133,10 +133,11 @@ class ValidatedIdeal:
 
 
 def validated_ideal(g: Digraph, j: IdealPresentation) -> ValidatedIdeal:
-    """Validate j on g once; raises InvalidIdealError with every violation."""
+    """Validate j on g once, then admit (H, S) on g; raises InvalidIdealError."""
     report = validate_ideal(g, j)
     if not report.valid:
         raise InvalidIdealError(report.violations)
+    g._admitted[j.pair] = report.primed
     return ValidatedIdeal(g, j, report.primed)
 
 

@@ -24,9 +24,11 @@ Contract: each public (digraph, ideal) entry point validates once, through
 :func:`~leavitt.presentations.validated_ideal`, and builds the graded
 quotient, the dlf verdicts and the severed digraph at most once per call.
 The one worker, :func:`sever_validated`, takes only the validated ideal: it
-builds Γ/(H, S) from the cached B_H∖S, mints every split id, and records on
-the severed result what each generator of Γ/(H, S) becomes in Γ//J.  The
-certificate attaches roots and scalars to those images and names no id.
+builds Γ/(H, S) by :func:`graded_quotient`, which finds the pair admitted on
+g, mints every split id, and records on the severed result what each
+generator of Γ/(H, S) becomes in Γ//J.  The certificate attaches roots and
+scalars to those images and names no id.  What is built here passes the checks
+of ``Digraph(...)`` by construction, so it is built by ``Digraph.trusted``.
 """
 
 from __future__ import annotations
@@ -51,18 +53,20 @@ if TYPE_CHECKING:
 
 @record
 class QuotientResult:
-    """A constructed digraph plus, for every new id, where it came from.
+    """A constructed digraph plus, for every ``(kind, id)`` of it, kind "vertex"
+    or "arrow", where it came from (a vertex and an arrow may share an id).
 
     Only severing fills ``images``: for each generator of Γ/(H, S), in its
     order, ``(kind, id, image ids)`` with kind "vertex", "arrow" or "cycle"
     (a β cycle's first arrow, whose image is its cycle's sinks)."""
 
     digraph: Digraph
-    provenance: Mapping[str, str]
+    provenance: Mapping[tuple[str, str], str]
     images: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
 
 
 def _fresh(name: str, taken: set[str]) -> str:
+    """``name``, unless ``taken``, the ids of its kind (vertex or arrow), holds it."""
     if name in taken:
         raise InternalConsistencyError(f"fresh id {name!r} collides with an existing id")
     taken.add(name)
@@ -71,33 +75,21 @@ def _fresh(name: str, taken: set[str]) -> str:
 
 def graded_quotient(g: Digraph, pair: AdmissiblePair) -> QuotientResult:
     """Γ/(H, S): survivors keep their ids; each v ∈ B_H∖S gets a sink v'."""
-    return _graded_quotient(g, pair.h, ensure_admissible(g, pair))
-
-
-def _graded_quotient(g: Digraph, h: frozenset[str], primed: frozenset[str]) -> QuotientResult:
-    taken = set(g.vertices) | {a.id for a in g.arrows}
-    vertices: list[str] = []
-    provenance: dict[str, str] = {}
-    for v in g.vertices:
-        if v not in h:
-            vertices.append(v)
-            provenance[v] = f"vertex {v}"
-    for v in g.vertices:
-        if v in primed:
-            vp = _fresh(v + "'", taken)
-            vertices.append(vp)
-            provenance[vp] = f"breaking-sink {v}"
-    arrows: list[ArrowClass] = []
-    for a in g.arrows:
-        if a.target not in h:
-            arrows.append(a)
-            provenance[a.id] = f"arrow {a.id}"
-    for a in g.arrows:
-        if a.target in primed:
-            ap = _fresh(a.id + "'", taken)
-            arrows.append(ArrowClass(ap, a.source, a.target + "'", a.multiplicity))
-            provenance[ap] = f"breaking-arrow {a.id}"
-    return QuotientResult(Digraph(g.name, vertices, arrows), provenance)
+    h, primed = pair.h, ensure_admissible(g, pair)
+    vertices = [v for v in g.vertices if v not in h]
+    arrows = [a for a in g.arrows if a.target not in h]  # H is hereditary: none leaves H
+    provenance = {("vertex", v): f"vertex {v}" for v in vertices}
+    provenance.update((("arrow", a.id), f"arrow {a.id}") for a in arrows)
+    taken_vertices, taken_arrows = set(g.vertices), set(g._by_id)
+    for v in [v for v in g.vertices if v in primed]:
+        vp = _fresh(v + "'", taken_vertices)
+        vertices.append(vp)
+        provenance["vertex", vp] = f"breaking-sink {v}"
+    for a in [a for a in g.arrows if a.target in primed]:
+        ap = _fresh(a.id + "'", taken_arrows)
+        arrows.append(ArrowClass(ap, a.source, a.target + "'", a.multiplicity))
+        provenance["arrow", ap] = f"breaking-arrow {a.id}"
+    return QuotientResult(Digraph.trusted(g.name, tuple(vertices), tuple(arrows)), provenance)
 
 
 def _check_no_exit(g: Digraph, cycle: GeometricCycle):
@@ -120,24 +112,24 @@ def cycle_to_loop(g: Digraph, cycles: Iterable[GeometricCycle]) -> QuotientResul
             raise CyclesNotDisjointError("cycles to rewrite share a vertex")
         seen_vertices |= vs
         _check_no_exit(g, c)
-    taken = set(g.vertices) | {a.id for a in g.arrows}
+    taken = set(g._by_id)
     replacement: dict[str, ArrowClass] = {}
-    provenance: dict[str, str] = {v: f"vertex {v}" for v in g.vertices}
+    provenance = {("vertex", v): f"vertex {v}" for v in g.vertices}
     for c in cycles:
         if len(c) == 1:
             continue  # already a loop
         first = g.arrow(c.arrows[0])
         loop_id = _fresh(first.id + "'", taken)
         replacement[first.id] = ArrowClass(loop_id, first.source, first.source, 1)
-        provenance[loop_id] = f"loop-rewrite {first.id}"
+        provenance["arrow", loop_id] = f"loop-rewrite {first.id}"
     arrows = []
     for a in g.arrows:
         if a.id in replacement:
             arrows.append(replacement[a.id])
         else:
             arrows.append(a)
-            provenance[a.id] = f"arrow {a.id}"
-    return QuotientResult(Digraph(g.name, g.vertices, arrows), provenance)
+            provenance["arrow", a.id] = f"arrow {a.id}"
+    return QuotientResult(Digraph.trusted(g.name, g.vertices, tuple(arrows)), provenance)
 
 
 def sever(g: Digraph, j: IdealPresentation) -> QuotientResult:
@@ -152,7 +144,7 @@ def sever_validated(valid: ValidatedIdeal) -> QuotientResult:
     """:func:`sever` for a validated presentation, from the graded quotient it
     builds, with what each generator of that quotient becomes (``images``)."""
     g, j = valid.graph, valid.ideal
-    q1 = _graded_quotient(g, j.pair.h, valid.primed)
+    q1 = graded_quotient(g, j.pair)  # g admitted the pair when it was validated
     work = q1.digraph
     # each cycle's first arrow is the one the rewrite turns into a loop, and
     # severing deletes that loop; it takes no id and leaves its own free
@@ -160,15 +152,17 @@ def sever_validated(valid: ValidatedIdeal) -> QuotientResult:
 
     # ids are minted per cycle, sinks first and then copies of the arrows into
     # the base, which fixes the id a collision reports
-    taken = set(work.vertices) | {a.id for a in work.arrows if a.id not in first_arrows}
+    taken_vertices = set(work.vertices)
+    taken_arrows = {a.id for a in work.arrows if a.id not in first_arrows}
     sinks_of: dict[str, tuple[str, ...]] = {}  # base -> its sinks
     copies_of: dict[str, list[ArrowClass]] = {}  # arrow into a base -> its copies
-    minted: dict[str, str] = {}  # the provenance of the new ids
+    minted: dict[tuple[str, str], str] = {}  # the provenance of the new ids
     for cycle in j.beta:
         base = work.arrow(cycle.arrows[0]).source
-        sinks_of[base] = sinks = tuple(_fresh(f"{base}.{jdx}", taken)
+        sinks_of[base] = sinks = tuple(_fresh(f"{base}.{jdx}", taken_vertices)
                                        for jdx in range(1, j.theta[cycle].degree + 1))
-        minted.update((s, f"cycle-sink {base} root {jdx}") for jdx, s in enumerate(sinks, 1))
+        minted.update((("vertex", s), f"cycle-sink {base} root {jdx}")
+                      for jdx, s in enumerate(sinks, 1))
         for a in work.in_arrows(base):
             if a.id == cycle.arrows[0]:
                 continue
@@ -177,9 +171,9 @@ def sever_validated(valid: ValidatedIdeal) -> QuotientResult:
                     f"unexpected second loop {a.id} at severed vertex {base}")
             copies_of[a.id] = []
             for jdx, s in enumerate(sinks, 1):
-                copy_id = _fresh(f"{a.id}.{jdx}", taken)
+                copy_id = _fresh(f"{a.id}.{jdx}", taken_arrows)
                 copies_of[a.id].append(ArrowClass(copy_id, a.source, s, a.multiplicity))
-                minted[copy_id] = f"split-arrow {a.id} copy {jdx}"
+                minted["arrow", copy_id] = f"split-arrow {a.id} copy {jdx}"
 
     # Γ//J and the images, in one pass over the generators of Γ/(H, S)
     vertices: list[str] = []
@@ -196,13 +190,15 @@ def sever_validated(valid: ValidatedIdeal) -> QuotientResult:
         copies = copies_of.get(a.id, [a])
         arrows += copies
         images.append(("arrow", a.id, tuple(c.id for c in copies)))
-    digraph = Digraph(g.name, vertices, arrows)
-    # the replaced generators leave the provenance and the minted ids join it
-    provenance = {x: origin for x, origin in q1.provenance.items() if x not in first_arrows
-                  and x not in sinks_of and x not in copies_of} | minted
-    missing = (set(digraph.vertices) | {a.id for a in digraph.arrows}) ^ set(provenance)
+    digraph = Digraph.trusted(g.name, tuple(vertices), tuple(arrows))
+    # a generator that is its own image keeps its provenance; the minted ids join it
+    provenance = {(kind, x): q1.provenance[kind, x] for kind, x, ids in images
+                  if kind != "cycle" and ids == (x,)} | minted
+    missing = {("vertex", v) for v in vertices} | {("arrow", a.id) for a in arrows}
+    missing ^= provenance.keys()
     if missing:
-        raise InternalConsistencyError(f"provenance does not cover {sorted(missing)}")
+        raise InternalConsistencyError(
+            f"provenance does not cover {sorted(x for _, x in missing)}")
     return QuotientResult(digraph, provenance, tuple(images))
 
 
@@ -253,9 +249,10 @@ class IsoCertificate:
 
     entries: tuple[CertEntry, ...]
 
-    def image_of(self, generator: str) -> tuple[tuple[Scalar, str], ...]:
+    def image_of(self, generator: str, kind: str | None = None) -> tuple[tuple[Scalar, str], ...]:
+        """The image of the first entry for ``generator``, of that ``kind`` if given."""
         for e in self.entries:
-            if e.generator == generator:
+            if e.generator == generator and kind in (None, e.kind):
                 return e.image
         raise KeyError(generator)
 

@@ -29,6 +29,7 @@ from leavitt.errors import (
     FieldMismatchError,
     InternalConsistencyError,
     MeetJoinFailureError,
+    NotAdmissibleError,
     NotDlfError,
     ParseError,
     ResourceLimitError,
@@ -321,10 +322,9 @@ def enumerated_dimension_blocks(g: Digraph, j: presentations.IdealPresentation |
 
     if j is not None:
         from leavitt.presentations import validated_ideal
-        from leavitt.quotients import _graded_quotient
 
-        valid = validated_ideal(g, j)
-        work = _graded_quotient(g, j.pair.h, valid.primed).digraph
+        validated_ideal(g, j)
+        work = quotients.graded_quotient(g, j.pair).digraph
         beta = j.beta
     else:
         work = g
@@ -649,14 +649,16 @@ def digraphs(draw, max_vertices: int = 12) -> Digraph:
     loops, parallel to one another, of multiplicity 2 or ω.  In half the draws
     one more vertex is a sink fed by ω classes from some of the others: a
     feeder that keeps a finite exit breaks every H holding the sink, so
-    admissible pairs with S ≠ ∅ are common."""
+    admissible pairs with S ≠ ∅ are common.  In a third of the draws the arrow
+    classes are named v0, v1, … as the vertices are, so ids are shared."""
     sink = draw(st.booleans())
     n = draw(st.integers(0, max_vertices - sink))
     vs = [f"v{i}" for i in range(n)]
     ends = st.integers(0, n - 1) if n else st.nothing()
     classes = draw(st.lists(st.tuples(ends, ends, st.sampled_from((1, 1, 2, OMEGA))),
                             max_size=2 * n))
-    arrows = [(f"e{k}", vs[s], vs[t], m) for k, (s, t, m) in enumerate(classes)]
+    prefix = draw(st.sampled_from("eev"))
+    arrows = [(f"{prefix}{k}", vs[s], vs[t], m) for k, (s, t, m) in enumerate(classes)]
     if sink and n:
         feeders = sorted(draw(st.sets(st.sampled_from(vs), min_size=1, max_size=3)))
         arrows += [(f"w{i}", u, f"v{n}", OMEGA) for i, u in enumerate(feeders)]
@@ -863,6 +865,16 @@ def mask_admissibility(g: Digraph, hs) -> tuple[bool, bool, frozenset[str]]:
             leaving |= bits.pred[bits.bit[v].bit_length() - 1]
     return (not leaving & h, not bits.regular & ~h & ~leaving,
             bits.members(bits.breaking(h)))
+
+
+def unmemoized_ensure_admissible(g: Digraph, pair: ideals.AdmissiblePair) -> frozenset[str]:
+    """``ideals.ensure_admissible`` as it was before the digraph remembered the
+    pairs it admitted: every call checks the ids and walks the arrows at H."""
+    g.check_vertices(pair.h | pair.s)  # names the smallest unknown id of H ∪ S
+    hereditary, saturated, breaking = ideals.admissibility(g, pair.h)
+    if hereditary and saturated and pair.s <= breaking:
+        return breaking - pair.s
+    raise NotAdmissibleError(f"{pair.label()} is not admissible in {g.name}")
 
 
 def bitset_lattice_tables(g: Digraph, elements):

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leavitt import lattice
 from leavitt.digraph import OMEGA, Digraph, GeometricCycle, enumerate_hereditary_saturated
 from leavitt.errors import (
     FieldMismatchError,
+    LeavittError,
     NotAdmissibleError,
     ResourceLimitError,
     UnknownArrowError,
@@ -11,11 +14,14 @@ from leavitt.errors import (
 )
 from leavitt.fields import Field, Polynomial
 from leavitt.ideals import AdmissiblePair, ensure_admissible, no_exit_quotient_cycles, pair_order
+from leavitt.ktheory import galois_phi, galois_psi
 from leavitt.lattice import enumerate_admissible_pairs, enumerate_strata, pair_lattice
 from leavitt.presentations import IdealPresentation, graded_part, validate_ideal
 
 from conftest import corpus_graphs, corpus_ideal_pairs, load_graph, load_ideal
-from helpers import exhaustive_degree_census
+from helpers import digraphs, exhaustive_degree_census, unmemoized_ensure_admissible
+from test_io_cli import SAMPLE_ARGS, run_cli
+from test_validated import component_union, count_calls
 
 Q = Field.rationals()
 F2, F3, F5 = Field.gf(2), Field.gf(3), Field.gf(5)
@@ -278,3 +284,72 @@ class TestStrata:
         with pytest.raises(ResourceLimitError, match="fixed bound of 4300 decimal digits"):
             enumerate_strata(loop, Field.gf(2**61 - 1), 3000)
         assert calls == []
+
+
+def admitted(fn, g, pair):
+    """fn(g, pair), or the type and text of the error it raised."""
+    try:
+        return fn(g, pair)
+    except LeavittError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestAdmittedPairs:
+    """A digraph remembers B_H∖S of each pair it admitted; the checks that
+    follow are lookups, and answer as the walk did (``helpers``' oracle)."""
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_remembered_pairs_answer_as_the_walk_did(self, data):
+        g = data.draw(digraphs(max_vertices=8))
+        ids = st.sampled_from([*g.vertices, "zz"])  # an unknown id now and then
+        pairs = lattice.enumerate_admissible_pairs(Digraph(g.name, g.vertices, g.arrows))
+        drawn = st.builds(AdmissiblePair.of, st.sets(ids, max_size=4), st.sets(ids, max_size=2))
+        if pairs:  # an admissible pair, or one with a vertex more in S
+            grown = st.builds(lambda p, v: AdmissiblePair.of(p.h, p.s | {v}),
+                              st.sampled_from(pairs), ids)
+            drawn = st.one_of(drawn, st.sampled_from(pairs), grown)
+        pair = data.draw(drawn)
+        expected = admitted(unmemoized_ensure_admissible, g, pair)
+        assert admitted(ensure_admissible, g, pair) == expected
+        assert g._admitted.get(pair, ("never stored",)) == (
+            expected if isinstance(expected, frozenset) else ("never stored",))
+        assert admitted(ensure_admissible, g, pair) == expected
+        lattice.enumerate_admissible_pairs(g)
+        assert admitted(ensure_admissible, g, pair) == expected
+        for known, primed in g._admitted.items():  # each enumerated pair, each with B_H∖S
+            assert unmemoized_ensure_admissible(g, known) == primed
+        assert set(g._admitted) == set(pairs) | ({pair} if pair in g._admitted else set())
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_the_galois_map_psi_admits_what_it_finds(self, data):
+        g = data.draw(digraphs(max_vertices=8))
+        pair = data.draw(st.sampled_from(lattice.enumerate_admissible_pairs(g)))
+        fresh = Digraph(g.name, g.vertices, g.arrows)
+        found = galois_psi(fresh, galois_phi(g, pair).generating_items(g))
+        assert found == pair and fresh._admitted == {pair: unmemoized_ensure_admissible(g, pair)}
+
+    def test_orth_walks_the_arrows_at_h_once(self, monkeypatch):
+        # ψ(P) is admitted as it is found and (H, S) as J is validated, so the order looks both up
+        counts = count_calls(monkeypatch, ("admissibility",))
+        assert run_cli("orth", *SAMPLE_ARGS["orth"]) == (0, "orthogonal: true\n")
+        monkeypatch.undo()
+        assert counts["admissibility"] == 1
+
+    def test_the_galois_round_trip_after_the_lattice_walks_nothing(self, monkeypatch):
+        g = component_union("ABBCA")
+        elements = pair_lattice(g).elements
+        counts = count_calls(monkeypatch, ("admissibility",))
+        for pair in elements:
+            assert galois_psi(g, galois_phi(g, pair).generating_items(g)) == pair
+        monkeypatch.undo()
+        assert len(elements) == 648 and counts["admissibility"] == 0
+
+    def test_a_rejected_pair_is_checked_again(self, sq2, monkeypatch):
+        counts = count_calls(monkeypatch, ("admissibility",))
+        for _ in range(2):
+            with pytest.raises(NotAdmissibleError):
+                ensure_admissible(sq2, AdmissiblePair.of({"u"}))
+        monkeypatch.undo()
+        assert counts["admissibility"] == 2 and not sq2._admitted

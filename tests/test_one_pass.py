@@ -1,10 +1,14 @@
 """The one-pass readers and the ℚ root paths against what they replaced
 (oracles in ``helpers``): the digraph parser that built ``Digraph(...)`` from
 the collected lines, ``Fraction(token)`` and ``Polynomial.of`` for θ, and the
-ℚ roots and squarefree parts taken through the integer form at every degree."""
+ℚ roots and squarefree parts taken through the integer form at every degree.
+The digraphs the library builds, unchecked, are indexed as ``Digraph(...)``
+indexes them, and no command runs its checks."""
 
+from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +19,9 @@ from helpers import (
     keyword_verdict,
     lifted_roots,
     lifted_squarefree,
+    planted_ideals,
 )
+from leavitt.digraph import Digraph
 from leavitt.errors import LeavittError
 from leavitt.fields import (
     Field,
@@ -28,8 +34,11 @@ from leavitt.fields import (
 )
 from leavitt.io import parse_digraph, serialize_digraph
 from leavitt.presentations import parse_ideal
+from leavitt.quotients import cycle_to_loop, graded_quotient, sever
 
+from test_io_cli import SAMPLE_ARGS, cpath, run_cli
 from test_roots import rational_planted
+from test_validated import counted
 
 Q = Field.rationals()
 
@@ -86,6 +95,43 @@ def test_parsed_digraphs_keep_every_index(g):
     text = serialize_digraph(g)
     assert internals(parse_digraph(text)) == internals(init_parse_digraph(text)) \
         == internals(g)
+
+
+def checked(g):
+    """The same digraph, built by the checked constructor."""
+    return Digraph(g.name, g.vertices, g.arrows)
+
+
+@settings(max_examples=150)
+@given(planted=planted_ideals(), data=st.data())
+def test_built_digraphs_keep_the_indexes_of_the_checked_constructor(planted, data):
+    # the graded quotient, Γ//J, a cycle-to-loop rewrite and a full subgraph are built unchecked
+    g, j = planted
+    quotient = graded_quotient(g, j.pair).digraph
+    looped = cycle_to_loop(quotient, j.beta).digraph
+    kept = data.draw(st.sets(st.sampled_from(g.vertices))) if g.vertices else set()
+    for built in (quotient, sever(g, j).digraph, looped, g.full_subgraph(kept)):
+        assert internals(built) == internals(checked(built))
+
+
+#: Every command that builds a digraph from an ideal, with operands that make it build one.
+QUOTIENT_COMMANDS = {
+    **{name: SAMPLE_ARGS[name] for name in ("quotient", "decide", "sever", "certificate",
+                                            "radical")},
+    "dim": (cpath("ek"), cpath("ek-ideal-Q")),
+}
+
+
+@pytest.mark.parametrize("name", list(QUOTIENT_COMMANDS))
+def test_no_command_runs_the_checked_constructor(monkeypatch, name):
+    # the operand digraph and at least one quotient, all through Digraph.trusted
+    counts: Counter = Counter()
+    monkeypatch.setattr(Digraph, "__init__", counted(counts, "init", Digraph.__init__))
+    monkeypatch.setattr(Digraph, "trusted",
+                        classmethod(counted(counts, "trusted", Digraph.trusted.__func__)))
+    assert run_cli(name, *QUOTIENT_COMMANDS[name])[0] == 0
+    monkeypatch.undo()
+    assert counts["init"] == 0 and counts["trusted"] >= 2
 
 
 # -- θ tokens and θ ---------------------------------------------------------------

@@ -15,8 +15,9 @@ from leavitt.errors import (
 )
 from leavitt.fields import Field, Polynomial
 from leavitt.ideals import AdmissiblePair
+from leavitt.io import parse_digraph
 from leavitt.lattice import enumerate_admissible_pairs
-from leavitt.presentations import IdealPresentation
+from leavitt.presentations import IdealPresentation, parse_ideal
 from leavitt.quotients import (
     cycle_to_loop,
     decide_lpa_quotient,
@@ -27,6 +28,7 @@ from leavitt.quotients import (
 )
 
 from conftest import corpus_graphs, corpus_ideal_pairs, load_graph, load_ideal
+from test_io_cli import run_cli
 
 Q = Field.rationals()
 F2, F3, F5 = Field.gf(2), Field.gf(3), Field.gf(5)
@@ -46,8 +48,8 @@ class TestGradedQuotient:
         for g in corpus_graphs().values():
             result = graded_quotient(g, AdmissiblePair.of(set()))
             assert result.digraph == g
-            assert all(origin in (f"vertex {new}", f"arrow {new}")
-                       for new, origin in result.provenance.items())
+            assert all(origin == f"{kind} {new}"
+                       for (kind, new), origin in result.provenance.items())
 
     def test_breaking_vertex_kept_out_of_s(self, breaking):
         result = graded_quotient(breaking, AdmissiblePair.of({"h"}))
@@ -55,7 +57,7 @@ class TestGradedQuotient:
         assert set(g.vertices) == {"v", "w", "v'"}
         assert [(a.id, a.source, a.target) for a in g.arrows] == [("a", "v", "w")]
         assert not g.out_arrows("v'") and not g.in_arrows("v'")
-        assert result.provenance["v'"] == "breaking-sink v"
+        assert result.provenance["vertex", "v'"] == "breaking-sink v"
 
     def test_breaking_vertex_in_s(self, breaking):
         result = graded_quotient(breaking, AdmissiblePair.of({"h"}, {"v"}))
@@ -171,8 +173,8 @@ class TestSever:
     def test_provenance_covers_output(self):
         for g, j in corpus_ideal_pairs():
             result = sever(g, j)
-            ids = set(result.digraph.vertices) | {a.id for a in result.digraph.arrows}
-            assert ids == set(result.provenance)
+            ids = {("vertex", v) for v in result.digraph.vertices}
+            assert ids | {("arrow", a.id) for a in result.digraph.arrows} == set(result.provenance)
 
     def test_graded_ideal_severs_to_graded_quotient(self, sq5):
         j = load_ideal("ch2-graded-Q")
@@ -381,3 +383,64 @@ class TestMatrixOracle:
             assert rep.spanning_rank() == dim, g.name
             checked.append(g.name)
         assert "ek-severed" in checked and "path2" in checked
+
+
+#: A vertex and an arrow named e: the loop e at v, fed from vertex e by x.
+SHARED = "digraph shared\nvertex v\nvertex e\narrow e v v\narrow x e v\n"
+SHARED_IDEAL = "ideal j\nfield F5\ncycle C: e\npoly C: 1 2\n"
+SEVERED_SHARED = ("digraph shared\nvertex v.1\nvertex e\narrow x.1 e v.1\n"
+                  "# provenance: v.1 <- cycle-sink v root 1\n# provenance: e <- vertex e\n"
+                  "# provenance: x.1 <- split-arrow x copy 1\n")
+
+
+class TestSharedIds:
+    """Vertices and arrows have ids of their own: one may name both."""
+
+    @pytest.mark.parametrize("command,expected", [
+        ("quotient", "digraph shared\nvertex v\nvertex e\narrow e v v\narrow x e v\n"
+                     "# provenance: v <- vertex v\n# provenance: e <- vertex e\n"
+                     "# provenance: e <- arrow e\n# provenance: x <- arrow x\n"),
+        ("decide", "isLPA\ncycle C: roots 2\n" + SEVERED_SHARED),
+        ("sever", SEVERED_SHARED),
+        ("certificate", "v -> 1*v.1\ne -> 1*e\nC -> 2*v.1\nx -> 1*x.1\n"),
+        ("radical", "cycle C: degree drop 0\nideal j.rad\nfield F5\ncycle C: e\npoly C: 1 2\n"
+                    + SEVERED_SHARED),
+    ])
+    def test_commands_on_a_shared_id(self, tmp_path, command, expected):
+        graph, ideal = tmp_path / "shared.graph", tmp_path / "shared.ideal"
+        graph.write_text(SHARED)
+        ideal.write_text(SHARED_IDEAL)
+        assert run_cli(command, str(graph), str(ideal)) == (0, expected)
+
+    def test_provenance_and_images_are_keyed_by_kind(self):
+        g, j = parse_digraph(SHARED), parse_ideal(SHARED_IDEAL)
+        provenance = graded_quotient(g, j.pair).provenance
+        assert provenance["vertex", "e"] == "vertex e" and provenance["arrow", "e"] == "arrow e"
+        cert = iso_certificate(g, j)
+        assert cert.image_of("e") == cert.image_of("e", "vertex") == ((1, "e"),)
+        assert cert.image_of("C", "cycle") == ((2, "v.1"),)
+        with pytest.raises(KeyError):
+            cert.image_of("e", "arrow")  # the loop e is the cycle's slot
+
+    def test_fresh_ids_of_one_kind_may_name_the_other(self, tmp_path):
+        # v breaks H = {h}: its sink v' and the copy v' of the arrow v into it share an id
+        graph, ideal = tmp_path / "cross.graph", tmp_path / "cross.ideal"
+        graph.write_text("digraph cross\nvertex v\nvertex h\nvertex w\n"
+                         "arrow om v h omega\narrow esc v w\narrow v w v\n")
+        ideal.write_text("ideal j\nfield Q\nH h\n")
+        assert run_cli("quotient", str(graph), str(ideal)) == (0, (
+            "digraph cross\nvertex v\nvertex w\nvertex v'\n"
+            "arrow esc v w\narrow v w v\narrow v' w v'\n"
+            "# provenance: v <- vertex v\n# provenance: w <- vertex w\n"
+            "# provenance: v' <- breaking-sink v\n# provenance: esc <- arrow esc\n"
+            "# provenance: v <- arrow v\n# provenance: v' <- breaking-arrow v\n"))
+
+    def test_a_sink_may_take_the_id_of_the_loop_severing_deletes(self, tmp_path):
+        # the loop v.1 at v is the cycle's slot: its image, the sink v.1, is not the arrow itself
+        graph, ideal = tmp_path / "own.graph", tmp_path / "own.ideal"
+        graph.write_text("digraph own\nvertex v\nvertex u\narrow v.1 v v\narrow f u v\n")
+        ideal.write_text("ideal j\nfield Q\ncycle C: v.1\npoly C: 1 -1\n")
+        assert run_cli("sever", str(graph), str(ideal)) == (0, (
+            "digraph own\nvertex v.1\nvertex u\narrow f.1 u v.1\n"
+            "# provenance: v.1 <- cycle-sink v root 1\n# provenance: u <- vertex u\n"
+            "# provenance: f.1 <- split-arrow f copy 1\n"))
